@@ -19,7 +19,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import Series, UniformGrid
-from .operators import CsitParams, csit_quadrature, fd_centered, pseudospectral_derivative
+from .operators import (
+    CsitParams,
+    _apply,
+    _centered_difference,
+    _derivative_multiplier,
+    _quadrature_multiplier,
+)
 from .special import shi, sinc_kernel
 
 __all__ = [
@@ -185,13 +191,16 @@ class DivergenceError(RuntimeError):
         self.last_finite = last_finite
 
 
-def _derivative_for(cfg: AdvectionConfig) -> Callable[[Series], Series]:
+def _derivative_for(cfg: AdvectionConfig) -> Callable[[np.ndarray], np.ndarray]:
+    """The scheme's derivative on raw sample arrays, built once per run."""
     if cfg.scheme == "fd":
-        return fd_centered
+        dx = cfg.dx
+        return lambda u: _centered_difference(u, dx)
     if cfg.scheme == "pseudospectral":
-        return pseudospectral_derivative
-    params = cfg.csit
-    return lambda s: csit_quadrature(s, params)
+        mult = _derivative_multiplier(cfg.grid)
+    else:
+        mult = _quadrature_multiplier(cfg.grid, cfg.csit)
+    return lambda u: _apply(u, mult)
 
 
 def run_advection(
@@ -202,8 +211,8 @@ def run_advection(
     """Integrate the forced advection equation and return snapshots.
 
     Three-level leapfrog in time, bootstrapped with a single forward
-    Euler step; the derivative operator is selected by ``cfg.scheme``.
-    Snapshot times snap to the nearest completed step.
+    Euler step; the derivative operator is selected by ``cfg.scheme`` and
+    built once per run.  Snapshot times snap to the nearest completed step.
 
     Raises
     ------
@@ -227,7 +236,7 @@ def run_advection(
     inject = 1.0 / grid.dx
 
     def rhs(u: np.ndarray, t: float) -> np.ndarray:
-        out = -cfg.c * deriv(Series(grid, u)).values
+        out = -cfg.c * deriv(u)
         out[j_src] += float(src(t)) * inject
         return out
 

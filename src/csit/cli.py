@@ -14,18 +14,12 @@ re-running a manifest reproduces output CSVs byte for byte.
 Exit codes: 0 success (for ``table1``: all rows passed, otherwise 1),
 2 usage or parameter error, 3 unreadable or malformed input data,
 4 numerical divergence.
-
-The environment variable ``CSIT_THREADS``, when set, must be a positive
-integer; it caps worker threads for operators that parallelize.  All
-current operators reduce serially, so any accepted value produces
-identical bytes; the resolved value is recorded in the manifest.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -72,22 +66,6 @@ EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
 _VERSION = "0.1.0"
-
-
-def thread_cap() -> int | None:
-    """Validated CSIT_THREADS value, or None when unset."""
-    raw = os.environ.get("CSIT_THREADS")
-    if raw is None or raw.strip() == "":
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"CSIT_THREADS must be a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(f"CSIT_THREADS must be at least 1, got {value}")
-    return value
 
 
 def _load_series(path) -> Series:
@@ -155,7 +133,6 @@ def _cmd_transform(args) -> int:
         "n_tau": args.n_tau,
         "rule": args.rule,
         "out": out.name,
-        "threads": thread_cap(),
     }
     # validate eagerly so bad parameters exit as usage errors
     if params["mode"] == "quadrature":
@@ -236,7 +213,6 @@ def _cmd_derive(args) -> int:
         "n_tau": args.n_tau,
         "rule": args.rule,
         "out": out.name,
-        "threads": thread_cap(),
     }
     params["eps"] = _quadrature_params(params).tau_min
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -369,7 +345,6 @@ def _cmd_advect(args) -> int:
         "source_kind": source.get("kind", "gaussian_derivative"),
         "t_delay": source.get("t_delay"),
         "window": None if args.window is None else _parse_floats(args.window, "--window"),
-        "threads": thread_cap(),
     }
     if params["window"] is not None and len(params["window"]) != 2:
         raise ValueError("--window needs exactly two numbers")
@@ -491,7 +466,6 @@ def _cmd_ifreq(args) -> int:
         "damping": damping,
         "trim": args.trim,
         "out": out.name,
-        "threads": thread_cap(),
     }
     IfParams(
         eta_half_width=H, tau_max=Z, tau_min=eps, n_eta=args.n_eta,
@@ -541,7 +515,6 @@ def _cmd_symbol(args) -> int:
         "dx": args.dx,
         "c": args.c,
         "out": out.name,
-        "threads": thread_cap(),
     }
     out.parent.mkdir(parents=True, exist_ok=True)
     return run_symbol(params, out.parent)[1]
@@ -572,7 +545,7 @@ def run_table1(params: dict, out_dir: Path) -> tuple[RunManifest, int]:
 
 def _cmd_table1(args) -> int:
     out = Path(args.out)
-    params = {"out": out.name, "threads": thread_cap()}
+    params = {"out": out.name}
     out.parent.mkdir(parents=True, exist_ok=True)
     return run_table1(params, out.parent)[1]
 
@@ -598,7 +571,12 @@ def _cmd_replay(args) -> int:
         )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return runner(manifest.parameters, out_dir)[1]
+    try:
+        return runner(manifest.parameters, out_dir)[1]
+    except KeyError as exc:
+        raise CsvFormatError(
+            args.manifest, f"manifest parameters lack {exc.args[0]!r}"
+        ) from None
 
 
 # --- parser ----------------------------------------------------------------
@@ -737,11 +715,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        thread_cap()
-    except ValueError as exc:
-        print(f"csit: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except CsvFormatError as exc:

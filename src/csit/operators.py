@@ -15,14 +15,27 @@ purely imaginary and odd, reducing to i*k as H, Z -> 0.  Closed forms for
 a few reference functions follow from the same normalization, e.g.
 sin -> sinc_kernel(H)*(shi(Z)/Z)*cos.
 
-Quadrature layout (both evaluation modes): eta nodes are symmetric
-midpoints eta_p = -H + (p - 1/2)*(2H/n_eta); tau nodes span [tau_min, Z]
-with trapezoid (default) or midpoint weights, and the first tau weight
-absorbs a rectangle patch for the [0, tau_min) strip so the weighted sum
+Quadrature layout: eta nodes are symmetric midpoints
+eta_p = -H + (p - 1/2)*(2H/n_eta); tau nodes span [tau_min, Z] with
+trapezoid (default) or midpoint weights, and the first tau weight absorbs
+a rectangle patch for the [0, tau_min) strip so the weighted sum
 approximates the full [0, Z] integral that the 1/Z normalization assumes.
 The lower cutoff tau_min only has to dodge the removable singularity at
 tau = 0; the quotient itself is cancellation-free, so tiny cutoffs are
 safe.
+
+``csit_quadrature_direct`` evaluates that weighted sum at complex points.
+On periodic samples the same sum is exactly one multiplier per mode,
+
+    m_q(k) = (i/norm) * (sum_p w_p cos(k*eta_p)) * (sum_m w_m sinh(k*tau_m)/tau_m),
+
+which ``csit_quadrature`` builds once and applies with a single real-FFT
+pair.  Taking the multiplier itself, rather than the imaginary part of
+continued samples, keeps rounding noise proportional to the result and
+not to the field (the Im-extraction would amplify it by 1/(k*tau) at
+small tau).  Every k-diagonal route here -- m_q, the exact symbol, i*k and
+the Hilbert multiplier -- is odd and purely imaginary, with the even-grid
+Nyquist bin zeroed, so real input comes back real.
 """
 
 from __future__ import annotations
@@ -33,8 +46,8 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 from scipy import integrate as _integrate
 
-from .continuation import AnalyticFunction, _EXP_ARG_LIMIT
-from .grid import Series, UniformGrid, wavenumbers
+from .continuation import AnalyticFunction, _check_growth
+from .grid import Series, UniformGrid
 from .special import shi, si, sinc_kernel
 
 __all__ = [
@@ -86,6 +99,9 @@ class CsitParams:
             raise ValueError("eta_half_width must be finite and nonnegative")
         if not (self.tau_max > 0.0 and np.isfinite(self.tau_max)):
             raise ValueError("tau_max must be positive and finite")
+        for count in (self.n_eta, self.n_tau):
+            if isinstance(count, (bool, np.bool_)) or not isinstance(count, (int, np.integer)):
+                raise ValueError(f"node counts must be integers, got {count!r}")
         if self.n_eta < 1 or self.n_tau < 1:
             raise ValueError("node counts must be at least 1")
         if self.rule not in ("trapezoid", "midpoint"):
@@ -138,35 +154,46 @@ class CsitParams:
         return self.tau_max if H == 0.0 else 2.0 * H * self.tau_max
 
 
-def _check_quadrature_growth(grid: UniformGrid, tau_max: float) -> None:
-    k = wavenumbers(grid)
-    if tau_max * float(np.max(-k)) > _EXP_ARG_LIMIT:
-        raise ValueError("continuation step too large for this grid")
+def _multiplier(grid: UniformGrid, symbol: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """An odd, purely imaginary symbol on the half spectrum k >= 0.
 
-
-def _quadrature_real(values: np.ndarray, grid: UniformGrid, p: CsitParams) -> np.ndarray:
-    """Weighted quadrature of Im[continuation]/tau for a real sample array.
-
-    For real input the imaginary part of the continued field has the
-    closed spectral form ifft(c_k * i*sinh(k*tau) * exp(i*k*eta)), which
-    is used directly: it avoids subtracting the large real part and so
-    keeps rounding noise proportional to the result rather than to the
-    field itself (the naive Im-extraction amplifies roundoff by
-    1/(k*tau) at small tau).
+    The Nyquist bin of even-length grids is zeroed: its sign is ambiguous
+    on the grid and every odd symbol vanishes there in the symmetric
+    limit.
     """
+    k = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.dx)
+    mult = np.asarray(symbol(k), dtype=np.complex128)
+    if grid.n % 2 == 0:
+        mult[-1] = 0.0
+    return mult
+
+
+def _apply(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Apply a half-spectrum multiplier from :func:`_multiplier`.
+
+    Real input comes back real; complex input is handled part-wise, which
+    keeps the operator linear over complex scalars.
+    """
+    if np.iscomplexobj(values):
+        return _apply(values.real, mult) + 1j * _apply(values.imag, mult)
+    return np.fft.irfft(np.fft.rfft(values) * mult, len(values))
+
+
+def _quadrature_multiplier(grid: UniformGrid, p: CsitParams) -> np.ndarray:
+    """The quadrature's exact multiplier m_q (see the module docstring).
+
+    Raises ValueError when sinh(k*tau_max) would overflow on this grid.
+    """
+    _check_growth(grid, p.tau_max)
     etas, w_eta = p.eta_nodes_weights()
     taus, w_tau = p.tau_nodes_weights()
-    k = wavenumbers(grid)
-    coeffs = np.fft.fft(values)
-    sinh_over_tau = np.sinh(np.outer(taus, k)) / taus[:, None]
-    acc = np.zeros(grid.n)
-    # batch the inverse transforms over tau; eta stays an outer loop to keep
-    # the multiplier bank at n_tau*n rather than n_eta*n_tau*n entries
-    for eta, we in zip(etas, w_eta):
-        mult = (1j * np.exp(1j * k * eta))[None, :] * sinh_over_tau
-        imag_part = np.fft.ifft(coeffs[None, :] * mult, axis=-1).real
-        acc += we * np.sum(w_tau[:, None] * imag_part, axis=0)
-    return acc / p.normalization
+
+    def symbol(k: np.ndarray) -> np.ndarray:
+        eta_factor = sum(w * np.cos(k * eta) for eta, w in zip(etas, w_eta))
+        tau_factor = sum(w * np.sinh(k * tau) / tau for tau, w in zip(taus, w_tau))
+        return (1j / p.normalization) * eta_factor * tau_factor
+
+    return _multiplier(grid, symbol)
 
 
 def csit_quadrature(s: Series, p: CsitParams) -> Series:
@@ -176,13 +203,7 @@ def csit_quadrature(s: Series, p: CsitParams) -> Series:
     transform(Re) + i*transform(Im), which keeps the operator linear over
     complex scalars.
     """
-    _check_quadrature_growth(s.grid, p.tau_max)
-    if s.is_real:
-        return Series(s.grid, _quadrature_real(s.values, s.grid, p))
-    out = _quadrature_real(s.values.real, s.grid, p) + 1j * _quadrature_real(
-        s.values.imag, s.grid, p
-    )
-    return Series(s.grid, out)
+    return Series(s.grid, _apply(s.values, _quadrature_multiplier(s.grid, p)))
 
 
 def csit_quadrature_direct(
@@ -217,43 +238,32 @@ def csit_symbol(k, eta_half_width: float, tau_max: float):
     return out if np.ndim(out) else complex(out)
 
 
-def _diagonal_apply(s: Series, mult: np.ndarray) -> Series:
-    """Apply a k-diagonal multiplier; real input with odd-imaginary symbol
-    comes back real."""
-    out = np.fft.ifft(np.fft.fft(s.values) * mult)
-    if s.is_real:
-        return Series(s.grid, out.real)
-    return Series(s.grid, out)
-
-
 def csit_spectral(s: Series, eta_half_width: float, tau_max: float) -> Series:
     """Exact-symbol form of the transform (the quadrature's fine limit).
 
-    The Nyquist mode of even-length grids is zeroed: its sign is
-    ambiguous on the grid and every odd symbol vanishes there in the
-    symmetric limit.
+    The Nyquist mode of even-length grids is zeroed.
     """
-    mult = csit_symbol(wavenumbers(s.grid), eta_half_width, tau_max)
-    if s.grid.n % 2 == 0:
-        mult = mult.copy()
-        mult[s.grid.n // 2] = 0.0
-    return _diagonal_apply(s, mult)
+    mult = _multiplier(s.grid, lambda k: csit_symbol(k, eta_half_width, tau_max))
+    return Series(s.grid, _apply(s.values, mult))
+
+
+def _centered_difference(values: np.ndarray, dx: float) -> np.ndarray:
+    return (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * dx)
+
+
+def _derivative_multiplier(grid: UniformGrid) -> np.ndarray:
+    return _multiplier(grid, lambda k: 1j * k)
 
 
 def fd_centered(s: Series) -> Series:
     """Second-order centered difference with periodic wrap."""
-    twice_dx = 2.0 * s.grid.dx
-    return Series(s.grid, (np.roll(s.values, -1) - np.roll(s.values, 1)) / twice_dx)
+    return Series(s.grid, _centered_difference(s.values, s.grid.dx))
 
 
 def pseudospectral_derivative(s: Series) -> Series:
     """Exact derivative of the trigonometric interpolant (i*k multiplier,
     Nyquist zeroed on even grids)."""
-    k = wavenumbers(s.grid)
-    mult = 1j * k
-    if s.grid.n % 2 == 0:
-        mult[s.grid.n // 2] = 0.0
-    return _diagonal_apply(s, mult)
+    return Series(s.grid, _apply(s.values, _derivative_multiplier(s.grid)))
 
 
 def complex_step_derivative(f: AnalyticFunction, x, h: float = 0.0, v: float = 1e-200):
@@ -275,11 +285,7 @@ def hilbert_fft(s: Series) -> Series:
     The mean (k = 0) and the even-grid Nyquist mode are annihilated;
     applying the transform twice negates a zero-mean series.
     """
-    k = wavenumbers(s.grid)
-    mult = -1j * np.sign(k)
-    if s.grid.n % 2 == 0:
-        mult[s.grid.n // 2] = 0.0
-    return _diagonal_apply(s, mult)
+    return Series(s.grid, _apply(s.values, _multiplier(s.grid, lambda k: -1j * np.sign(k))))
 
 
 # --- closed-form verification table ---------------------------------------

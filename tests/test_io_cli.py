@@ -333,6 +333,15 @@ class TestAdvectCommand:
         assert main(["advect", "--config", str(path),
                      "--out-dir", str(tmp_path / "adv")]) == 3
 
+    @pytest.mark.parametrize("counts", [{"n_eta": 2.5}, {"n_tau": True}])
+    def test_non_integer_node_count_exits_2_before_writing(self, tmp_path, capsys, counts):
+        cfg = self._config(tmp_path, csit={"eta_half_width": 2.0, "tau_max": 0.01, **counts})
+        out = tmp_path / "adv"
+        assert main(["advect", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("csit: error:")
+        assert not out.exists()
+
 
 class TestSymbolCommand:
     def test_curves_and_grid_limits(self, tmp_path):
@@ -384,35 +393,33 @@ class TestReplayCommand:
                      "snapshot_002.csv", "summary.json"):
             assert (second / name).read_bytes() == (first / name).read_bytes()
 
+    def test_manifest_with_legacy_threads_entry_replays(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["symbol", "--out", str(out)]) == 0
+        path = tmp_path / "s.csv.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["parameters"]["threads"] = None
+        path.write_text(json.dumps(manifest))
+        replay_dir = tmp_path / "replay"
+        assert main(["replay", str(path), "--out-dir", str(replay_dir)]) == 0
+        assert (replay_dir / "s.csv").read_bytes() == out.read_bytes()
+
     def test_unknown_subcommand_in_manifest_exits_3(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"subcommand": "zzz", "parameters": {}}))
         assert main(["replay", str(path), "--out-dir", str(tmp_path / "o")]) == 3
 
-
-class TestThreadEnvironment:
-    def test_invalid_value_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CSIT_THREADS", "zero point five")
-        assert main(["table1", "--out", str(tmp_path / "t.csv")]) == 2
-        assert "CSIT_THREADS" in capsys.readouterr().err
-
-    def test_nonpositive_value_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CSIT_THREADS", "0")
-        assert main(["table1", "--out", str(tmp_path / "t.csv")]) == 2
-
-    def test_valid_value_is_recorded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CSIT_THREADS", "3")
-        out = tmp_path / "s.csv"
-        assert main(["symbol", "--out", str(out)]) == 0
-        m = json.loads((tmp_path / "s.csv.manifest.json").read_text())
-        assert m["parameters"]["threads"] == 3
-
-    def test_unset_is_recorded_as_null(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("CSIT_THREADS", raising=False)
-        out = tmp_path / "s.csv"
-        assert main(["symbol", "--out", str(out)]) == 0
-        m = json.loads((tmp_path / "s.csv.manifest.json").read_text())
-        assert m["parameters"]["threads"] is None
+    def test_missing_parameter_in_manifest_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert main(["derive", "--demo", "logistic", "--n", "64", "--out", str(out)]) == 0
+        path = tmp_path / "d.csv.manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["parameters"]["n_tau"]
+        path.write_text(json.dumps(manifest))
+        assert main(["replay", str(path), "--out-dir", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("csit: error:")
+        assert "'n_tau'" in err[0]
 
 
 class TestUsageSurface:

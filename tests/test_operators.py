@@ -9,6 +9,7 @@ approximate the same operator from opposite ends.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from csit.grid import UniformGrid, Series
 from csit.operators import (
@@ -90,6 +91,18 @@ class TestCsitParams:
             CsitParams(eta_half_width=0.1, tau_max=0.1, rule="simpson")
         with pytest.raises(ValueError):
             CsitParams(eta_half_width=0.1, tau_max=0.1, n_tau=0)
+
+    @pytest.mark.parametrize("count", [True, np.True_, 2.5, 4.0, "4", None])
+    def test_node_counts_must_be_integers(self, count):
+        with pytest.raises(ValueError, match="integers"):
+            CsitParams(eta_half_width=0.1, tau_max=0.1, n_tau=count)
+        with pytest.raises(ValueError, match="integers"):
+            CsitParams(eta_half_width=0.1, tau_max=0.1, n_eta=count)
+
+    def test_numpy_integer_node_counts_accepted(self):
+        p = CsitParams(eta_half_width=0.1, tau_max=0.1, n_eta=np.int64(3), n_tau=np.int32(5))
+        assert len(p.eta_nodes_weights()[0]) == 3
+        assert len(p.tau_nodes_weights()[0]) == 5
 
 
 class TestSymbol:
@@ -229,6 +242,59 @@ class TestQuadratureRoute:
             + 1j * csit_quadrature(Series(grid, im), p).values
         )
         assert np.max(np.abs(full - parts)) < 1e-12
+
+
+def _trig_polynomial(rng, n_modes: int, max_mode: int):
+    """Closed form sum a*cos(k z) + b*sin(k z) over integer modes 1..max_mode."""
+    ks = rng.integers(1, max_mode + 1, size=n_modes)
+    a, b = rng.standard_normal(n_modes), rng.standard_normal(n_modes)
+    return lambda z: sum(
+        ai * np.cos(k * z) + bi * np.sin(k * z) for k, ai, bi in zip(ks, a, b)
+    )
+
+
+class TestQuadratureRouteAgreement:
+    """The FFT route equals direct evaluation of the same quadrature on
+    band-limited data, mode by mode, up to rounding."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(8, 64),
+        rule=st.sampled_from(["trapezoid", "midpoint"]),
+        n_eta=st.integers(1, 6),
+        n_tau=st.integers(1, 6),
+        h_cells=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+        z_cells=st.floats(0.05, 2.0),
+        x0=st.floats(-np.pi, np.pi),  # one period of origins covers every phase
+        complex_input=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=33, rule="midpoint", n_eta=3, n_tau=1, h_cells=0.0, z_cells=0.5,
+             x0=1.7, complex_input=True, seed=1)
+    @example(n=32, rule="trapezoid", n_eta=4, n_tau=3, h_cells=0.7, z_cells=1.2,
+             x0=-3.1, complex_input=False, seed=2)
+    def test_matches_direct_evaluation(
+        self, n, rule, n_eta, n_tau, h_cells, z_cells, x0, complex_input, seed
+    ):
+        rng = np.random.default_rng(seed)
+        grid = UniformGrid(x0=x0, length=2.0 * np.pi, n=n)
+        p = CsitParams(h_cells * grid.dx, z_cells * grid.dx,
+                       n_eta=n_eta, n_tau=n_tau, rule=rule)
+        # modes strictly below the Nyquist wavenumber of even grids
+        max_mode = (n - 1) // 2
+        parts = [_trig_polynomial(rng, 4, max_mode) for _ in range(1 + complex_input)]
+        samples = parts[0](grid.nodes)
+        expected = csit_quadrature_direct(parts[0], grid.nodes, p)
+        if complex_input:
+            samples = samples + 1j * parts[1](grid.nodes)
+            expected = expected + 1j * csit_quadrature_direct(parts[1], grid.nodes, p)
+        if n % 2 == 0:
+            # the Nyquist mode is annihilated, so it must not show in the output
+            samples = samples + rng.standard_normal() * (-1.0) ** np.arange(n)
+        out = csit_quadrature(Series(grid, samples), p).values
+        assert out.dtype == (np.complex128 if complex_input else np.float64)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(out - expected)) <= 1e-12 * scale
 
 
 class TestSpectralRoute:

@@ -49,7 +49,6 @@ from .grid import Series, Spectrum, UniformGrid, fft_forward, fft_inverse, waven
 from .instfreq import (
     AnalyticTrace,
     FrequencyEstimate,
-    IfParams,
     analytic_signal,
     chirp,
     default_if_params,
@@ -85,7 +84,6 @@ __all__ = [
     "CsvFormatError",
     "DivergenceError",
     "FrequencyEstimate",
-    "IfParams",
     "RunManifest",
     "Series",
     "SourceTimeFunction",

@@ -135,6 +135,9 @@ class AdvectionConfig:
             raise ValueError("time-step count must be at least 1")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
+        # pulse_speed fits a line through snapshot times, which squares them
+        if not (np.finfo(np.float64).tiny < self.dt * self.dt and self.dt < np.inf):
+            raise ValueError("time step cfl*dx/c must be finite and above 1.5e-154")
         if self.scheme == "csit" and self.csit is None:
             object.__setattr__(self, "csit", default_csit_params(self.dx))
         if self.initial_field is not None:
@@ -203,6 +206,20 @@ def _derivative_for(cfg: AdvectionConfig) -> Callable[[np.ndarray], np.ndarray]:
     return lambda u: _apply(u, mult)
 
 
+def _snapshot_steps(cfg: AdvectionConfig, snapshot_times: Sequence[float]) -> set[int]:
+    """The completed step nearest each snapshot time."""
+    if len(snapshot_times) == 0:
+        raise ValueError("at least one snapshot time is required")
+    steps = set()
+    for t in snapshot_times:
+        position = float(t) / cfg.dt
+        step = int(round(position)) if np.isfinite(position) else -1
+        if step < 0 or step > cfg.n_t:
+            raise ValueError(f"snapshot time {t} outside the simulated range")
+        steps.add(step)
+    return steps
+
+
 def run_advection(
     cfg: AdvectionConfig,
     src: SourceTimeFunction,
@@ -222,15 +239,7 @@ def run_advection(
     """
     grid = cfg.grid
     dt = cfg.dt
-    if len(snapshot_times) == 0:
-        raise ValueError("at least one snapshot time is required")
-    wanted = {}
-    for t in snapshot_times:
-        step = int(round(float(t) / dt))
-        if step < 0 or step > cfg.n_t:
-            raise ValueError(f"snapshot time {t} outside the simulated range")
-        wanted.setdefault(step, float(t))
-
+    wanted = _snapshot_steps(cfg, snapshot_times)
     deriv = _derivative_for(cfg)
     j_src = int(round((cfg.x_s - grid.x0) / grid.dx)) % cfg.n_x
     inject = 1.0 / grid.dx

@@ -7,12 +7,23 @@ estimates instantaneous frequency, ``table1`` runs the closed-form
 verification table, and ``replay`` re-executes any of them from a saved
 manifest.
 
+Each subcommand has one resolver, ``_resolve_<name>``.  It takes raw
+parameter values, from the command line or from a manifest's
+``parameters``, checks their types (floats finite and not bool, counts
+strict integers from 1 to ``MAX_COUNT``, choices among the allowed
+values), fills every data-dependent default, loads the input and builds
+the typed objects, and applies the growth rule -- all before any output
+directory is created.  The runner, ``_run_<name>``, then computes and
+writes from that result.  ``replay`` goes through the same resolver, so
+a manifest is checked exactly like a command line.
+
 Every run writes its outputs plus a JSON manifest carrying the fully
 resolved parameters; reduction order is fixed in all code paths, so
 re-running a manifest reproduces output CSVs byte for byte.
 
 Exit codes: 0 success (for ``table1``: all rows passed, otherwise 1),
-2 usage or parameter error, 3 unreadable or malformed input data,
+2 usage or parameter error, 3 unreadable or malformed input data
+(including a manifest whose parameters the resolver rejects),
 4 numerical divergence.
 """
 
@@ -27,17 +38,20 @@ from pathlib import Path
 import numpy as np
 
 from .advection import (
+    _SCHEMES,
     AdvectionConfig,
     DivergenceError,
     SourceTimeFunction,
+    _snapshot_steps,
+    dispersion_fd,
     parasitic_energy,
     pulse_centroid,
     pulse_speed,
     run_advection,
 )
-from .grid import Series, UniformGrid
+from .grid import Series, UniformGrid, wavenumbers
 from .instfreq import (
-    IfParams,
+    _check_damping,
     analytic_signal,
     chirp,
     edge_mask,
@@ -47,7 +61,9 @@ from .instfreq import (
 )
 from .io import CsvFormatError, RunManifest, atomic_write_text, read_series_csv, write_table_csv
 from .operators import (
+    _RULES,
     CsitParams,
+    _check_extents,
     csit_quadrature,
     csit_spectral,
     csit_symbol,
@@ -55,7 +71,6 @@ from .operators import (
     pseudospectral_derivative,
     table1_verify,
 )
-from .advection import dispersion_fd
 
 __all__ = ["main"]
 
@@ -67,15 +82,94 @@ EXIT_DIVERGED = 4
 
 _VERSION = "0.1.0"
 
+# largest count (nodes per axis, samples, grid points, time steps) a run
+# accepts; each count is capped on its own
+MAX_COUNT = 2**20
 
-def _load_series(path) -> Series:
-    t, v = read_series_csv(path)
-    n = len(t)
-    dt = (t[-1] - t[0]) / (n - 1)
-    return Series(UniformGrid(x0=float(t[0]), length=n * dt, n=n), v)
+_MODES = ("quadrature", "symbol")
+_BACKENDS = ("pseudospectral", "fd")
 
 
-def _quadrature_params(params: dict) -> CsitParams:
+# --- raw values ------------------------------------------------------------
+
+
+def _get(params: dict, key: str):
+    if key not in params:
+        raise ValueError(f"parameter {key!r} is missing")
+    return params[key]
+
+
+def _finite(value, key: str) -> float:
+    # abs(v) <= max is False for NaN and inf, and exact for huge integers
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _real(params: dict, key: str, optional: bool = False) -> float | None:
+    value = _get(params, key)
+    return None if value is None and optional else _finite(value, key)
+
+
+def _reals(params: dict, key: str) -> list[float] | None:
+    value = _get(params, key)
+    if value is None:
+        return None
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+    return [_finite(v, key) for v in value]
+
+
+def _count(params: dict, key: str) -> int:
+    value = _get(params, key)
+    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= MAX_COUNT:
+        raise ValueError(f"{key} must be an integer from 1 to {MAX_COUNT}, got {value!r}")
+    return value
+
+
+def _choice(params: dict, key: str, allowed: tuple):
+    value = _get(params, key)
+    if not (value is None or isinstance(value, str)) or value not in allowed:
+        raise ValueError(f"{key} must be one of {allowed}, got {value!r}")
+    return value
+
+
+def _path(params: dict, key: str, optional: bool = False) -> str | None:
+    value = _get(params, key)
+    if value is None and optional:
+        return None
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{key} must be a file path, got {value!r}")
+    return str(Path(value).resolve())
+
+
+def _out_name(params: dict) -> str:
+    value = _get(params, "out")
+    plain = isinstance(value, str) and Path(value).name == value and "\0" not in value
+    if not plain or value in ("", ".", ".."):
+        raise ValueError(f"out must be a plain file name, got {value!r}")
+    return value
+
+
+def _or(value, default):
+    return default if value is None else value
+
+
+def _rectangle(raw: dict, dt: float | None) -> dict:
+    """H, Z, eps, node counts and rule; H and Z default to ``dt`` when it is given."""
+    H, Z = (_real(raw, key, optional=dt is not None) for key in ("H", "Z"))
+    return {
+        "H": _or(H, dt),
+        "Z": _or(Z, dt),
+        "eps": _real(raw, "eps", optional=True),
+        "n_eta": _count(raw, "n_eta"),
+        "n_tau": _count(raw, "n_tau"),
+        "rule": _choice(raw, "rule", _RULES),
+    }
+
+
+def _csit_params(params: dict) -> CsitParams:
     return CsitParams(
         eta_half_width=params["H"],
         tau_max=params["Z"],
@@ -86,61 +180,44 @@ def _quadrature_params(params: dict) -> CsitParams:
     )
 
 
-def _manifest(subcommand: str, params: dict, inputs, outputs, started: float) -> RunManifest:
-    manifest = RunManifest(
-        subcommand=subcommand,
-        parameters=params,
-        inputs=[str(p) for p in inputs],
-        outputs=[str(p) for p in outputs],
-        version=_VERSION,
-    )
-    return manifest.finalize(time.perf_counter() - started)
+def _load_series(path) -> Series:
+    t, v = read_series_csv(path)
+    n = len(t)
+    dt = (t[-1] - t[0]) / (n - 1)
+    return Series(UniformGrid(x0=float(t[0]), length=n * dt, n=n), v)
 
 
 # --- transform -------------------------------------------------------------
 
 
-def run_transform(params: dict, out_dir: Path) -> tuple[RunManifest, int]:
-    started = time.perf_counter()
-    s = _load_series(params["input"])
+def _resolve_transform(raw: dict) -> tuple[dict, tuple]:
+    params = {
+        "input": _path(raw, "input"),
+        "mode": _choice(raw, "mode", _MODES),
+        **_rectangle(raw, None),
+        "out": _out_name(raw),
+    }
+    p = None
     if params["mode"] == "quadrature":
-        out = csit_quadrature(s, _quadrature_params(params))
+        p = _csit_params(params)
+        params["eps"] = p.tau_min
+    s = _load_series(params["input"])
+    _check_extents(params["H"], params["Z"], wavenumbers(s.grid))
+    return params, (s, p)
+
+
+def _run_transform(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
+    s, p = loaded
+    if p is not None:
+        out = csit_quadrature(s, p)
     else:
         out = csit_spectral(s, params["H"], params["Z"])
-    out_csv = out_dir / params["out"]
     write_table_csv(
-        out_csv,
+        out_dir / params["out"],
         ["x", "input", "csit_output"],
         [s.grid.nodes, s.values, out.values],
     )
-    manifest = _manifest(
-        "transform", params, [params["input"]], [params["out"]], started
-    )
-    manifest.write(out_dir / (params["out"] + ".manifest.json"))
-    return manifest, EXIT_OK
-
-
-def _cmd_transform(args) -> int:
-    out = Path(args.out)
-    eps = args.eps
-    params = {
-        "input": str(Path(args.input).resolve()),
-        "mode": args.mode,
-        "H": args.H,
-        "Z": args.Z,
-        "eps": eps,
-        "n_eta": args.n_eta,
-        "n_tau": args.n_tau,
-        "rule": args.rule,
-        "out": out.name,
-    }
-    # validate eagerly so bad parameters exit as usage errors
-    if params["mode"] == "quadrature":
-        resolved = _quadrature_params(params)
-        params["eps"] = resolved.tau_min
-    out_dir = out.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return run_transform(params, out_dir)[1]
+    return [params["out"]], EXIT_OK
 
 
 # --- derive ----------------------------------------------------------------
@@ -150,24 +227,36 @@ def _cmd_transform(args) -> int:
 _DERIVE_EDGE = 5
 
 
-def run_derive(params: dict, out_dir: Path) -> tuple[RunManifest, int]:
-    started = time.perf_counter()
+def _resolve_derive(raw: dict) -> tuple[dict, tuple]:
+    params = {
+        "demo": _choice(raw, "demo", (None, "logistic")),
+        "input": _path(raw, "input", optional=True),
+        "n": None,
+        "k": None,
+        "t0": None,
+    }
+    if (params["demo"] is None) == (params["input"] is None):
+        raise ValueError("provide exactly one of an input CSV or --demo")
     if params["demo"] == "logistic":
+        params.update(n=_count(raw, "n"), k=_real(raw, "k"), t0=_real(raw, "t0"))
         grid = UniformGrid(0.0, 1.0, params["n"])
-        t = grid.nodes
-        steep, midpoint = params["k"], params["t0"]
-        f = 1.0 / (1.0 + np.exp(-steep * (t - midpoint)))
-        analytic = steep * f * (1.0 - f)
-        s = Series(grid, f)
-        inputs = []
+        with np.errstate(over="ignore"):  # exp overflow gives the exact limit f = 0
+            f = 1.0 / (1.0 + np.exp(-params["k"] * (grid.nodes - params["t0"])))
+        s, analytic = Series(grid, f), params["k"] * f * (1.0 - f)
     else:
-        s = _load_series(params["input"])
-        analytic = None
-        inputs = [params["input"]]
+        s, analytic = _load_series(params["input"]), None
+    params.update(_rectangle(raw, s.grid.dx), out=_out_name(raw))
+    p = _csit_params(params)
+    params["eps"] = p.tau_min
+    _check_extents(p.eta_half_width, p.tau_max, wavenumbers(s.grid))
+    return params, (s, analytic, p)
 
+
+def _run_derive(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
+    s, analytic, p = loaded
     fd = fd_centered(s).values
     ps = pseudospectral_derivative(s).values
-    cs = csit_quadrature(s, _quadrature_params(params)).values
+    cs = csit_quadrature(s, p).values
 
     header = ["t", "f", "fd", "pseudospectral", "csit"]
     columns = [s.grid.nodes, s.values, fd, ps, cs]
@@ -181,45 +270,19 @@ def run_derive(params: dict, out_dir: Path) -> tuple[RunManifest, int]:
             rel = np.abs(d - analytic) / scale
             header.append(f"rel_err_{label}")
             columns.append(np.where(interior, rel, np.nan))
-    out_csv = out_dir / params["out"]
-    write_table_csv(out_csv, header, columns)
-    manifest = _manifest("derive", params, inputs, [params["out"]], started)
-    manifest.write(out_dir / (params["out"] + ".manifest.json"))
-    return manifest, EXIT_OK
-
-
-def _cmd_derive(args) -> int:
-    if (args.demo is None) == (args.input is None):
-        raise ValueError("provide exactly one of an input CSV or --demo")
-    out = Path(args.out)
-    if args.demo == "logistic":
-        dt = 1.0 / args.n
-    else:
-        s = _load_series(args.input)
-        dt = s.grid.dx
-    H = args.H if args.H is not None else dt
-    Z = args.Z if args.Z is not None else dt
-    demo = args.demo == "logistic"
-    params = {
-        "demo": args.demo,
-        "input": None if args.input is None else str(Path(args.input).resolve()),
-        "n": args.n if demo else None,
-        "k": args.k if demo else None,
-        "t0": args.t0 if demo else None,
-        "H": H,
-        "Z": Z,
-        "eps": args.eps,
-        "n_eta": args.n_eta,
-        "n_tau": args.n_tau,
-        "rule": args.rule,
-        "out": out.name,
-    }
-    params["eps"] = _quadrature_params(params).tau_min
-    out.parent.mkdir(parents=True, exist_ok=True)
-    return run_derive(params, out.parent)[1]
+    write_table_csv(out_dir / params["out"], header, columns)
+    return [params["out"]], EXIT_OK
 
 
 # --- advect ----------------------------------------------------------------
+
+# the reference configuration; a --config JSON object overrides any of these
+_ADVECT_DEFAULTS = {
+    "c": 900.0, "L": 10000.0, "x_s": 5000.0, "f0": 1.0,
+    "n_x": 500, "cfl": 0.25, "n_t": 600, "csit": None,
+}
+# optional fields of a csit block; eta_half_width and tau_max are required
+_CSIT_DEFAULTS = {"tau_min": None, "n_eta": 4, "n_tau": 4, "rule": "trapezoid"}
 
 
 class _ZeroSource:
@@ -229,42 +292,65 @@ class _ZeroSource:
         return 0.0
 
 
-def _advect_config(params: dict) -> tuple[AdvectionConfig, object]:
-    csit_params = None
-    if params.get("csit") is not None:
-        c = params["csit"]
-        csit_params = CsitParams(
-            eta_half_width=c["eta_half_width"],
-            tau_max=c["tau_max"],
-            tau_min=c.get("tau_min"),
-            n_eta=c.get("n_eta", 4),
-            n_tau=c.get("n_tau", 4),
-            rule=c.get("rule", "trapezoid"),
-        )
-    cfg = AdvectionConfig(
-        c=params["c"],
-        L=params["L"],
-        x_s=params["x_s"],
-        f0=params["f0"],
-        n_x=params["n_x"],
-        cfl=params["cfl"],
-        n_t=params["n_t"],
-        scheme=params["scheme"],
-        csit=csit_params,
+def _csit_block(block) -> CsitParams | None:
+    if block is None:
+        return None
+    if not isinstance(block, dict):
+        raise ValueError(f"csit must be an object, got {block!r}")
+    unknown = set(block) - {"eta_half_width", "tau_max", *_CSIT_DEFAULTS}
+    if unknown:
+        raise ValueError(f"unknown csit fields {sorted(unknown)}")
+    block = {**_CSIT_DEFAULTS, **block}
+    return CsitParams(
+        eta_half_width=_real(block, "eta_half_width"),
+        tau_max=_real(block, "tau_max"),
+        tau_min=_real(block, "tau_min", optional=True),
+        n_eta=_count(block, "n_eta"),
+        n_tau=_count(block, "n_tau"),
+        rule=_choice(block, "rule", _RULES),
     )
-    kind = params["source_kind"]
-    if kind == "none":
+
+
+def _resolve_advect(raw: dict) -> tuple[dict, tuple]:
+    params = {
+        "scheme": _get(raw, "scheme"),
+        "c": _real(raw, "c"),
+        "L": _real(raw, "L"),
+        "x_s": _real(raw, "x_s"),
+        "f0": _real(raw, "f0"),
+        "n_x": _count(raw, "n_x"),
+        "cfl": _real(raw, "cfl"),
+        "n_t": _count(raw, "n_t"),
+        "csit": None,
+        "source_kind": _get(raw, "source_kind"),
+        "t_delay": _real(raw, "t_delay", optional=True),
+        "window": _reals(raw, "window"),
+        "snapshots": _reals(raw, "snapshots"),
+    }
+    if params["window"] is not None and len(params["window"]) != 2:
+        raise ValueError("window needs exactly two numbers")
+    cfg = AdvectionConfig(
+        **{key: params[key] for key in ("c", "L", "x_s", "f0", "n_x", "cfl", "n_t", "scheme")},
+        csit=_csit_block(_get(raw, "csit")),
+    )
+    if cfg.csit is not None:
+        params["csit"] = dict(vars(cfg.csit))
+    if cfg.scheme == "csit":
+        _check_extents(cfg.csit.eta_half_width, cfg.csit.tau_max, wavenumbers(cfg.grid))
+    if params["source_kind"] == "none":
         src = _ZeroSource()
     else:
-        src = SourceTimeFunction(
-            kind=kind, f0=params["f0"], t_delay=params["t_delay"]
-        )
-    return cfg, src
+        src = SourceTimeFunction(kind=params["source_kind"], f0=cfg.f0, t_delay=params["t_delay"])
+        params["t_delay"] = src.t_delay
+    if params["snapshots"] is None:
+        duration = cfg.n_t * cfg.dt
+        params["snapshots"] = [0.0, 0.5 * duration, duration]
+    _snapshot_steps(cfg, params["snapshots"])
+    return params, (cfg, src)
 
 
-def run_advect(params: dict, out_dir: Path) -> tuple[RunManifest, int]:
-    started = time.perf_counter()
-    cfg, src = _advect_config(params)
+def _run_advect(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
+    cfg, src = loaded
     snapshots = run_advection(cfg, src, params["snapshots"])
     outputs = []
     for index, snap in enumerate(snapshots):
@@ -278,10 +364,8 @@ def run_advect(params: dict, out_dir: Path) -> tuple[RunManifest, int]:
         # pulse window: final centroid +- 4 wavelengths
         half = 4.0 * cfg.c / cfg.f0
         center = pulse_centroid(snapshots[-1])
-        window = [center - half, center + half]
-    else:
-        window = [float(w) for w in params["window"]]
-    params = dict(params, window=window)
+        params["window"] = [center - half, center + half]
+    window = params["window"]
 
     summary = {
         "scheme": cfg.scheme,
@@ -300,9 +384,7 @@ def run_advect(params: dict, out_dir: Path) -> tuple[RunManifest, int]:
     }
     atomic_write_text(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
     outputs.append("summary.json")
-    manifest = _manifest("advect", params, [], outputs, started)
-    manifest.write(out_dir / "manifest.json")
-    return manifest, EXIT_OK
+    return outputs, EXIT_OK
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -312,10 +394,11 @@ def _parse_floats(text: str, what: str) -> list[float]:
         raise ValueError(f"{what} must be a comma-separated list of numbers") from None
 
 
-def _cmd_advect(args) -> int:
+def _advect_raw(args: dict) -> dict:
+    """The advect flags as raw parameters, with the --config overrides merged in."""
     overrides = {}
-    if args.config is not None:
-        path = Path(args.config)
+    if args["config"] is not None:
+        path = Path(args["config"])
         try:
             overrides = json.loads(path.read_text())
         except OSError as exc:
@@ -325,81 +408,75 @@ def _cmd_advect(args) -> int:
         if not isinstance(overrides, dict):
             raise CsvFormatError(path, "config must be a JSON object")
     source = overrides.pop("source", {})
-    known = {"c", "L", "x_s", "f0", "n_x", "cfl", "n_t", "csit"}
-    unknown = set(overrides) - known
+    if not isinstance(source, dict):
+        raise ValueError(f"source must be an object, got {source!r}")
+    unknown = set(overrides) - set(_ADVECT_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown config fields {sorted(unknown)}")
     unknown = set(source) - {"kind", "t_delay"}
     if unknown:
         raise ValueError(f"unknown source fields {sorted(unknown)}")
-    params = {
-        "scheme": args.scheme,
-        "c": float(overrides.get("c", 900.0)),
-        "L": float(overrides.get("L", 10000.0)),
-        "x_s": float(overrides.get("x_s", 5000.0)),
-        "f0": float(overrides.get("f0", 1.0)),
-        "n_x": int(overrides.get("n_x", 500)),
-        "cfl": float(overrides.get("cfl", 0.25)),
-        "n_t": int(overrides.get("n_t", 600)),
-        "csit": overrides.get("csit"),
+    return {
+        "scheme": args["scheme"],
+        **_ADVECT_DEFAULTS,
+        **overrides,
         "source_kind": source.get("kind", "gaussian_derivative"),
         "t_delay": source.get("t_delay"),
-        "window": None if args.window is None else _parse_floats(args.window, "--window"),
+        **{key: None if args[key] is None else _parse_floats(args[key], f"--{key}")
+           for key in ("window", "snapshots")},
     }
-    if params["window"] is not None and len(params["window"]) != 2:
-        raise ValueError("--window needs exactly two numbers")
-    cfg, src = _advect_config(params)  # validate before touching the disk
-    if params["source_kind"] != "none":
-        params["t_delay"] = src.t_delay
-    if params["csit"] is None and cfg.scheme == "csit":
-        params["csit"] = {
-            "eta_half_width": cfg.csit.eta_half_width,
-            "tau_max": cfg.csit.tau_max,
-            "tau_min": cfg.csit.tau_min,
-            "n_eta": cfg.csit.n_eta,
-            "n_tau": cfg.csit.n_tau,
-            "rule": cfg.csit.rule,
-        }
-    duration = cfg.n_t * cfg.dt
-    if args.snapshots is None:
-        params["snapshots"] = [0.0, 0.5 * duration, duration]
-    else:
-        params["snapshots"] = _parse_floats(args.snapshots, "--snapshots")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return run_advect(params, out_dir)[1]
 
 
 # --- ifreq -----------------------------------------------------------------
 
 
-def run_ifreq(params: dict, out_dir: Path) -> tuple[RunManifest, int]:
-    started = time.perf_counter()
+def _resolve_ifreq(raw: dict) -> tuple[dict, tuple]:
+    params = {
+        "demo": _choice(raw, "demo", (None, "chirp")),
+        "input": _path(raw, "input", optional=True),
+        "f0": None,
+        "rate": None,
+        "n": None,
+    }
+    if (params["demo"] is None) == (params["input"] is None):
+        raise ValueError("provide exactly one of an input CSV or --demo")
+    # manifests written before the estimator had a single form name it
+    if raw.get("variant", "spectral_shift") != "spectral_shift":
+        raise ValueError(f"variant {raw['variant']!r} is not supported (only 'spectral_shift')")
     if params["demo"] == "chirp":
+        params.update(f0=_real(raw, "f0"), rate=_real(raw, "rate"), n=_count(raw, "n"))
         grid = UniformGrid(0.0, 1.0, params["n"])
         s = chirp(params["f0"], params["rate"], grid)
         truth = params["f0"] + params["rate"] * grid.nodes
-        inputs = []
     else:
-        s = _load_series(params["input"])
-        truth = None
-        inputs = [params["input"]]
-
+        s, truth = _load_series(params["input"]), None
     trace = analytic_signal(s)
-    p = IfParams(
-        eta_half_width=params["H"],
-        tau_max=params["Z"],
-        tau_min=params["eps"],
-        n_eta=params["n_eta"],
-        n_tau=params["n_tau"],
-        rule=params["rule"],
-        variant=params["variant"],
+    params.update(_rectangle(raw, s.grid.dx))
+    params["eps"] = _or(params["eps"], 1e-2 * params["Z"])
+    damping = _real(raw, "damping", optional=True)
+    if damping is None:
+        amplitude = np.max(np.abs(trace.amplitude))
+        damping = 1e-3 * amplitude if amplitude > 0.0 else 1e-3
+    params.update(
+        backend=_choice(raw, "backend", _BACKENDS),
+        damping=damping,
+        trim=_real(raw, "trim"),
+        out=_out_name(raw),
     )
+    p = _csit_params(params)
+    _check_extents(p.eta_half_width, p.tau_max, wavenumbers(s.grid))
+    _check_damping(params["damping"])
+    keep = edge_mask(s.grid.n, params["trim"])
+    return params, (trace, truth, p, keep)
+
+
+def _run_ifreq(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
+    trace, truth, p, keep = loaded
+    s = trace.x
     classical = if_classical(trace, backend=params["backend"])
     damped = if_damped(trace, params["damping"], backend=params["backend"])
     csit_est = if_csit(trace, p)
 
-    keep = edge_mask(s.grid.n, params["trim"])
     header = [
         "t",
         "value",
@@ -423,112 +500,58 @@ def run_ifreq(params: dict, out_dir: Path) -> tuple[RunManifest, int]:
     if truth is not None:
         header.append("truth")
         columns.append(truth[keep])
-    out_csv = out_dir / params["out"]
-    write_table_csv(out_csv, header, columns)
-    manifest = _manifest("ifreq", params, inputs, [params["out"]], started)
-    manifest.write(out_dir / (params["out"] + ".manifest.json"))
-    return manifest, EXIT_OK
-
-
-def _cmd_ifreq(args) -> int:
-    if (args.demo is None) == (args.input is None):
-        raise ValueError("provide exactly one of an input CSV or --demo")
-    out = Path(args.out)
-    if args.demo == "chirp":
-        grid = UniformGrid(0.0, 1.0, args.n)
-        s = chirp(args.f0, args.rate, grid)
-    else:
-        s = _load_series(args.input)
-    dt = s.grid.dx
-    H = args.H if args.H is not None else dt
-    Z = args.Z if args.Z is not None else dt
-    eps = args.eps if args.eps is not None else 1e-2 * Z
-    if args.damping is not None:
-        damping = args.damping
-    else:
-        amplitude = np.max(np.abs(analytic_signal(s).amplitude))
-        damping = 1e-3 * amplitude if amplitude > 0.0 else 1e-3
-    demo = args.demo == "chirp"
-    params = {
-        "demo": args.demo,
-        "input": None if args.input is None else str(Path(args.input).resolve()),
-        "f0": args.f0 if demo else None,
-        "rate": args.rate if demo else None,
-        "n": args.n if demo else None,
-        "H": H,
-        "Z": Z,
-        "eps": eps,
-        "n_eta": args.n_eta,
-        "n_tau": args.n_tau,
-        "rule": args.rule,
-        "variant": args.variant,
-        "backend": args.backend,
-        "damping": damping,
-        "trim": args.trim,
-        "out": out.name,
-    }
-    IfParams(
-        eta_half_width=H, tau_max=Z, tau_min=eps, n_eta=args.n_eta,
-        n_tau=args.n_tau, rule=args.rule, variant=args.variant,
-    )
-    edge_mask(s.grid.n, args.trim)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    return run_ifreq(params, out.parent)[1]
+    write_table_csv(out_dir / params["out"], header, columns)
+    return [params["out"]], EXIT_OK
 
 
 # --- symbol ----------------------------------------------------------------
 
 
-def run_symbol(params: dict, out_dir: Path) -> tuple[RunManifest, int]:
-    started = time.perf_counter()
+def _resolve_symbol(raw: dict) -> tuple[dict, tuple]:
+    dx = _real(raw, "dx")
+    if dx <= 0.0:
+        raise ValueError("dx must be positive")
+    params = {
+        "kmax": _or(_real(raw, "kmax", optional=True), np.pi / dx),
+        "samples": _count(raw, "samples"),
+        "H": _or(_real(raw, "H", optional=True), 0.1 * dx),
+        "Z": _or(_real(raw, "Z", optional=True), 5e-4 * dx),
+        "dx": dx,
+        "c": _real(raw, "c"),
+        "out": _out_name(raw),
+    }
+    if params["samples"] < 2:
+        raise ValueError("samples must be at least 2")
+    if not 0.0 < params["kmax"] < np.inf:
+        raise ValueError("kmax must be positive and finite")
+    _check_extents(params["H"], params["Z"], params["kmax"])
+    return params, ()
+
+
+def _run_symbol(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
     k = np.linspace(0.0, params["kmax"], params["samples"])
     sigma = csit_symbol(k, params["H"], params["Z"])
     single = csit_symbol(k, 0.0, params["Z"])
     omega_fd = dispersion_fd(k, params["c"], params["dx"])
-    out_csv = out_dir / params["out"]
     write_table_csv(
-        out_csv,
+        out_dir / params["out"],
         ["k", "abs_sigma_csit", "abs_sigma_single", "abs_ik", "omega_fd"],
         [k, np.abs(sigma), np.abs(single), np.abs(k), omega_fd],
     )
-    manifest = _manifest("symbol", params, [], [params["out"]], started)
-    manifest.write(out_dir / (params["out"] + ".manifest.json"))
-    return manifest, EXIT_OK
-
-
-def _cmd_symbol(args) -> int:
-    if args.dx <= 0.0:
-        raise ValueError("--dx must be positive")
-    if args.samples < 2:
-        raise ValueError("--samples must be at least 2")
-    H = args.H if args.H is not None else 0.1 * args.dx
-    Z = args.Z if args.Z is not None else 5e-4 * args.dx
-    kmax = args.kmax if args.kmax is not None else np.pi / args.dx
-    if kmax <= 0.0:
-        raise ValueError("--kmax must be positive")
-    out = Path(args.out)
-    params = {
-        "kmax": kmax,
-        "samples": args.samples,
-        "H": H,
-        "Z": Z,
-        "dx": args.dx,
-        "c": args.c,
-        "out": out.name,
-    }
-    out.parent.mkdir(parents=True, exist_ok=True)
-    return run_symbol(params, out.parent)[1]
+    return [params["out"]], EXIT_OK
 
 
 # --- table1 ----------------------------------------------------------------
 
 
-def run_table1(params: dict, out_dir: Path) -> tuple[RunManifest, int]:
-    started = time.perf_counter()
+def _resolve_table1(raw: dict) -> tuple[dict, tuple]:
+    return {"out": _out_name(raw)}, ()
+
+
+def _run_table1(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
     report = table1_verify()
-    out_csv = out_dir / params["out"]
     write_table_csv(
-        out_csv,
+        out_dir / params["out"],
         ["name", "reference", "max_deviation", "tolerance", "passed"],
         [
             np.array([row.name for row in report.rows], dtype=object),
@@ -538,65 +561,83 @@ def run_table1(params: dict, out_dir: Path) -> tuple[RunManifest, int]:
             np.array([row.passed for row in report.rows]),
         ],
     )
-    manifest = _manifest("table1", params, [], [params["out"]], started)
-    manifest.write(out_dir / (params["out"] + ".manifest.json"))
-    return manifest, EXIT_OK if report.passed else EXIT_FAIL
+    return [params["out"]], EXIT_OK if report.passed else EXIT_FAIL
 
 
-def _cmd_table1(args) -> int:
-    out = Path(args.out)
-    params = {"out": out.name}
-    out.parent.mkdir(parents=True, exist_ok=True)
-    return run_table1(params, out.parent)[1]
+# --- execution and replay --------------------------------------------------
 
-
-# --- replay ----------------------------------------------------------------
-
-_RUNNERS = {
-    "transform": run_transform,
-    "derive": run_derive,
-    "advect": run_advect,
-    "ifreq": run_ifreq,
-    "symbol": run_symbol,
-    "table1": run_table1,
+_COMMANDS = {
+    "transform": (_resolve_transform, _run_transform),
+    "derive": (_resolve_derive, _run_derive),
+    "advect": (_resolve_advect, _run_advect),
+    "ifreq": (_resolve_ifreq, _run_ifreq),
+    "symbol": (_resolve_symbol, _run_symbol),
+    "table1": (_resolve_table1, _run_table1),
 }
 
 
-def _cmd_replay(args) -> int:
-    manifest = RunManifest.read(args.manifest)
-    runner = _RUNNERS.get(manifest.subcommand)
-    if runner is None:
-        raise CsvFormatError(
-            args.manifest, f"unknown subcommand {manifest.subcommand!r}"
-        )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _execute(subcommand: str, raw: dict, out_dir: Path, manifest_path=None) -> int:
+    """Resolve ``raw``; only then create ``out_dir``, run, and write the manifest.
+
+    For a replay (``manifest_path`` given), parameters the resolver
+    rejects are malformed input of that manifest.
+    """
+    started = time.perf_counter()
+    resolve, run = _COMMANDS[subcommand]
     try:
-        return runner(manifest.parameters, out_dir)[1]
-    except KeyError as exc:
-        raise CsvFormatError(
-            args.manifest, f"manifest parameters lack {exc.args[0]!r}"
-        ) from None
+        params, loaded = resolve(raw)
+    except ValueError as exc:
+        if manifest_path is None:
+            raise
+        raise CsvFormatError(manifest_path, f"bad parameters: {exc}") from None
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs, code = run(params, loaded, out_dir)
+    manifest = RunManifest(
+        subcommand=subcommand,
+        parameters=params,
+        inputs=[params["input"]] if params.get("input") else [],
+        outputs=outputs,
+        version=_VERSION,
+    )
+    name = "manifest.json" if subcommand == "advect" else params["out"] + ".manifest.json"
+    manifest.finalize(time.perf_counter() - started).write(out_dir / name)
+    return code
+
+
+def _replay(path: str, out_dir: Path) -> int:
+    manifest = RunManifest.read(path)
+    if not (isinstance(manifest.subcommand, str) and manifest.subcommand in _COMMANDS):
+        raise CsvFormatError(path, f"unknown subcommand {manifest.subcommand!r}")
+    if not isinstance(manifest.parameters, dict):
+        raise CsvFormatError(path, "manifest parameters must be a JSON object")
+    return _execute(manifest.subcommand, manifest.parameters, out_dir, path)
 
 
 # --- parser ----------------------------------------------------------------
 
 
-def _add_quadrature_flags(sub, h_default=None, z_default=None, nodes=4):
-    sub.add_argument("--H", type=float, default=h_default,
-                     help="real averaging half-width (default: one sample spacing)")
-    sub.add_argument("--Z", type=float, default=z_default,
-                     help="imaginary extent (default: one sample spacing)")
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``csit: error:`` line instead of exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _add_rectangle_flags(sub, nodes=4, eps_default="Z / max(n_tau, 2)", required=False):
+    extent = "" if required else " (default: one sample spacing)"
+    sub.add_argument("--H", type=float, required=required,
+                     help="real averaging half-width" + extent)
+    sub.add_argument("--Z", type=float, required=required,
+                     help="imaginary extent" + extent)
     sub.add_argument("--eps", type=float, default=None,
-                     help="lower tau cutoff (default: Z divided by the tau node count, at least 2)")
+                     help=f"lower tau cutoff (default: {eps_default})")
     sub.add_argument("--n-eta", type=int, default=nodes, help="eta node count")
     sub.add_argument("--n-tau", type=int, default=nodes, help="tau node count")
-    sub.add_argument("--rule", choices=["trapezoid", "midpoint"],
-                     default="trapezoid", help="tau weight rule")
+    sub.add_argument("--rule", choices=_RULES, default="trapezoid", help="tau weight rule")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="csit",
         description="Complex-step integral transform tools",
     )
@@ -607,21 +648,10 @@ def build_parser() -> argparse.ArgumentParser:
         "transform", help="apply the transform to a sampled series"
     )
     transform.add_argument("input", help="two-column (x, value) CSV")
-    transform.add_argument("--mode", choices=["quadrature", "symbol"],
-                           default="quadrature",
+    transform.add_argument("--mode", choices=_MODES, default="quadrature",
                            help="numerical quadrature or exact spectral symbol")
     transform.add_argument("--out", default="csit_transform.csv")
-    transform.add_argument("--H", type=float, required=True,
-                           help="real averaging half-width")
-    transform.add_argument("--Z", type=float, required=True,
-                           help="imaginary extent")
-    transform.add_argument("--eps", type=float, default=None,
-                           help="lower tau cutoff (default: Z / n_tau)")
-    transform.add_argument("--n-eta", type=int, default=32)
-    transform.add_argument("--n-tau", type=int, default=32)
-    transform.add_argument("--rule", choices=["trapezoid", "midpoint"],
-                           default="trapezoid")
-    transform.set_defaults(func=_cmd_transform)
+    _add_rectangle_flags(transform, nodes=32, required=True)
 
     derive = commands.add_parser(
         "derive", help="compare derivative operators on a series"
@@ -634,14 +664,12 @@ def build_parser() -> argparse.ArgumentParser:
     derive.add_argument("--k", type=float, default=100.0, help="demo steepness")
     derive.add_argument("--t0", type=float, default=0.5, help="demo midpoint")
     derive.add_argument("--out", default="csit_derive.csv")
-    _add_quadrature_flags(derive)
-    derive.set_defaults(func=_cmd_derive)
+    _add_rectangle_flags(derive)
 
     advect = commands.add_parser(
         "advect", help="run the forced advection experiment"
     )
-    advect.add_argument("--scheme", choices=["fd", "pseudospectral", "csit"],
-                        default="csit")
+    advect.add_argument("--scheme", choices=_SCHEMES, default="csit")
     advect.add_argument("--config", default=None,
                         help="JSON overrides for the reference configuration")
     advect.add_argument("--snapshots", default=None,
@@ -650,7 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pulse window lo,hi for the parasitic-energy summary "
                              "(default: final centroid +- 4 wavelengths)")
     advect.add_argument("--out-dir", default="csit_advect")
-    advect.set_defaults(func=_cmd_advect)
 
     ifreq = commands.add_parser(
         "ifreq", help="instantaneous-frequency estimates for a trace"
@@ -663,19 +690,14 @@ def build_parser() -> argparse.ArgumentParser:
     ifreq.add_argument("--rate", type=float, default=20.0, help="demo sweep rate")
     ifreq.add_argument("--n", type=int, default=2500, help="demo sample count")
     ifreq.add_argument("--out", default="csit_ifreq.csv")
-    _add_quadrature_flags(ifreq)
-    ifreq.add_argument("--variant",
-                       choices=["spectral_shift", "pointwise_additive"],
-                       default="spectral_shift")
-    ifreq.add_argument("--backend", choices=["pseudospectral", "fd"],
-                       default="pseudospectral",
+    _add_rectangle_flags(ifreq, eps_default="1e-2 * Z")
+    ifreq.add_argument("--backend", choices=_BACKENDS, default="pseudospectral",
                        help="time-derivative scheme for the classical ratio")
     ifreq.add_argument("--damping", type=float, default=None,
                        help="damping for the damped ratio "
                             "(default: 1e-3 of the peak amplitude)")
     ifreq.add_argument("--trim", type=float, default=0.05,
                        help="fraction of samples dropped per edge")
-    ifreq.set_defaults(func=_cmd_ifreq)
 
     symbol = commands.add_parser(
         "symbol", help="tabulate the operator symbol and dispersion curves"
@@ -690,13 +712,11 @@ def build_parser() -> argparse.ArgumentParser:
     symbol.add_argument("--dx", type=float, default=1.0, help="grid spacing")
     symbol.add_argument("--c", type=float, default=1.0, help="advection speed")
     symbol.add_argument("--out", default="csit_symbol.csv")
-    symbol.set_defaults(func=_cmd_symbol)
 
     table1 = commands.add_parser(
         "table1", help="closed-form verification table for the transform"
     )
     table1.add_argument("--out", default="csit_table1.csv")
-    table1.set_defaults(func=_cmd_table1)
 
     replay = commands.add_parser(
         "replay", help="re-run a subcommand from its manifest"
@@ -704,19 +724,22 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("manifest", help="manifest JSON written by a previous run")
     replay.add_argument("--out-dir", required=True,
                         help="directory for the re-created outputs")
-    replay.set_defaults(func=_cmd_replay)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = vars(build_parser().parse_args(argv))
+        subcommand = args.pop("subcommand")
+        if subcommand == "replay":
+            return _replay(args["manifest"], Path(args["out_dir"]))
+        if subcommand == "advect":
+            return _execute("advect", _advect_raw(args), Path(args["out_dir"]))
+        out = Path(args["out"])
+        return _execute(subcommand, dict(args, out=out.name), out.parent)
+    except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except CsvFormatError as exc:
         print(f"csit: error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Series, Spectrum, UniformGrid, fft_forward, fft_inverse, wavenumbers
+from .grid import Series, Spectrum, fft_forward, fft_inverse, wavenumbers
 
 __all__ = [
     "AnalyticFunction",
@@ -50,17 +50,14 @@ class ComplexShift:
             raise ValueError("imaginary shift tau must be nonnegative")
 
 
-def _check_growth(grid: UniformGrid, tau: float) -> None:
-    if tau == 0.0:
-        return
-    k = wavenumbers(grid)
-    if tau * float(np.max(-k)) > _EXP_ARG_LIMIT:
-        raise ValueError("continuation step too large for this grid")
-
-
-def _shift_multiplier(grid: UniformGrid, eta: float, tau: float) -> np.ndarray:
-    k = wavenumbers(grid)
-    return np.exp(1j * k * eta - k * tau)
+def _check_growth(k: np.ndarray, tau: float) -> None:
+    """Reject an imaginary extent tau with exp(|k|*tau) near overflow."""
+    k_max = float(np.max(np.abs(k), initial=0.0))
+    if tau * k_max > _EXP_ARG_LIMIT:
+        raise ValueError(
+            f"continuation step too large: imaginary extent {tau:g} times "
+            f"wavenumber {k_max:.6g} exceeds {_EXP_ARG_LIMIT:g}"
+        )
 
 
 def continue_spectral(s: Series, shift: ComplexShift) -> Series:
@@ -75,10 +72,11 @@ def continue_spectral(s: Series, shift: ComplexShift) -> Series:
     ------
     ValueError
         If the imaginary shift would overflow the growing negative-k
-        branch ("continuation step too large for this grid").
+        branch ("continuation step too large").
     """
-    _check_growth(s.grid, shift.tau)
-    mult = _shift_multiplier(s.grid, shift.eta, shift.tau)
+    k = wavenumbers(s.grid)
+    _check_growth(k, shift.tau)
+    mult = np.exp(1j * k * shift.eta - k * shift.tau)
     if s.is_real:
         out = fft_inverse(Spectrum(s.grid, fft_forward(s).coeffs * mult)).values
     else:

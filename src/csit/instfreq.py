@@ -10,7 +10,9 @@ is the instantaneous frequency.  Three estimators share that trace:
 * a complex-step estimator that averages ``Im[arctan(B/A)]/tau`` over a
   small rectangle of complex shifts, where the imaginary offset keeps
   the arctangent argument away from the singular ratio 0/0 without any
-  explicit damping term.
+  explicit damping term.  The rectangle and its nodes are a
+  :class:`~csit.operators.CsitParams`, the same object that fixes the
+  transform; :func:`default_if_params` gives the one-sample default.
 
 All estimators return samples in Hz together with a validity mask; only
 the classical ratio ever produces invalid (NaN) samples in practice.
@@ -29,7 +31,6 @@ from .operators import CsitParams, fd_centered, pseudospectral_derivative
 
 __all__ = [
     "AnalyticTrace",
-    "IfParams",
     "FrequencyEstimate",
     "analytic_signal",
     "default_if_params",
@@ -45,8 +46,6 @@ _TWO_PI = 2.0 * np.pi
 _DENOM_FLOOR = 1e-300
 # |1 + (B/A)^2| below this marks a branch-point hit of the arctangent
 _BRANCH_TOL = 1e-14
-
-_VARIANTS = ("spectral_shift", "pointwise_additive")
 
 
 @dataclass(frozen=True)
@@ -123,55 +122,8 @@ def analytic_signal(s: Series) -> AnalyticTrace:
     return AnalyticTrace(x=s, y=Series(s.grid, v.imag))
 
 
-@dataclass(frozen=True)
-class IfParams:
-    """Shift rectangle and node counts for the complex-step estimator.
-
-    Geometry fields match :class:`~csit.operators.CsitParams`.  The
-    ``variant`` field selects how the shift ``eta + i*tau`` enters:
-    ``"spectral_shift"`` (default) evaluates both trace components at
-    the shifted time through their spectra, which is the reading under
-    which the rectangle average approximates the phase rate;
-    ``"pointwise_additive"`` adds the shift to the sample values
-    themselves, which probes a different functional of the trace and is
-    kept for comparison only.
-    """
-
-    eta_half_width: float
-    tau_max: float
-    tau_min: float | None = None
-    n_eta: int = 4
-    n_tau: int = 4
-    rule: Literal["trapezoid", "midpoint"] = "trapezoid"
-    variant: Literal["spectral_shift", "pointwise_additive"] = "spectral_shift"
-
-    def __post_init__(self) -> None:
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"unknown estimator variant {self.variant!r}")
-        q = self.quadrature()
-        # adopt the resolved defaults so the instance is self-describing
-        if self.tau_min is None:
-            object.__setattr__(self, "tau_min", q.tau_min)
-        if self.n_eta != q.n_eta:
-            object.__setattr__(self, "n_eta", q.n_eta)
-
-    def quadrature(self) -> CsitParams:
-        """The same rectangle as plain transform parameters."""
-        return CsitParams(
-            eta_half_width=self.eta_half_width,
-            tau_max=self.tau_max,
-            tau_min=self.tau_min,
-            n_eta=self.n_eta,
-            n_tau=self.n_tau,
-            rule=self.rule,
-        )
-
-
-def default_if_params(
-    dt: float,
-    variant: Literal["spectral_shift", "pointwise_additive"] = "spectral_shift",
-) -> IfParams:
-    """Field defaults for a trace sampled at spacing ``dt``.
+def default_if_params(dt: float) -> CsitParams:
+    """Shift rectangle for a trace sampled at spacing ``dt``.
 
     Both extents equal one sample (``H = Z = dt``) with the lower tau
     cutoff at ``dt/100`` and 4 nodes per axis.  A smaller cutoff is not
@@ -180,9 +132,7 @@ def default_if_params(
     """
     if not (dt > 0.0 and np.isfinite(dt)):
         raise ValueError("sample spacing dt must be positive and finite")
-    return IfParams(
-        eta_half_width=dt, tau_max=dt, tau_min=1e-2 * dt, variant=variant
-    )
+    return CsitParams(eta_half_width=dt, tau_max=dt, tau_min=1e-2 * dt)
 
 
 @dataclass(frozen=True)
@@ -252,6 +202,11 @@ def if_classical(
     return FrequencyEstimate(tr.grid, np.where(valid, ratio, np.nan), valid)
 
 
+def _check_damping(eps_damp: float) -> None:
+    if not (eps_damp > 0.0 and np.isfinite(eps_damp * eps_damp)):
+        raise ValueError("damping eps_damp must be positive with a finite square")
+
+
 def if_damped(
     tr: AnalyticTrace,
     eps_damp: float,
@@ -264,8 +219,7 @@ def if_damped(
     the amplitude dominates the damping the estimate matches the
     classical one to first order in ``eps_damp^2 / amplitude^2``.
     """
-    if not (eps_damp > 0.0 and np.isfinite(eps_damp)):
-        raise ValueError("damping eps_damp must be positive and finite")
+    _check_damping(eps_damp)
     num = _phase_rate_numerator(tr, backend)
     denom = tr.x.values**2 + tr.y.values**2 + eps_damp**2
     with np.errstate(over="ignore"):
@@ -339,48 +293,37 @@ def _patch_flagged(integrand: np.ndarray, flagged: np.ndarray) -> np.ndarray:
     return valid
 
 
-def _shifted_components(
-    tr: AnalyticTrace, eta: float, tau: float, variant: str
-) -> tuple[np.ndarray, np.ndarray]:
-    if variant == "spectral_shift":
-        shift = ComplexShift(eta=eta, tau=tau)
-        return (
-            continue_spectral(tr.x, shift).values,
-            continue_spectral(tr.y, shift).values,
-        )
-    step = complex(eta, tau)
-    return tr.x.values + step, tr.y.values + step
-
-
-def if_csit(tr: AnalyticTrace, p: IfParams) -> FrequencyEstimate:
+def if_csit(tr: AnalyticTrace, p: CsitParams) -> FrequencyEstimate:
     """Complex-step estimator: rectangle average of ``Im[arctan(B/A)]/tau``.
 
-    ``A`` and ``B`` are the trace components under the quadrature shift
-    ``eta + i*tau`` (see :class:`IfParams` for the two readings of that
-    shift).  The imaginary offset keeps the ratio ``B/A`` off the real
-    axis, so amplitude zeros of the trace produce finite output without
-    any explicit damping term.
+    ``A`` and ``B`` are both trace components evaluated at the shifted
+    time ``t + eta + i*tau`` through their spectra, for the quadrature
+    nodes of ``p`` (the rectangle of the transform itself).  The
+    imaginary offset keeps the ratio ``B/A`` off the real axis, so
+    amplitude zeros of the trace produce finite output without any
+    explicit damping term.
 
     Nodes that land within 1e-14 of an arctangent branch point borrow
     the value of the nearest clean node of the same sample (smallest tau
     distance first, then eta distance, lower index on ties); a sample
     with no clean node at all is reported as 0 Hz and flagged invalid.
     """
-    q = p.quadrature()
-    etas, w_eta = q.eta_nodes_weights()
-    taus, w_tau = q.tau_nodes_weights()
+    etas, w_eta = p.eta_nodes_weights()
+    taus, w_tau = p.tau_nodes_weights()
     n = tr.grid.n
     integrand = np.empty((len(etas), len(taus), n))
     flagged = np.empty((len(etas), len(taus), n), dtype=bool)
     for ip, eta in enumerate(etas):
         for im, tau in enumerate(taus):
-            a, b = _shifted_components(tr, float(eta), float(tau), p.variant)
+            shift = ComplexShift(eta=float(eta), tau=float(tau))
+            a = continue_spectral(tr.x, shift).values
+            b = continue_spectral(tr.y, shift).values
             value, bad = _imag_arctan_ratio(a, b)
             integrand[ip, im] = value / tau
             flagged[ip, im] = bad
     valid = _patch_flagged(integrand, flagged)
     weights = np.outer(w_eta, w_tau)[:, :, None]
-    freq = np.sum(weights * integrand, axis=(0, 1)) / (_TWO_PI * q.normalization)
+    freq = np.sum(weights * integrand, axis=(0, 1)) / (_TWO_PI * p.normalization)
     return FrequencyEstimate(tr.grid, freq, valid)
 
 

@@ -41,14 +41,14 @@ Nyquist bin zeroed, so real input comes back real.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal
 
 import numpy as np
 from scipy import integrate as _integrate
 
 from .continuation import AnalyticFunction, _check_growth
-from .grid import Series, UniformGrid
-from .special import shi, si, sinc_kernel
+from .grid import Series, UniformGrid, wavenumbers
+from .special import shi, sinc_kernel
 
 __all__ = [
     "CsitParams",
@@ -64,6 +64,17 @@ __all__ = [
     "Table1Report",
     "table1_verify",
 ]
+
+_RULES = ("trapezoid", "midpoint")
+
+
+def _check_extents(eta_half_width: float, tau_max: float, k=()) -> None:
+    """The H/Z rule of every route, and the growth limit for wavenumbers ``k``."""
+    if not (eta_half_width >= 0.0 and np.isfinite(eta_half_width)):
+        raise ValueError("eta_half_width must be finite and nonnegative")
+    if not (tau_max > 0.0 and np.isfinite(tau_max)):
+        raise ValueError("tau_max must be positive and finite")
+    _check_growth(k, tau_max)
 
 
 @dataclass(frozen=True)
@@ -95,16 +106,13 @@ class CsitParams:
     rule: Literal["trapezoid", "midpoint"] = "trapezoid"
 
     def __post_init__(self) -> None:
-        if not (self.eta_half_width >= 0.0 and np.isfinite(self.eta_half_width)):
-            raise ValueError("eta_half_width must be finite and nonnegative")
-        if not (self.tau_max > 0.0 and np.isfinite(self.tau_max)):
-            raise ValueError("tau_max must be positive and finite")
+        _check_extents(self.eta_half_width, self.tau_max)
         for count in (self.n_eta, self.n_tau):
             if isinstance(count, (bool, np.bool_)) or not isinstance(count, (int, np.integer)):
                 raise ValueError(f"node counts must be integers, got {count!r}")
         if self.n_eta < 1 or self.n_tau < 1:
             raise ValueError("node counts must be at least 1")
-        if self.rule not in ("trapezoid", "midpoint"):
+        if self.rule not in _RULES:
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
         if self.tau_min is None:
             object.__setattr__(
@@ -114,6 +122,8 @@ class CsitParams:
             raise ValueError("tau_min must lie strictly between 0 and tau_max")
         if self.eta_half_width == 0.0 and self.n_eta != 1:
             object.__setattr__(self, "n_eta", 1)
+        if not self.normalization > 1.0 / np.finfo(np.float64).max:
+            raise ValueError("extents too small: 1/(2*H*Z) overflows")
 
     def eta_nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Symmetric midpoint nodes and weights over [-H, H].
@@ -184,7 +194,7 @@ def _quadrature_multiplier(grid: UniformGrid, p: CsitParams) -> np.ndarray:
 
     Raises ValueError when sinh(k*tau_max) would overflow on this grid.
     """
-    _check_growth(grid, p.tau_max)
+    _check_growth(wavenumbers(grid), p.tau_max)
     etas, w_eta = p.eta_nodes_weights()
     taus, w_tau = p.tau_nodes_weights()
 
@@ -231,9 +241,12 @@ def csit_symbol(k, eta_half_width: float, tau_max: float):
     """Fourier symbol i*(shi(k*Z)/Z)*sinc_kernel(k*H), elementwise in k.
 
     Purely imaginary and odd; reduces to i*k as H, Z -> 0 with expansion
-    sigma/(i k) = 1 - (kH)^2/6 + (kZ)^2/18 + O(k^4).
+    sigma/(i k) = 1 - (kH)^2/6 + (kZ)^2/18 + O(k^4).  H and Z obey the
+    rule of :class:`CsitParams`, and max|k|*Z may not exceed 700 (the
+    growth limit of the quadrature route), so shi cannot overflow.
     """
     k = np.asarray(k, dtype=np.float64)
+    _check_extents(eta_half_width, tau_max, k)
     out = 1j * (shi(k * tau_max) / tau_max) * sinc_kernel(k * eta_half_width)
     return out if np.ndim(out) else complex(out)
 
@@ -241,7 +254,8 @@ def csit_symbol(k, eta_half_width: float, tau_max: float):
 def csit_spectral(s: Series, eta_half_width: float, tau_max: float) -> Series:
     """Exact-symbol form of the transform (the quadrature's fine limit).
 
-    The Nyquist mode of even-length grids is zeroed.
+    The Nyquist mode of even-length grids is zeroed.  Raises ValueError
+    for extents that :func:`csit_symbol` rejects on this grid.
     """
     mult = _multiplier(s.grid, lambda k: csit_symbol(k, eta_half_width, tau_max))
     return Series(s.grid, _apply(s.values, mult))

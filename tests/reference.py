@@ -14,8 +14,15 @@ import math
 import numpy as np
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12, max_depth: int = 50):
+def adaptive_simpson(
+    f, a: float, b: float, tol: float = 1e-12, max_depth: int = 50, rel_tol: float | None = None
+):
     """Recursive adaptive Simpson integration.
+
+    With ``rel_tol`` the tolerance is ``rel_tol`` times the magnitude of
+    the whole-interval Simpson estimate instead of ``tol``: an integrand
+    that spans many orders of magnitude would otherwise drive an absolute
+    tolerance to the maximum depth everywhere.
 
     Returns
     -------
@@ -42,6 +49,8 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12, max_depth: int =
     fa, fb = f(a), f(b)
     fm = f(0.5 * (a + b))
     whole = simpson(fa, fm, fb, a, b)
+    if rel_tol is not None:
+        tol = rel_tol * abs(whole)
     return recurse(a, b, fa, fm, fb, whole, tol, 0)
 
 
@@ -64,10 +73,16 @@ def series_si(z: float, terms: int = 40) -> float:
 
 
 def oracle_shi(z: float) -> float:
-    """shi via series for small arguments, adaptive Simpson otherwise."""
+    """shi via series for small arguments, adaptive Simpson otherwise.
+
+    The integrand grows like e^t/t, so the Simpson tolerance is relative
+    (1e-14 of the integral's size) rather than absolute.
+    """
     if abs(z) <= 4.0:
         return series_shi(z)
-    val, _ = adaptive_simpson(lambda t: math.sinh(t) / t if t != 0.0 else 1.0, 0.0, abs(z))
+    val, _ = adaptive_simpson(
+        lambda t: math.sinh(t) / t if t != 0.0 else 1.0, 0.0, abs(z), rel_tol=1e-14
+    )
     return math.copysign(val, z)
 
 

@@ -15,7 +15,6 @@ from csit.grid import Series, UniformGrid
 from csit.instfreq import (
     AnalyticTrace,
     FrequencyEstimate,
-    IfParams,
     analytic_signal,
     chirp,
     default_if_params,
@@ -25,6 +24,7 @@ from csit.instfreq import (
     if_damped,
 )
 from csit.instfreq import _imag_arctan_ratio, _nearest_clean, _patch_flagged
+from csit.operators import CsitParams
 
 from reference import enveloped_chirp_trace
 
@@ -145,31 +145,28 @@ class TestAnalyticTrace:
 
 
 class TestIfParams:
+    """The estimator's rectangle is a plain CsitParams."""
+
     def test_defaults_resolve(self):
-        p = IfParams(eta_half_width=0.1, tau_max=0.2)
+        p = CsitParams(eta_half_width=0.1, tau_max=0.2)
         assert p.tau_min == pytest.approx(0.05)
-        assert p.variant == "spectral_shift"
-        q = p.quadrature()
-        assert q.tau_max == 0.2 and q.n_eta == 4 and q.n_tau == 4
+        assert p.tau_max == 0.2 and p.n_eta == 4 and p.n_tau == 4
 
     def test_field_defaults_for_sampling(self):
         p = default_if_params(0.004)
+        assert isinstance(p, CsitParams)
         assert p.eta_half_width == pytest.approx(0.004)
         assert p.tau_max == pytest.approx(0.004)
         assert p.tau_min == pytest.approx(4e-5)
         assert p.n_eta == p.n_tau == 4
 
     def test_zero_half_width_forces_single_eta_node(self):
-        p = IfParams(eta_half_width=0.0, tau_max=0.1, n_eta=8)
+        p = CsitParams(eta_half_width=0.0, tau_max=0.1, n_eta=8)
         assert p.n_eta == 1
-
-    def test_rejects_unknown_variant(self):
-        with pytest.raises(ValueError, match="variant"):
-            IfParams(eta_half_width=0.1, tau_max=0.1, variant="hybrid")
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError, match="tau_max"):
-            IfParams(eta_half_width=0.1, tau_max=0.0)
+            CsitParams(eta_half_width=0.1, tau_max=0.0)
         with pytest.raises(ValueError, match="dt"):
             default_if_params(0.0)
 
@@ -303,31 +300,9 @@ class TestIfCsit:
         assert est.valid.all()
         assert np.max(np.abs(est.frequency)) < 10.0 * 40.0
 
-    def test_pointwise_variant_matches_small_extent_limit(self):
-        # as H, Z -> 0 the additive reading tends to the closed form
-        # (x - y) / (2*pi*(x^2 + y^2)), not to the phase rate
-        grid = UniformGrid(0.0, 1.0, 512)
-        tr = analytic_signal(Series(grid, np.cos(TWO_PI * 3.0 * grid.nodes)))
-        p = IfParams(
-            eta_half_width=1e-6, tau_max=1e-6, variant="pointwise_additive"
-        )
-        est = if_csit(tr, p)
-        x, y = tr.x.values, tr.y.values
-        closed = (x - y) / (x * x + y * y) / TWO_PI
-        assert np.max(np.abs(est.frequency - closed)) < 1e-8
-
-    def test_variants_disagree_on_tones(self):
-        grid = UniformGrid(0.0, 1.0, 512)
-        tr = analytic_signal(Series(grid, np.cos(TWO_PI * 3.0 * grid.nodes)))
-        shifted = if_csit(tr, default_if_params(grid.dx))
-        additive = if_csit(
-            tr, default_if_params(grid.dx, variant="pointwise_additive")
-        )
-        assert np.max(np.abs(shifted.frequency - additive.frequency)) > 1.0
-
     def test_growth_guard_propagates(self):
         tr = tone_trace(3.0, n=256)
-        p = IfParams(eta_half_width=0.1, tau_max=10.0)
+        p = CsitParams(eta_half_width=0.1, tau_max=10.0)
         with pytest.raises(ValueError, match="too large"):
             if_csit(tr, p)
 

@@ -1,12 +1,18 @@
 """CSV format, run manifests, and the command-line front end."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from csit.cli import main
+from csit.cli import MAX_COUNT, main
 from csit.io import (
     CsvFormatError,
     RunManifest,
@@ -434,3 +440,314 @@ class TestUsageSurface:
     def test_version_string(self, capsys):
         assert main(["--version"]) == 0
         assert "0.1.0" in capsys.readouterr().out
+
+
+# --- the parameter boundary -------------------------------------------------
+
+
+def run_cli(argv):
+    """``main(argv)`` with stderr captured and warnings recorded."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([str(a) for a in argv])
+    return code, err.getvalue().splitlines(), [str(w.message) for w in caught]
+
+
+def check_outcome(code, err, caught, out_dir):
+    """Exit codes 2 and 3 give one error line and leave no output directory.
+
+    A warning would reach stderr as further lines in a real run.
+    """
+    assert code in (0, 2, 3, 4)
+    if code in (2, 3):
+        assert len(err) == 1 and err[0].startswith("csit: error:"), err
+        assert not caught, caught
+        assert not Path(out_dir).exists()
+
+
+def assert_rejected(argv, expected, out_dir):
+    code, err, caught = run_cli(argv)
+    assert code == expected, err
+    check_outcome(code, err, caught, out_dir)
+    return err[0]
+
+
+def write_manifest(tmp_path, subcommand, parameters):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"subcommand": subcommand, "parameters": parameters}))
+    return path
+
+
+class TestParameterBoundary:
+    """Regression cases: each exits 2 (flags or config) or 3 (replay) with
+    one line, before the output directory is created."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"n_x": 100.7, "n_t": 5.9},
+            {"csit": 3},
+            {"n_t": 1e12},
+            {"n_t": MAX_COUNT + 1},
+            {"n_x": True},
+            {"c": "fast"},
+            {"L": float("inf")},
+            {"n_x": 32, "n_t": 8, "cfl": 1e-300},
+            {"source": {"t_delay": float("nan")}},
+            {"source": "ricker"},
+        ],
+    )
+    def test_bad_advect_config_exits_2(self, tmp_path, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "adv"
+        assert_rejected(["advect", "--config", path, "--out-dir", out], 2, out)
+
+    def test_csit_block_lacking_half_width_exits_2(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"csit": {"tau_max": 1}}))
+        out = tmp_path / "adv"
+        err = assert_rejected(
+            ["advect", "--scheme", "csit", "--config", path, "--out-dir", out], 2, out
+        )
+        assert "'eta_half_width'" in err
+
+    def test_snapshot_beyond_run_exits_2(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_x": 32, "n_t": 8}))
+        out = tmp_path / "adv"
+        assert_rejected(["advect", "--config", path, "--snapshots", "0,1e308",
+                         "--out-dir", out], 2, out)
+
+    def test_quadrature_extent_beyond_growth_limit_exits_2(self, tmp_path):
+        src = tmp_path / "tone.csv"
+        write_tone_csv(src)
+        out = tmp_path / "o" / "q.csv"
+        err = assert_rejected(["transform", src, "--mode", "quadrature", "--H", "0.01",
+                               "--Z", "1000", "--out", out], 2, out.parent)
+        assert "too large" in err
+
+    def test_overflowing_normalization_exits_2(self, tmp_path):
+        src = tmp_path / "tone.csv"
+        write_tone_csv(src)
+        out = tmp_path / "o" / "q.csv"
+        err = assert_rejected(["transform", src, "--H", "1e-300", "--Z", "1e-10",
+                               "--out", out], 2, out.parent)
+        assert "too small" in err
+
+    @pytest.mark.parametrize(
+        "H, Z, match",
+        [("0.01", "1000", "too large"), ("0.01", "0", "tau_max"), ("-1", "0.01", "eta_half_width"),
+         ("inf", "0.01", "H must be a finite number")],
+    )
+    def test_transform_symbol_mode_checks_extents(self, tmp_path, H, Z, match):
+        src = tmp_path / "tone.csv"
+        write_tone_csv(src)
+        out = tmp_path / "o" / "s.csv"
+        err = assert_rejected(["transform", src, "--mode", "symbol", "--H", H, "--Z", Z,
+                               "--out", out], 2, out.parent)
+        assert match in err
+
+    @pytest.mark.parametrize(
+        "flags, match",
+        [
+            (["--Z", "0"], "tau_max"),
+            (["--H", "inf"], "H must be a finite number"),
+            (["--H", "-1"], "eta_half_width"),
+            (["--Z", "1000"], "too large"),
+            (["--kmax", "0"], "kmax"),
+            (["--samples", "1"], "samples"),
+            (["--samples", str(MAX_COUNT + 1)], "samples"),
+        ],
+    )
+    def test_symbol_checks_extents(self, tmp_path, flags, match):
+        out = tmp_path / "o" / "s.csv"
+        err = assert_rejected(["symbol", *flags, "--out", out], 2, out.parent)
+        assert match in err
+
+    def test_nonpositive_damping_exits_2(self, tmp_path):
+        out = tmp_path / "o" / "f.csv"
+        assert_rejected(["ifreq", "--demo", "chirp", "--n", "200", "--damping", "-1",
+                         "--out", out], 2, out.parent)
+
+    def test_damping_with_overflowing_square_exits_2(self, tmp_path):
+        out = tmp_path / "o" / "f.csv"
+        assert_rejected(["ifreq", "--demo", "chirp", "--n", "200", "--damping", "1e300",
+                         "--out", out], 2, out.parent)
+
+    def test_single_sample_demo_exits_2(self, tmp_path):
+        out = tmp_path / "o" / "d.csv"
+        assert_rejected(["derive", "--demo", "logistic", "--n", "1", "--out", out], 2, out.parent)
+
+    def test_usage_error_is_one_line(self, tmp_path):
+        out = tmp_path / "o" / "q.csv"
+        err = assert_rejected(["transform", "in.csv", "--H", "abc", "--Z", "1",
+                               "--out", out], 2, out.parent)
+        assert "--H" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("H", "abc"), ("mode", "bogus"), ("Z", [1]), ("n_tau", 2.5),
+         ("n_eta", MAX_COUNT + 1), ("out", "../escape.csv"), ("rule", None)],
+    )
+    def test_bad_transform_manifest_exits_3(self, tmp_path, key, value):
+        src = tmp_path / "tone.csv"
+        write_tone_csv(src)
+        assert main(["transform", str(src), "--H", "0.02", "--Z", "0.01",
+                     "--out", str(tmp_path / "q.csv")]) == 0
+        path = tmp_path / "q.csv.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["parameters"][key] = value
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "replay"
+        err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
+        assert f"{path}: bad parameters: {key} " in err
+
+    def test_manifest_parameters_must_be_an_object(self, tmp_path):
+        path = write_manifest(tmp_path, "symbol", [1, 2])
+        out = tmp_path / "replay"
+        assert_rejected(["replay", path, "--out-dir", out], 3, out)
+
+    def test_legacy_spectral_shift_variant_is_ignored(self, tmp_path):
+        out = tmp_path / "f.csv"
+        assert main(["ifreq", "--demo", "chirp", "--n", "200", "--out", str(out)]) == 0
+        path = tmp_path / "f.csv.manifest.json"
+        manifest = json.loads(path.read_text())
+        assert "variant" not in manifest["parameters"]
+        manifest["parameters"]["variant"] = "spectral_shift"
+        path.write_text(json.dumps(manifest))
+        replay_dir = tmp_path / "replay"
+        assert main(["replay", str(path), "--out-dir", str(replay_dir)]) == 0
+        assert (replay_dir / "f.csv").read_bytes() == out.read_bytes()
+        replayed = json.loads((replay_dir / "f.csv.manifest.json").read_text())
+        del manifest["parameters"]["variant"]
+        assert replayed["parameters"] == manifest["parameters"]
+        manifest["parameters"]["variant"] = "pointwise_additive"
+        path.write_text(json.dumps(manifest))
+        other = tmp_path / "replay2"
+        assert "variant" in assert_rejected(["replay", path, "--out-dir", other], 3, other)
+
+
+# Hypothesis fuzzing of the boundary.  Every accepted run is tiny (at most
+# 128 samples, 32 grid points, 8 steps, 4x4 nodes); counts above the cap
+# are drawn only as values that must be rejected.
+
+_POOL = [
+    None, True, False, "abc", "", "ricker", [1], {"a": 1},
+    float("nan"), float("inf"), -float("inf"),
+    -1, -1.5, 0, 0.0, 1e-300, 2.5, 1e12, MAX_COUNT + 1, 10**400,
+]
+_FLAG_POOL = [
+    "nan", "inf", "-inf", "-1", "0", "1e-300", "1e-3", "2.5", "3", "1e12",
+    str(MAX_COUNT + 1), "abc", "", "bogus", "fd", "midpoint",
+]
+_FLAGS = {
+    "transform": ["--mode", "--H", "--Z", "--eps", "--n-eta", "--n-tau", "--rule"],
+    "derive": ["--n", "--k", "--t0", "--H", "--Z", "--eps", "--n-eta", "--n-tau", "--rule"],
+    "ifreq": ["--n", "--f0", "--rate", "--H", "--Z", "--eps", "--n-eta", "--n-tau",
+              "--rule", "--backend", "--damping", "--trim"],
+    "symbol": ["--kmax", "--samples", "--H", "--Z", "--dx", "--c"],
+    "advect": ["--scheme", "--snapshots", "--window"],
+}
+_CONFIG_KEYS = [
+    "c", "L", "x_s", "f0", "n_x", "cfl", "n_t", "csit", "source", "zzz",
+    "csit.eta_half_width", "csit.tau_max", "csit.tau_min", "csit.n_eta",
+    "csit.n_tau", "csit.rule", "csit.zzz", "source.kind", "source.t_delay", "source.zzz",
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    write_tone_csv(root / "tone.csv")
+    (root / "cfg.json").write_text(json.dumps({"n_x": 32, "n_t": 8}))
+    return root
+
+
+@pytest.fixture(scope="module")
+def base_manifests(fuzz_dir):
+    cfg = fuzz_dir / "cfg_csit.json"
+    cfg.write_text(json.dumps({"n_x": 32, "n_t": 8,
+                               "csit": {"eta_half_width": 2.0, "tau_max": 0.01}}))
+    runs = {
+        "transform": ["transform", fuzz_dir / "tone.csv", "--H", "0.02", "--Z", "0.01",
+                      "--n-eta", "4", "--n-tau", "4", "--out", fuzz_dir / "transform"],
+        "derive": ["derive", "--demo", "logistic", "--n", "64", "--out", fuzz_dir / "derive"],
+        "ifreq": ["ifreq", "--demo", "chirp", "--n", "128", "--out", fuzz_dir / "ifreq"],
+        "symbol": ["symbol", "--samples", "16", "--out", fuzz_dir / "symbol"],
+        "advect": ["advect", "--config", cfg, "--out-dir", fuzz_dir / "advect"],
+    }
+    manifests = {}
+    for name, argv in runs.items():
+        assert main([str(a) for a in argv]) == 0
+        path = fuzz_dir / ("advect/manifest.json" if name == "advect" else f"{name}.manifest.json")
+        manifests[name] = json.loads(path.read_text())["parameters"]
+    return manifests
+
+
+class TestBoundaryFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        scheme=st.sampled_from(["fd", "pseudospectral", "csit"]),
+        edits=st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), st.sampled_from(_POOL)),
+                       min_size=1, max_size=2),
+        whole=st.one_of(st.none(), st.sampled_from(_POOL)),
+    )
+    def test_advect_config(self, fuzz_dir, scheme, edits, whole):
+        config = {"n_x": 32, "n_t": 8, "csit": {"eta_half_width": 2.0, "tau_max": 0.01},
+                  "source": {"kind": "gaussian_derivative"}}
+        for key, value in edits:
+            head, _, tail = key.partition(".")
+            if tail and isinstance(config.get(head), dict):
+                config[head][tail] = value
+            else:
+                config[head] = value
+        with tempfile.TemporaryDirectory(dir=fuzz_dir) as work:
+            path = Path(work) / "cfg.json"
+            path.write_text(json.dumps(config if whole is None else whole))
+            out = Path(work) / "adv"
+            check_outcome(*run_cli(["advect", "--scheme", scheme, "--config", path,
+                                    "--out-dir", out]), out)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        subcommand=st.sampled_from(sorted(_FLAGS)),
+        data=st.data(),
+    )
+    def test_flag_values(self, fuzz_dir, subcommand, data):
+        flags = data.draw(st.lists(
+            st.tuples(st.sampled_from(_FLAGS[subcommand]), st.sampled_from(_FLAG_POOL)),
+            min_size=1, max_size=2))
+        base = {
+            "transform": [fuzz_dir / "tone.csv", "--H", "0.02", "--Z", "0.01",
+                          "--n-eta", "4", "--n-tau", "4"],
+            "derive": ["--demo", "logistic", "--n", "64"],
+            "ifreq": ["--demo", "chirp", "--n", "128"],
+            "symbol": ["--samples", "16"],
+            "advect": ["--scheme", "fd", "--config", fuzz_dir / "cfg.json"],
+        }[subcommand]
+        with tempfile.TemporaryDirectory(dir=fuzz_dir) as work:
+            out = Path(work) / "o"
+            target = ["--out-dir", out] if subcommand == "advect" else ["--out", out / "x.csv"]
+            argv = [subcommand, *base, *(item for pair in flags for item in pair), *target]
+            check_outcome(*run_cli(argv), out)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        subcommand=st.sampled_from(["transform", "derive", "ifreq", "symbol", "advect"]),
+        data=st.data(),
+    )
+    def test_manifest_parameters(self, fuzz_dir, base_manifests, subcommand, data):
+        params = json.loads(json.dumps(base_manifests[subcommand]))
+        keys = sorted(params) + ["variant", "zzz"]
+        for _ in range(data.draw(st.integers(1, 2))):
+            key = data.draw(st.sampled_from(keys))
+            if data.draw(st.booleans()):
+                params.pop(key, None)
+            else:
+                params[key] = data.draw(st.sampled_from(_POOL))
+        with tempfile.TemporaryDirectory(dir=fuzz_dir) as work:
+            path = write_manifest(Path(work), subcommand, params)
+            out = Path(work) / "replay"
+            check_outcome(*run_cli(["replay", path, "--out-dir", out]), out)

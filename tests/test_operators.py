@@ -104,6 +104,14 @@ class TestCsitParams:
         assert len(p.eta_nodes_weights()[0]) == 3
         assert len(p.tau_nodes_weights()[0]) == 5
 
+    def test_normalization_must_not_overflow(self):
+        # 1/(2*H*Z) multiplies every quadrature route; it must stay finite
+        with pytest.raises(ValueError, match="too small"):
+            CsitParams(eta_half_width=1e-300, tau_max=1e-10)
+        with pytest.raises(ValueError, match="too small"):
+            CsitParams(eta_half_width=0.0, tau_max=1e-320)
+        assert CsitParams(eta_half_width=1e-300, tau_max=1e-3).normalization == pytest.approx(2e-303)
+
 
 class TestSymbol:
     def test_frozen_values(self):
@@ -315,6 +323,56 @@ class TestSpectralRoute:
         s = Series(grid, (-1.0) ** np.arange(32) * 1.0)
         out = csit_spectral(s, 0.1, 0.1)
         assert np.max(np.abs(out.values)) < 1e-13
+
+
+class TestSymbolRouteChecks:
+    """The symbol route obeys the H/Z rule of CsitParams and the growth
+    limit max|k|*Z <= 700 of the quadrature route."""
+
+    @pytest.mark.parametrize(
+        "H, Z, match",
+        [
+            (0.1, 0.0, "tau_max"),
+            (0.1, -1.0, "tau_max"),
+            (0.1, np.inf, "tau_max"),
+            (0.1, np.nan, "tau_max"),
+            (-0.1, 0.1, "eta_half_width"),
+            (np.inf, 0.1, "eta_half_width"),
+            (np.nan, 0.1, "eta_half_width"),
+        ],
+    )
+    def test_symbol_rejects_bad_extents(self, H, Z, match):
+        with pytest.raises(ValueError, match=match):
+            csit_symbol(np.linspace(0.0, 3.0, 5), H, Z)
+        with pytest.raises(ValueError, match=match):
+            CsitParams(eta_half_width=H, tau_max=Z)
+
+    def test_symbol_growth_limit_at_700(self):
+        assert np.isfinite(csit_symbol(700.0, 0.0, 1.0).imag)
+        assert np.isfinite(csit_symbol(-700.0, 0.0, 1.0).imag)
+        with pytest.raises(ValueError, match="too large"):
+            csit_symbol(701.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="too large"):
+            csit_symbol(np.array([0.0, -701.0]), 0.0, 1.0)
+
+    def test_spectral_route_growth_matches_quadrature_route(self):
+        # n=64 on [0, 1): largest wavenumber 64*pi ~ 201, so Z=1000 overflows
+        grid = UniformGrid(x0=0.0, length=1.0, n=64)
+        s = Series(grid, np.sin(2.0 * np.pi * 3.0 * grid.nodes))
+        for Z in (1000.0, 3.5):
+            with pytest.raises(ValueError, match="too large"):
+                csit_spectral(s, 0.01, Z)
+            with pytest.raises(ValueError, match="too large"):
+                csit_quadrature(s, CsitParams(eta_half_width=0.01, tau_max=Z))
+        # 3.4 * 64 * pi = 683.6 stays inside the limit on both routes
+        assert np.all(np.isfinite(csit_spectral(s, 0.01, 3.4).values))
+        assert np.all(np.isfinite(csit_quadrature(s, CsitParams(0.01, 3.4)).values))
+
+    def test_spectral_route_rejects_zero_extent(self):
+        grid = UniformGrid(x0=0.0, length=1.0, n=64)
+        s = Series(grid, np.sin(2.0 * np.pi * 3.0 * grid.nodes))
+        with pytest.raises(ValueError, match="tau_max"):
+            csit_spectral(s, 0.01, 0.0)
 
 
 class TestDerivativeHelpers:

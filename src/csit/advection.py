@@ -25,8 +25,8 @@ from .operators import (
     _centered_difference,
     _derivative_multiplier,
     _quadrature_multiplier,
+    csit_symbol,
 )
-from .special import shi, sinc_kernel
 
 __all__ = [
     "AdvectionConfig",
@@ -299,15 +299,13 @@ def dispersion_fd(k, c: float, dx: float):
 def dispersion_csit(k, c: float, eta_half_width: float, tau_max: float):
     """Semi-discrete frequency of the transform-based derivative.
 
-    omega = c (shi(k Z)/Z) sinc(k H) with H the real half-width and Z
-    the imaginary extent; H = 0 drops the sinc taper.
+    omega = c * Im sigma(k) = c (shi(k Z)/Z) sinc(k H) with sigma the
+    :func:`~csit.operators.csit_symbol`, H the real half-width and Z the
+    imaginary extent; H = 0 drops the sinc taper.  H, Z and k obey the
+    symbol's extent and growth rules.
     """
-    if not tau_max > 0.0:
-        raise ValueError("imaginary extent must be positive")
-    karr = np.asarray(k, dtype=np.float64)
-    out = c * (shi(karr * tau_max) / tau_max) * sinc_kernel(karr * eta_half_width)
-    out = np.asarray(out)
-    return out if out.ndim else float(out)
+    out = c * np.imag(csit_symbol(k, eta_half_width, tau_max))
+    return out if np.ndim(out) else float(out)
 
 
 def pulse_centroid(snap: WavefieldSnapshot) -> float:

@@ -239,6 +239,8 @@ def _resolve_derive(raw: dict) -> tuple[dict, tuple]:
         raise ValueError("provide exactly one of an input CSV or --demo")
     if params["demo"] == "logistic":
         params.update(n=_count(raw, "n"), k=_real(raw, "k"), t0=_real(raw, "t0"))
+        if params["k"] == 0.0:
+            raise ValueError("k must be nonzero")
         grid = UniformGrid(0.0, 1.0, params["n"])
         with np.errstate(over="ignore"):  # exp overflow gives the exact limit f = 0
             f = 1.0 / (1.0 + np.exp(-params["k"] * (grid.nodes - params["t0"])))
@@ -283,13 +285,6 @@ _ADVECT_DEFAULTS = {
 }
 # optional fields of a csit block; eta_half_width and tau_max are required
 _CSIT_DEFAULTS = {"tau_min": None, "n_eta": 4, "n_tau": 4, "rule": "trapezoid"}
-
-
-class _ZeroSource:
-    """Source that never injects; used for the zero-source trivial run."""
-
-    def __call__(self, t) -> float:
-        return 0.0
 
 
 def _csit_block(block) -> CsitParams | None:
@@ -337,11 +332,8 @@ def _resolve_advect(raw: dict) -> tuple[dict, tuple]:
         params["csit"] = dict(vars(cfg.csit))
     if cfg.scheme == "csit":
         _check_extents(cfg.csit.eta_half_width, cfg.csit.tau_max, wavenumbers(cfg.grid))
-    if params["source_kind"] == "none":
-        src = _ZeroSource()
-    else:
-        src = SourceTimeFunction(kind=params["source_kind"], f0=cfg.f0, t_delay=params["t_delay"])
-        params["t_delay"] = src.t_delay
+    src = SourceTimeFunction(kind=params["source_kind"], f0=cfg.f0, t_delay=params["t_delay"])
+    params["t_delay"] = src.t_delay
     if params["snapshots"] is None:
         duration = cfg.n_t * cfg.dt
         params["snapshots"] = [0.0, 0.5 * duration, duration]

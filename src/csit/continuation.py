@@ -4,9 +4,12 @@ A band-limited periodic function sampled on a uniform grid extends off the
 real axis mode by mode: the coefficient of exp(i k x) becomes the
 coefficient of exp(i k (x + eta + i tau)) = exp(i k eta) * exp(-k tau).
 ``continue_spectral`` applies that multiplier over the full signed
-spectrum and transforms back; ``continue_direct`` simply evaluates a
-closed-form function at the shifted argument, and the two agree on
-band-limited data.
+spectrum with one FFT pair on the raw samples; ``continue_direct`` simply
+evaluates a closed-form function at the shifted argument, and the two
+agree on band-limited data.  The multiplier is diagonal, so the phase
+that absolute coordinates attach to the coefficients of a grid with
+``x0 != 0`` cancels and is never applied, and complex input needs no
+splitting: the FFT is linear over complex scalars.
 
 Negative wavenumbers carry exp(+|k| tau), which grows with tau.  That is
 the correct continuation of the negative-frequency half of a real signal,
@@ -21,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Series, Spectrum, fft_forward, fft_inverse, wavenumbers
+from .grid import Series, wavenumbers
 
 __all__ = [
     "AnalyticFunction",
@@ -63,10 +66,10 @@ def _check_growth(k: np.ndarray, tau: float) -> None:
 def continue_spectral(s: Series, shift: ComplexShift) -> Series:
     """Continue a sampled series to ``x + eta + i*tau`` via its spectrum.
 
-    Complex input is split into real and imaginary parts, each continued
-    independently, then recombined; this keeps the operation linear over
-    complex scalars.  Returns a complex series; for ``eta = tau = 0`` the
-    input comes back unchanged (complexified).
+    Multiplies the coefficient of each mode by ``exp(i*k*eta - k*tau)``
+    between one forward and one inverse FFT of the samples, real or
+    complex.  Returns a complex series; for ``eta = tau = 0`` the input
+    comes back unchanged (complexified) up to rounding.
 
     Raises
     ------
@@ -77,16 +80,7 @@ def continue_spectral(s: Series, shift: ComplexShift) -> Series:
     k = wavenumbers(s.grid)
     _check_growth(k, shift.tau)
     mult = np.exp(1j * k * shift.eta - k * shift.tau)
-    if s.is_real:
-        out = fft_inverse(Spectrum(s.grid, fft_forward(s).coeffs * mult)).values
-    else:
-        re = Series(s.grid, s.values.real)
-        im = Series(s.grid, s.values.imag)
-        out = (
-            fft_inverse(Spectrum(s.grid, fft_forward(re).coeffs * mult)).values
-            + 1j * fft_inverse(Spectrum(s.grid, fft_forward(im).coeffs * mult)).values
-        )
-    return Series(s.grid, out)
+    return Series(s.grid, np.fft.ifft(np.fft.fft(s.values) * mult))
 
 
 def continue_direct(f: AnalyticFunction, x: np.ndarray, shift: ComplexShift) -> np.ndarray:

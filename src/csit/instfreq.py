@@ -1,8 +1,8 @@
 """Analytic-signal construction and instantaneous-frequency estimation.
 
-A real trace and its quadrature component (built in the Fourier domain,
-no explicit Hilbert convolution) form an analytic trace whose phase rate
-is the instantaneous frequency.  Three estimators share that trace:
+A real trace and its quadrature component (the periodic Hilbert
+transform, one Fourier multiplier) form an analytic trace whose phase
+rate is the instantaneous frequency.  Three estimators share that trace:
 
 * the classical ratio ``(x*dy/dt - y*dx/dt) / (x^2 + y^2)``, which is
   indeterminate at amplitude zeros,
@@ -26,8 +26,8 @@ from typing import Literal
 import numpy as np
 
 from .continuation import ComplexShift, continue_spectral
-from .grid import Series, Spectrum, UniformGrid, fft_forward, fft_inverse
-from .operators import CsitParams, fd_centered, pseudospectral_derivative
+from .grid import Series, UniformGrid
+from .operators import CsitParams, fd_centered, hilbert_fft, pseudospectral_derivative
 
 __all__ = [
     "AnalyticTrace",
@@ -90,12 +90,12 @@ class AnalyticTrace:
 
 
 def analytic_signal(s: Series) -> AnalyticTrace:
-    """Build the analytic trace of a real series in the Fourier domain.
+    """Build the analytic trace ``x + i*hilbert_fft(x)`` of a real series.
 
-    Strictly positive frequencies are doubled, strictly negative ones
-    zeroed, and the DC and (even-grid) Nyquist coefficients kept once;
-    the inverse transform then carries the input in its real part and
-    the quadrature component in its imaginary part.
+    The quadrature component is :func:`~csit.operators.hilbert_fft`, the
+    ``-i*sign(k)`` multiplier: positive frequencies of ``x + i*y`` are
+    doubled, negative ones cancel, and the mean and (even-grid) Nyquist
+    mode stay in ``x`` alone.
 
     Parameters
     ----------
@@ -105,21 +105,11 @@ def analytic_signal(s: Series) -> AnalyticTrace:
     Returns
     -------
     AnalyticTrace
-        The input as ``x`` and the derived quadrature series as ``y``.
+        The input as ``x`` and its Hilbert transform as ``y``.
     """
     if not s.is_real:
         raise ValueError("analytic signal needs a real input series")
-    n = s.grid.n
-    gain = np.ones(n)
-    if n % 2 == 0:
-        gain[1 : n // 2] = 2.0
-        gain[n // 2 + 1 :] = 0.0
-    else:
-        gain[1 : (n + 1) // 2] = 2.0
-        gain[(n + 1) // 2 :] = 0.0
-    spec = fft_forward(s)
-    v = fft_inverse(Spectrum(s.grid, spec.coeffs * gain)).values
-    return AnalyticTrace(x=s, y=Series(s.grid, v.imag))
+    return AnalyticTrace(x=s, y=hilbert_fft(s))
 
 
 def default_if_params(dt: float) -> CsitParams:
@@ -260,36 +250,30 @@ def _imag_arctan_ratio(
     return out, flag
 
 
-def _nearest_clean(ip: int, im: int, good: np.ndarray) -> tuple[int, int]:
-    """Closest unflagged node, ordered by tau distance then eta distance."""
-    best_key = None
-    best = (ip, im)
-    for jp in range(good.shape[0]):
-        for jm in range(good.shape[1]):
-            if not good[jp, jm]:
-                continue
-            key = (abs(jm - im), abs(jp - ip), jm - im, jp - ip)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (jp, jm)
-    return best
-
-
 def _patch_flagged(integrand: np.ndarray, flagged: np.ndarray) -> np.ndarray:
-    """Replace flagged integrand entries in place; return the validity mask."""
+    """Replace flagged integrand entries in place; return the validity mask.
+
+    ``integrand`` and ``flagged`` have shape ``(n_eta, n_tau, n)``.  Each
+    flagged (node, sample) takes the value of the first clean node of the
+    same sample in the node's candidate order: ``np.lexsort`` ranks all
+    nodes by tau-index distance, then eta-index distance, then the signed
+    tau and eta offsets (so the lower index wins a tie).  A sample with no
+    clean node is zeroed and marked invalid.  One lookup serves all
+    flagged samples of a node, and the work stays within arrays the size
+    of ``flagged``.
+    """
     n = integrand.shape[2]
-    valid = np.ones(n, dtype=bool)
-    if not flagged.any():
-        return valid
-    for j in np.nonzero(flagged.any(axis=(0, 1)))[0]:
-        good = ~flagged[:, :, j]
-        if not good.any():
-            integrand[:, :, j] = 0.0
-            valid[j] = False
-            continue
-        for ip, im in zip(*np.nonzero(flagged[:, :, j])):
-            jp, jm = _nearest_clean(int(ip), int(im), good)
-            integrand[ip, im, j] = integrand[jp, jm, j]
+    bad = flagged.reshape(-1, n)
+    valid = ~bad.all(axis=0)
+    eta_idx, tau_idx = np.indices(flagged.shape[:2]).reshape(2, -1)
+    for node in np.nonzero(bad.any(axis=1))[0]:
+        d_eta, d_tau = eta_idx - eta_idx[node], tau_idx - tau_idx[node]
+        order = np.lexsort((d_eta, d_tau, np.abs(d_eta), np.abs(d_tau)))
+        cols = np.nonzero(bad[node] & valid)[0]
+        first = order[np.argmax(~bad[order][:, cols], axis=0)]
+        source = integrand[eta_idx[first], tau_idx[first], cols]
+        integrand[eta_idx[node], tau_idx[node], cols] = source
+    integrand[:, :, ~valid] = 0.0
     return valid
 
 
@@ -331,10 +315,15 @@ def chirp(f0: float, rate: float, grid: UniformGrid) -> Series:
     """Cosine sweep ``cos(2*pi*(f0*t + 0.5*rate*t^2))`` on the grid.
 
     Its instantaneous frequency at time ``t`` is ``f0 + rate*t``; a rate
-    of zero degenerates to a pure tone at ``f0``.
+    of zero degenerates to a pure tone at ``f0``.  Raises ValueError when
+    the phase overflows (or is NaN) at some node.
     """
     t = grid.nodes
-    return Series(grid, np.cos(_TWO_PI * (f0 * t + 0.5 * rate * t * t)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = _TWO_PI * (f0 * t + 0.5 * rate * t * t)
+    if not np.all(np.isfinite(phase)):
+        raise ValueError(f"chirp phase is not finite on this grid for f0={f0:g}, rate={rate:g}")
+    return Series(grid, np.cos(phase))
 
 
 def edge_mask(n: int, fraction: float = 0.05) -> np.ndarray:

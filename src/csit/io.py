@@ -90,12 +90,10 @@ def write_table_csv(
     path,
     header: Sequence[str],
     columns: Sequence[np.ndarray],
-    trailing_comments: Sequence[str] = (),
 ) -> None:
     """Write named columns as CSV in the package's fixed format.
 
-    All columns must share one length.  ``trailing_comments`` lines are
-    appended after the data, prefixed with ``# ``.
+    All columns must share one length.
     """
     if len(header) != len(columns):
         raise ValueError("header and column counts differ")
@@ -107,8 +105,6 @@ def write_table_csv(
     n = lengths.pop() if lengths else 0
     for i in range(n):
         lines.append(",".join(format_cell(c[i]) for c in columns))
-    for comment in trailing_comments:
-        lines.append(f"# {comment}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

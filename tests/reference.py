@@ -165,3 +165,35 @@ def enveloped_chirp_trace(n: int, f0: float = 20.0, rate: float = 20.0):
     return AnalyticTrace(
         Series(grid, product.real), Series(grid, product.imag)
     )
+
+
+def patch_flagged_loop(integrand: np.ndarray, flagged: np.ndarray) -> np.ndarray:
+    """Node patching of the complex-step frequency estimator, one sample at a time.
+
+    ``integrand`` and ``flagged`` have shape (n_eta, n_tau, n).  Each
+    flagged node of a sample takes the integrand of the closest unflagged
+    node of that sample under the key (|tau offset|, |eta offset|, tau
+    offset, eta offset), offsets counted in node indices; a sample with no
+    unflagged node is zeroed.  Patches ``integrand`` in place and returns
+    the per-sample validity mask.
+    """
+    n_eta, n_tau, n = integrand.shape
+    valid = np.ones(n, dtype=bool)
+    for j in range(n):
+        good = ~flagged[:, :, j]
+        if not good.any():
+            integrand[:, :, j] = 0.0
+            valid[j] = False
+            continue
+        for ip in range(n_eta):
+            for im in range(n_tau):
+                if good[ip, im]:
+                    continue
+                best_key, best = None, None
+                for jp in range(n_eta):
+                    for jm in range(n_tau):
+                        key = (abs(jm - im), abs(jp - ip), jm - im, jp - ip)
+                        if good[jp, jm] and (best_key is None or key < best_key):
+                            best_key, best = key, (jp, jm)
+                integrand[ip, im, j] = integrand[best[0], best[1], j]
+    return valid

@@ -8,9 +8,10 @@ here; the rest guards validation and the overflow policy.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csit.continuation import ComplexShift, continue_direct, continue_spectral
-from csit.grid import UniformGrid, Series
+from csit.grid import UniformGrid, Series, wavenumbers
 
 
 def _band_limited(seed: int, n: int, max_mode: int):
@@ -68,6 +69,44 @@ class TestAgainstDirectEvaluation:
         out = continue_spectral(series, shift)
         z = grid.nodes + shift.eta + 1j * shift.tau
         np.testing.assert_allclose(out.values, np.sin(3.0 * z), atol=1e-12)
+
+
+class TestTrigonometricPolynomials:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 48),
+        x0=st.floats(-5.0, 5.0),
+        length=st.floats(0.5, 10.0),
+        real=st.booleans(),
+        eta=st.floats(-1.0, 1.0),
+        reach=st.floats(0.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_closed_form(self, n, x0, length, real, eta, reach, seed):
+        """Distinct modes below Nyquist, real (cosines) or complex
+        (exponentials) samples, any origin, odd or even n, and a shift
+        with max|k|*tau = reach <= 3 over the grid's wavenumbers."""
+        rng = np.random.default_rng(seed)
+        top = (n - 1) // 2
+        pool = np.arange(0 if real else -top, top + 1)
+        modes = rng.choice(pool, size=min(4, pool.size), replace=False)
+        k = 2.0 * np.pi * modes / length
+        amps = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
+
+        def f(z):
+            z = np.asarray(z, dtype=np.complex128)[..., None]
+            if real:
+                return np.sum(np.abs(amps) * np.cos(k * z + np.angle(amps)), axis=-1)
+            return np.sum(amps * np.exp(1j * k * z), axis=-1)
+
+        grid = UniformGrid(x0=x0, length=length, n=n)
+        samples = f(grid.nodes)
+        series = Series(grid, samples.real if real else samples)
+        k_max = np.max(np.abs(wavenumbers(grid)))
+        shift = ComplexShift(eta=eta * length, tau=reach / k_max)
+        spectral = continue_spectral(series, shift).values
+        direct = continue_direct(f, grid.nodes, shift)
+        assert np.max(np.abs(spectral - direct)) <= 1e-11 * np.max(np.abs(direct))
 
 
 class TestLinearity:

@@ -10,6 +10,7 @@ and the principal-branch logarithm identity for Im[arctan].
 import numpy as np
 import pytest
 import scipy.signal
+from hypothesis import given, settings, strategies as st
 
 from csit.grid import Series, UniformGrid
 from csit.instfreq import (
@@ -23,10 +24,10 @@ from csit.instfreq import (
     if_csit,
     if_damped,
 )
-from csit.instfreq import _imag_arctan_ratio, _nearest_clean, _patch_flagged
+from csit.instfreq import _imag_arctan_ratio, _patch_flagged
 from csit.operators import CsitParams
 
-from reference import enveloped_chirp_trace
+from reference import enveloped_chirp_trace, patch_flagged_loop
 
 TWO_PI = 2.0 * np.pi
 
@@ -340,13 +341,15 @@ class TestImagArctan:
         assert flags.all()
 
     def test_substitution_prefers_same_tau(self):
-        good = np.ones((3, 4), dtype=bool)
-        good[1, 2] = False
-        good[1, 1] = False
+        integrand = np.arange(12, dtype=float).reshape(3, 4, 1)
+        flagged = np.zeros((3, 4, 1), dtype=bool)
+        flagged[1, 2] = True
+        flagged[1, 1] = True
         # from the flagged node (1, 2): the same-tau eta neighbor (0, 2)
         # wins over the tau neighbor (1, 3) because tau distance is
         # minimized first, keeping the 1/tau scale of the integrand
-        assert _nearest_clean(1, 2, good) == (0, 2)
+        _patch_flagged(integrand, flagged)
+        assert integrand[1, 2, 0] == 2.0  # the value of node (0, 2)
 
     def test_all_flagged_sample_falls_back_to_zero(self):
         integrand = np.ones((2, 2, 3))
@@ -364,6 +367,26 @@ class TestImagArctan:
         assert valid.all()
         # nearest clean node of (0, 0) is (1, 0): same tau, next eta row
         assert integrand[0, 0, 2] == integrand[1, 0, 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_eta=st.integers(1, 5),
+        n_tau=st.integers(1, 5),
+        n=st.integers(1, 6),
+        density=st.floats(0.0, 1.0),
+        all_flagged=st.lists(st.integers(0, 5), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_patching_matches_loop_reference(self, n_eta, n_tau, n, density, all_flagged, seed):
+        rng = np.random.default_rng(seed)
+        flagged = rng.random((n_eta, n_tau, n)) < density
+        flagged[:, :, [j for j in all_flagged if j < n]] = True
+        integrand = rng.standard_normal((n_eta, n_tau, n))
+        expected = integrand.copy()
+        expected_valid = patch_flagged_loop(expected, flagged)
+        valid = _patch_flagged(integrand, flagged)
+        assert np.array_equal(valid, expected_valid)
+        assert integrand.tobytes() == expected.tobytes()
 
 
 class TestChirp:

@@ -70,11 +70,6 @@ class TestWriteTableCsv:
         write_table_csv(path, ["a", "b"], [np.array([1.0, 2.0]), np.array([3.0, np.nan])])
         assert path.read_bytes() == b"a,b\n1,3\n2,\n"
 
-    def test_trailing_comments(self, tmp_path):
-        path = tmp_path / "t.csv"
-        write_table_csv(path, ["a"], [np.array([1.0])], trailing_comments=["note"])
-        assert path.read_text().endswith("1\n# note\n")
-
     def test_header_column_count_mismatch(self, tmp_path):
         with pytest.raises(ValueError):
             write_table_csv(tmp_path / "t.csv", ["a", "b"], [np.array([1.0])])
@@ -496,6 +491,7 @@ class TestParameterBoundary:
             {"n_x": 32, "n_t": 8, "cfl": 1e-300},
             {"source": {"t_delay": float("nan")}},
             {"source": "ricker"},
+            {"source": {"kind": "none"}},
         ],
     )
     def test_bad_advect_config_exits_2(self, tmp_path, config):
@@ -575,6 +571,24 @@ class TestParameterBoundary:
         out = tmp_path / "o" / "f.csv"
         assert_rejected(["ifreq", "--demo", "chirp", "--n", "200", "--damping", "1e300",
                          "--out", out], 2, out.parent)
+
+    def test_chirp_with_overflowing_phase_exits_2(self, tmp_path):
+        out = tmp_path / "o" / "f.csv"
+        err = assert_rejected(["ifreq", "--demo", "chirp", "--rate", "1e308", "--out", out],
+                              2, out.parent)
+        assert "f0=" in err and "rate=" in err
+
+    def test_zero_logistic_steepness_exits_2(self, tmp_path):
+        out = tmp_path / "o" / "d.csv"
+        err = assert_rejected(["derive", "--demo", "logistic", "--k", "0", "--out", out],
+                              2, out.parent)
+        assert "k must be nonzero" in err
+
+    @pytest.mark.parametrize("k", ["1e-320", "-5"])
+    def test_tiny_or_negative_logistic_steepness_runs(self, tmp_path, k):
+        code, err, caught = run_cli(["derive", "--demo", "logistic", "--n", "64", "--k", k,
+                                     "--out", tmp_path / "d.csv"])
+        assert (code, err, caught) == (0, [], [])
 
     def test_single_sample_demo_exits_2(self, tmp_path):
         out = tmp_path / "o" / "d.csv"

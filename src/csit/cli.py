@@ -169,15 +169,24 @@ def _rectangle(raw: dict, dt: float | None) -> dict:
     }
 
 
+# the keys that flags and manifests give the extents of a CsitParams
+_EXTENT_KEYS = {"eta_half_width": "H", "tau_max": "Z", "tau_min": "eps"}
+
+
+def _keyed(check, *args, **kwargs):
+    """``check(*args, **kwargs)``; a range error names key and field, as in "Z (tau_max)"."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        message = str(exc)
+        for field, key in _EXTENT_KEYS.items():
+            message = message.replace(field, f"{key} ({field})")
+        raise ValueError(message) from None
+
+
 def _csit_params(params: dict) -> CsitParams:
-    return CsitParams(
-        eta_half_width=params["H"],
-        tau_max=params["Z"],
-        tau_min=params["eps"],
-        n_eta=params["n_eta"],
-        n_tau=params["n_tau"],
-        rule=params["rule"],
-    )
+    extents = {field: params[key] for field, key in _EXTENT_KEYS.items()}
+    return _keyed(CsitParams, **extents, **{key: params[key] for key in ("n_eta", "n_tau", "rule")})
 
 
 def _load_series(path) -> Series:
@@ -202,7 +211,7 @@ def _resolve_transform(raw: dict) -> tuple[dict, tuple]:
         p = _csit_params(params)
         params["eps"] = p.tau_min
     s = _load_series(params["input"])
-    _check_extents(params["H"], params["Z"], wavenumbers(s.grid))
+    _keyed(_check_extents, params["H"], params["Z"], wavenumbers(s.grid))
     return params, (s, p)
 
 
@@ -241,6 +250,8 @@ def _resolve_derive(raw: dict) -> tuple[dict, tuple]:
         params.update(n=_count(raw, "n"), k=_real(raw, "k"), t0=_real(raw, "t0"))
         if params["k"] == 0.0:
             raise ValueError("k must be nonzero")
+        if params["n"] <= 2 * _DERIVE_EDGE:
+            raise ValueError(f"n must exceed the {2 * _DERIVE_EDGE} blanked edge nodes, got {params['n']}")
         grid = UniformGrid(0.0, 1.0, params["n"])
         with np.errstate(over="ignore"):  # exp overflow gives the exact limit f = 0
             f = 1.0 / (1.0 + np.exp(-params["k"] * (grid.nodes - params["t0"])))
@@ -459,6 +470,8 @@ def _resolve_ifreq(raw: dict) -> tuple[dict, tuple]:
     _check_extents(p.eta_half_width, p.tau_max, wavenumbers(s.grid))
     _check_damping(params["damping"])
     keep = edge_mask(s.grid.n, params["trim"])
+    if not keep.any():
+        raise ValueError(f"trim {params['trim']:g} leaves none of the {s.grid.n} samples")
     return params, (trace, truth, p, keep)
 
 
@@ -516,7 +529,7 @@ def _resolve_symbol(raw: dict) -> tuple[dict, tuple]:
         raise ValueError("samples must be at least 2")
     if not 0.0 < params["kmax"] < np.inf:
         raise ValueError("kmax must be positive and finite")
-    _check_extents(params["H"], params["Z"], params["kmax"])
+    _keyed(_check_extents, params["H"], params["Z"], params["kmax"])
     return params, ()
 
 

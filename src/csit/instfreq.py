@@ -8,9 +8,11 @@ rate is the instantaneous frequency.  Three estimators share that trace:
   indeterminate at amplitude zeros,
 * its damped variant with an additive ``eps^2`` in the denominator,
 * a complex-step estimator that averages ``Im[arctan(B/A)]/tau`` over a
-  small rectangle of complex shifts, where the imaginary offset keeps
-  the arctangent argument away from the singular ratio 0/0 without any
-  explicit damping term.  The rectangle and its nodes are a
+  small rectangle of complex shifts, ``A`` and ``B`` being the trace at
+  ``t + eta + i*tau``.  That is ``0.5*ln(|A - iB| / |A + iB|)/tau``, the
+  log-modulus difference of the analytic signal across ``t + eta +- i*tau``:
+  by Cauchy-Riemann, the complex-step phase derivative, finite at amplitude
+  zeros without any damping term.  The rectangle and its nodes are a
   :class:`~csit.operators.CsitParams`, the same object that fixes the
   transform; :func:`default_if_params` gives the one-sample default.
 
@@ -44,7 +46,7 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 # squared amplitudes below this are treated as exact zeros of the trace
 _DENOM_FLOOR = 1e-300
-# |1 + (B/A)^2| below this marks a branch-point hit of the arctangent
+# |A + iB|*|A - iB| / |A|^2 = |1 + (B/A)^2| below this marks a branch point
 _BRANCH_TOL = 1e-14
 
 
@@ -218,36 +220,21 @@ def if_damped(
     return FrequencyEstimate(tr.grid, np.where(valid, ratio, np.nan), valid)
 
 
-def _imag_arctan_ratio(
-    a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _imag_arctan_ratio(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise ``Im[arctan(b/a)]`` with branch-point flags.
 
-    The ratio is always formed with the smaller-modulus component on
-    top, using ``Im[arctan(w)] = -Im[arctan(1/w)]``; this bounds the
-    arctangent argument by modulus one and avoids the cancellation that
-    the principal-branch logarithm suffers for large ``|w|``.  Entries
-    within ``_BRANCH_TOL`` of the branch points at ``+-i`` are flagged;
-    entries with ``a = b = 0`` exactly contribute zero unflagged.
+    The value is ``0.5*ln(|a - i*b| / |a + i*b|)`` (DLMF 4.23); entries with
+    ``|a + i*b|*|a - i*b| < _BRANCH_TOL*|a|^2`` are flagged, each modulus
+    divided by ``|a|`` first so that the test cannot overflow.  Entries
+    with ``a = b = 0`` exactly contribute zero unflagged.
     """
-    a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-    out = np.zeros(a.shape)
-    flag = np.zeros(a.shape, dtype=bool)
-    inverse = np.abs(b) > np.abs(a)
-    direct = ~inverse & (a != 0)
-    # branch-point hits produce non-finite arctan values; they are always
-    # flagged below and replaced by the caller, so the warnings are noise
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if np.any(direct):
-            w = b[direct] / a[direct]
-            out[direct] = np.arctan(w).imag
-            flag[direct] = np.abs(1.0 + w * w) < _BRANCH_TOL
-        if np.any(inverse):
-            u = a[inverse] / b[inverse]
-            out[inverse] = -np.arctan(u).imag
-            # |1 + (b/a)^2| rewritten through u = a/b
-            flag[inverse] = np.abs(1.0 + u * u) < _BRANCH_TOL * np.abs(u) ** 2
-    return out, flag
+    plus, minus, scale = np.abs(a + 1j * b), np.abs(a - 1j * b), np.abs(a)
+    # branch-point hits give infinite values, flagged and replaced by the
+    # caller; a = 0 gives infinite and a = b = 0 NaN ratios, never flagged
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value = np.where(plus == minus, 0.0, 0.5 * np.log(minus / plus))
+        flag = (plus / scale) * (minus / scale) < _BRANCH_TOL
+    return value, flag
 
 
 def _patch_flagged(integrand: np.ndarray, flagged: np.ndarray) -> np.ndarray:
@@ -282,15 +269,16 @@ def if_csit(tr: AnalyticTrace, p: CsitParams) -> FrequencyEstimate:
 
     ``A`` and ``B`` are both trace components evaluated at the shifted
     time ``t + eta + i*tau`` through their spectra, for the quadrature
-    nodes of ``p`` (the rectangle of the transform itself).  The
-    imaginary offset keeps the ratio ``B/A`` off the real axis, so
-    amplitude zeros of the trace produce finite output without any
-    explicit damping term.
+    nodes of ``p`` (the rectangle of the transform itself).  Each node
+    contributes ``0.5*ln(|A - iB| / |A + iB|)/tau``, the imaginary-step
+    difference of ``ln|z|`` for the analytic signal ``z``, which stays
+    finite at amplitude zeros without any explicit damping term.
 
-    Nodes that land within 1e-14 of an arctangent branch point borrow
-    the value of the nearest clean node of the same sample (smallest tau
-    distance first, then eta distance, lower index on ties); a sample
-    with no clean node at all is reported as 0 Hz and flagged invalid.
+    Nodes with ``|A + iB|*|A - iB| < 1e-14*|A|^2`` (arctangent branch
+    points) borrow the value of the nearest clean node of the same
+    sample (smallest tau distance first, then eta distance, lower index
+    on ties); a sample with no clean node at all is reported as 0 Hz
+    and flagged invalid.
     """
     etas, w_eta = p.eta_nodes_weights()
     taus, w_tau = p.tau_nodes_weights()
@@ -302,9 +290,8 @@ def if_csit(tr: AnalyticTrace, p: CsitParams) -> FrequencyEstimate:
             shift = ComplexShift(eta=float(eta), tau=float(tau))
             a = continue_spectral(tr.x, shift).values
             b = continue_spectral(tr.y, shift).values
-            value, bad = _imag_arctan_ratio(a, b)
-            integrand[ip, im] = value / tau
-            flagged[ip, im] = bad
+            integrand[ip, im], flagged[ip, im] = _imag_arctan_ratio(a, b)
+    integrand /= taus[:, None]
     valid = _patch_flagged(integrand, flagged)
     weights = np.outer(w_eta, w_tau)[:, :, None]
     freq = np.sum(weights * integrand, axis=(0, 1)) / (_TWO_PI * p.normalization)

@@ -142,29 +142,55 @@ def csit_bruteforce(
 def enveloped_chirp_trace(n: int, f0: float = 20.0, rate: float = 20.0):
     """Analytic chirp trace under a periodic Hann envelope, zero at t = 0.
 
-    The envelope 0.5 - 0.5*cos(2*pi*t) multiplies the analytic trace
+    Returns the real and imaginary parts ``(x, y)`` on the nodes
+    ``t_j = j/n`` of [0, 1).  The chirp ``cos(2*pi*(f0*t + rate*t^2/2))``
+    becomes analytic through a one-sided FFT mask: positive-frequency
+    coefficients doubled, negative ones and the Nyquist bin dropped.  The
+    envelope 0.5 - 0.5*cos(2*pi*t) multiplies the analytic trace
     componentwise, which keeps the pair one-sided only if the trace has
     no DC or Nyquist content (the envelope's three spectral lines shift
     everything by one bin, and those two bins are where a shifted line
     can land on the negative branch).  Both lines carry only spectral
-    leakage of the chirp (measured near 2e-4 and 1e-6 relative), so they
-    are removed before enveloping.  The resulting amplitude has exactly
-    one float-exact zero, at the window edge t = 0.
+    leakage of the chirp (measured near 2e-4 and 1e-6 relative), so bins
+    0 and n//2 are zeroed before enveloping.  The resulting amplitude has
+    exactly one float-exact zero, at the window edge t = 0.
     """
-    from csit.grid import Series, UniformGrid
-    from csit.instfreq import AnalyticTrace, analytic_signal, chirp
-
-    grid = UniformGrid(0.0, 1.0, n)
-    trace = analytic_signal(chirp(f0, rate, grid))
-    coeffs = np.fft.fft(trace.x.values + 1j * trace.y.values)
+    t = np.arange(n) * (1.0 / n)
+    coeffs = np.fft.fft(np.cos(2.0 * np.pi * (f0 * t + 0.5 * rate * t * t)))
+    positive = (n + 1) // 2
+    coeffs[1:positive] *= 2.0
+    coeffs[positive:] = 0.0
     coeffs[0] = 0.0
     coeffs[n // 2] = 0.0
-    clean = np.fft.ifft(coeffs)
-    envelope = 0.5 - 0.5 * np.cos(2.0 * np.pi * grid.nodes)
-    product = envelope * clean
-    return AnalyticTrace(
-        Series(grid, product.real), Series(grid, product.imag)
-    )
+    product = (0.5 - 0.5 * np.cos(2.0 * np.pi * t)) * np.fft.ifft(coeffs)
+    return product.real, product.imag
+
+
+def imag_arctan_two_branch(a: np.ndarray, b: np.ndarray):
+    """Elementwise ``Im[arctan(b/a)]`` with branch-point flags, through arctan.
+
+    The complex-step frequency integrand from its definition through
+    ``np.arctan`` instead of in log-modulus form: the ratio is formed
+    with the smaller-modulus component on top, using
+    ``Im[arctan(w)] = -Im[arctan(1/w)]``, and an entry is flagged where
+    ``|1 + (b/a)^2| < 1e-14``, tested through whichever ratio was formed.
+    ``a = b = 0`` gives zero unflagged.  Returns ``(values, flags)``.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+    out = np.zeros(a.shape)
+    flag = np.zeros(a.shape, dtype=bool)
+    inverse = np.abs(b) > np.abs(a)
+    direct = ~inverse & (a != 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if np.any(direct):
+            w = b[direct] / a[direct]
+            out[direct] = np.arctan(w).imag
+            flag[direct] = np.abs(1.0 + w * w) < 1e-14
+        if np.any(inverse):
+            u = a[inverse] / b[inverse]
+            out[inverse] = -np.arctan(u).imag
+            flag[inverse] = np.abs(1.0 + u * u) < 1e-14 * np.abs(u) ** 2
+    return out, flag
 
 
 def patch_flagged_loop(integrand: np.ndarray, flagged: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from csit.advection import (
 from csit.cli import main
 from csit.grid import Series, UniformGrid, fft_forward, fft_inverse
 from csit.instfreq import (
+    AnalyticTrace,
     analytic_signal,
     chirp,
     default_if_params,
@@ -243,7 +244,9 @@ class TestAcceptance:
         """Where the envelope pinches to zero the classical ratio flags
         nodes as indeterminate; the transform estimate stays finite and
         below ten times the largest true frequency everywhere."""
-        trace = enveloped_chirp_trace(2500)
+        x, y = enveloped_chirp_trace(2500)
+        grid = UniformGrid(0.0, 1.0, len(x))
+        trace = AnalyticTrace(Series(grid, x), Series(grid, y))
         classical = if_classical(trace)
         flagged = ~classical.valid
         assert np.any(flagged), "no flagged nodes at amplitude zeros"

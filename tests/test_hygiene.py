@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used somewhere in its module."""
+"""Every module-level import in the package is used somewhere in its module,
+and the test oracles in ``reference.py`` import nothing from the package."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,11 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_reference_imports_no_package_code():
+    tree = ast.parse((Path(__file__).resolve().parent / "reference.py").read_text())
+    modules = [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+    ] + [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [m for m in modules if m.split(".")[0] == "csit"] == []

@@ -4,13 +4,14 @@ frequency estimators.
 Oracles: scipy's analytic-signal routine (independent of the package's
 transform convention), closed-form phase rates for tones and for the
 trace 1 - e^{2*pi*i*t} (constant 0.5 Hz with one exact amplitude zero),
-and the principal-branch logarithm identity for Im[arctan].
+the principal-branch logarithm identity for Im[arctan], and the two-branch
+arctangent form of the complex-step integrand kept in reference.py.
 """
 
 import numpy as np
 import pytest
 import scipy.signal
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from csit.grid import Series, UniformGrid
 from csit.instfreq import (
@@ -27,7 +28,7 @@ from csit.instfreq import (
 from csit.instfreq import _imag_arctan_ratio, _patch_flagged
 from csit.operators import CsitParams
 
-from reference import enveloped_chirp_trace, patch_flagged_loop
+from reference import enveloped_chirp_trace, imag_arctan_two_branch, patch_flagged_loop
 
 TWO_PI = 2.0 * np.pi
 
@@ -99,6 +100,19 @@ class TestAnalyticSignal:
         s = Series(grid, np.exp(1j * grid.nodes))
         with pytest.raises(ValueError, match="real input"):
             analytic_signal(s)
+
+    def test_enveloped_chirp_matches_reference(self):
+        # the reference builds acceptance 08c's trace with numpy alone;
+        # the package's chirp and analytic signal, enveloped the same way,
+        # give it to rounding
+        n = 2500
+        grid = UniformGrid(0.0, 1.0, n)
+        tr = analytic_signal(chirp(20.0, 20.0, grid))
+        coeffs = np.fft.fft(tr.x.values + 1j * tr.y.values)
+        coeffs[[0, n // 2]] = 0.0
+        z = (0.5 - 0.5 * np.cos(TWO_PI * grid.nodes)) * np.fft.ifft(coeffs)
+        x, y = enveloped_chirp_trace(n)
+        assert np.max(np.abs(x + 1j * y - z)) < 1e-14
 
     def test_amplitude_and_phase_of_tone(self):
         tr = tone_trace(5.0)
@@ -294,7 +308,9 @@ class TestIfCsit:
     def test_enveloped_chirp_stays_bounded(self):
         # one float-exact amplitude zero at the window edge; the classical
         # ratio is flagged there while the complex-step average is not
-        tr = enveloped_chirp_trace(2500)
+        x, y = enveloped_chirp_trace(2500)
+        grid = UniformGrid(0.0, 1.0, len(x))
+        tr = AnalyticTrace(Series(grid, x), Series(grid, y))
         classical = if_classical(tr)
         assert np.sum(~classical.valid) >= 1
         est = if_csit(tr, default_if_params(tr.grid.dx))
@@ -339,6 +355,59 @@ class TestImagArctan:
         b = np.array([1j])
         _, flags = _imag_arctan_ratio(a, b)
         assert flags.all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["random", "near", "on", "zero_a", "zero_b", "zero_both"]),
+                st.floats(-300.0, 300.0),
+                st.floats(-300.0, 300.0),
+                st.floats(-np.pi, np.pi),
+                st.floats(-np.pi, np.pi),
+                st.floats(-17.0, 0.0),
+                st.sampled_from([1.0, -1.0]),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    @example([("on", 0.0, 0.0, 0.3, 0.0, -17.0, 1.0), ("zero_both", 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)])
+    @example([("random", -300.0, 300.0, 1.0, -2.0, 0.0, 1.0), ("random", 300.0, -300.0, 0.5, 2.5, 0.0, 1.0)])
+    def test_matches_two_branch_arctan(self, draws):
+        # A with magnitude 1e-300..1e300; B independent, near or on the
+        # branch points B = +-iA, or exact zeros
+        a, b = [], []
+        for kind, exp_a, exp_b, arg_a, arg_b, exp_delta, sign in draws:
+            av = 10.0**exp_a * np.exp(1j * arg_a)
+            bv = 10.0**exp_b * np.exp(1j * arg_b)
+            if kind == "near":
+                bv = sign * 1j * av * (1.0 + 10.0**exp_delta * np.exp(1j * arg_b))
+            elif kind == "on":
+                bv = sign * 1j * av
+            a.append(0.0 if kind in ("zero_a", "zero_both") else av)
+            b.append(0.0 if kind in ("zero_b", "zero_both") else bv)
+        a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
+        values, flags = _imag_arctan_ratio(a, b)
+        ref_values, ref_flags = imag_arctan_two_branch(a, b)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # the flag quantity |1 + (b/a)^2|; the two-branch form loses about
+            # two digits to cancellation near the threshold, so flags may
+            # differ within 10% of it
+            ratio = np.abs(a + 1j * b) / np.abs(a) * (np.abs(a - 1j * b) / np.abs(a))
+            # the two-branch form rounds b/a first: its error is up to about
+            # eps*|w|/|1 + w^2| with w = b/a
+            top = np.maximum(np.abs(a), np.abs(b))
+            cond = (np.abs(a) / top) * (np.abs(b) / top) / (
+                (np.abs(a + 1j * b) / top) * (np.abs(a - 1j * b) / top)
+            )
+            band = np.abs(ratio / 1e-14 - 1.0) <= 0.1
+        assert np.array_equal(flags[~band], ref_flags[~band])
+        assert not flags[(a == 0) & (b == 0)].any()
+        clean = ~flags & ~ref_flags
+        ref, new, cond = ref_values[clean], values[clean], np.nan_to_num(cond[clean])
+        tol = 1e-12 * np.maximum(1.0, np.abs(ref)) + 4.0 * np.finfo(float).eps * cond
+        assert np.all(np.abs(new - ref) <= tol)
 
     def test_substitution_prefers_same_tau(self):
         integrand = np.arange(12, dtype=float).reshape(3, 4, 1)

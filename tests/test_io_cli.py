@@ -590,6 +590,55 @@ class TestParameterBoundary:
                                      "--out", tmp_path / "d.csv"])
         assert (code, err, caught) == (0, [], [])
 
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_derive_demo_without_interior_exits_2(self, tmp_path, n):
+        # 5 nodes per edge are blanked in the error columns; n <= 10 would
+        # leave every rel_err cell empty
+        out = tmp_path / "o" / "d.csv"
+        err = assert_rejected(["derive", "--demo", "logistic", "--n", n, "--out", out],
+                              2, out.parent)
+        assert f"n must exceed the 10 blanked edge nodes, got {n}" in err
+
+    def test_derive_demo_with_one_interior_node_runs(self, tmp_path):
+        out = tmp_path / "d.csv"
+        code, err, caught = run_cli(["derive", "--demo", "logistic", "--n", "11", "--out", out])
+        assert (code, err, caught) == (0, [], [])
+        data = np.genfromtxt(out, delimiter=",", names=True)
+        assert np.isfinite(data["rel_err_csit"]).tolist() == [False] * 5 + [True] + [False] * 5
+
+    @pytest.mark.parametrize("argv", [["--demo", "chirp", "--n", "2"],
+                                      ["--demo", "chirp", "--n", "3", "--trim", "0.4"],
+                                      ["two_rows.csv"]],
+                             ids=["demo_n2", "demo_trim_0.4", "file_two_rows"])
+    def test_trim_leaving_no_sample_exits_2(self, tmp_path, argv):
+        write_tone_csv(tmp_path / "two_rows.csv", n=2)
+        argv = [tmp_path / a if a.endswith(".csv") else a for a in argv]
+        out = tmp_path / "o" / "f.csv"
+        err = assert_rejected(["ifreq", *argv, "--out", out], 2, out.parent)
+        assert "trim" in err and "leaves none of the" in err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("Z", -1, "Z (tau_max) must be positive and finite"),
+         ("H", -1, "H (eta_half_width) must be finite and nonnegative"),
+         ("eps", 1, "eps (tau_min) must lie strictly between 0 and Z (tau_max)")],
+        ids=["Z", "H", "eps"],
+    )
+    def test_range_errors_name_key_and_field(self, tmp_path, key, value, message):
+        src = tmp_path / "tone.csv"
+        write_tone_csv(src)
+        argv = ["transform", src, "--H", "0.02", "--Z", "0.01", "--out", tmp_path / "q.csv"]
+        assert main([str(a) for a in argv]) == 0
+        out = tmp_path / "o"
+        err = assert_rejected([*argv[:-1], out / "q.csv", f"--{key}", value], 2, out)
+        assert err == f"csit: error: {message}"
+        path = tmp_path / "q.csv.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["parameters"][key] = value
+        path.write_text(json.dumps(manifest))
+        err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
+        assert err == f"csit: error: {path}: bad parameters: {message}"
+
     def test_single_sample_demo_exits_2(self, tmp_path):
         out = tmp_path / "o" / "d.csv"
         assert_rejected(["derive", "--demo", "logistic", "--n", "1", "--out", out], 2, out.parent)

@@ -173,13 +173,16 @@ def _rectangle(raw: dict, dt: float | None) -> dict:
 _EXTENT_KEYS = {"eta_half_width": "H", "tau_max": "Z", "tau_min": "eps"}
 
 
-def _keyed(check, *args, **kwargs):
-    """``check(*args, **kwargs)``; a range error names key and field, as in "Z (tau_max)"."""
+def _keyed(check, *args, keys=_EXTENT_KEYS, **kwargs):
+    """``check(*args, **kwargs)``; a range error names key and field, as in "Z (tau_max)".
+
+    ``keys`` maps the field names of ``check`` to the flag and manifest keys.
+    """
     try:
         return check(*args, **kwargs)
     except ValueError as exc:
         message = str(exc)
-        for field, key in _EXTENT_KEYS.items():
+        for field, key in keys.items():
             message = message.replace(field, f"{key} ({field})")
         raise ValueError(message) from None
 
@@ -261,7 +264,7 @@ def _resolve_derive(raw: dict) -> tuple[dict, tuple]:
     params.update(_rectangle(raw, s.grid.dx), out=_out_name(raw))
     p = _csit_params(params)
     params["eps"] = p.tau_min
-    _check_extents(p.eta_half_width, p.tau_max, wavenumbers(s.grid))
+    _keyed(_check_extents, p.eta_half_width, p.tau_max, wavenumbers(s.grid))
     return params, (s, analytic, p)
 
 
@@ -467,9 +470,9 @@ def _resolve_ifreq(raw: dict) -> tuple[dict, tuple]:
         out=_out_name(raw),
     )
     p = _csit_params(params)
-    _check_extents(p.eta_half_width, p.tau_max, wavenumbers(s.grid))
+    _keyed(_check_extents, p.eta_half_width, p.tau_max, wavenumbers(s.grid))
     _check_damping(params["damping"])
-    keep = edge_mask(s.grid.n, params["trim"])
+    keep = _keyed(edge_mask, s.grid.n, params["trim"], keys={"fraction": "trim"})
     if not keep.any():
         raise ValueError(f"trim {params['trim']:g} leaves none of the {s.grid.n} samples")
     return params, (trace, truth, p, keep)

@@ -53,12 +53,13 @@ class ComplexShift:
             raise ValueError("imaginary shift tau must be nonnegative")
 
 
-def _check_growth(k: np.ndarray, tau: float) -> None:
-    """Reject an imaginary extent tau with exp(|k|*tau) near overflow."""
+def _check_growth(k: np.ndarray, tau: float, name: str = "imaginary extent") -> None:
+    """Reject an imaginary extent tau with exp(|k|*tau) near overflow;
+    the message calls tau ``name``."""
     k_max = float(np.max(np.abs(k), initial=0.0))
     if tau * k_max > _EXP_ARG_LIMIT:
         raise ValueError(
-            f"continuation step too large: imaginary extent {tau:g} times "
+            f"continuation step too large: {name} {tau:g} times "
             f"wavenumber {k_max:.6g} exceeds {_EXP_ARG_LIMIT:g}"
         )
 

@@ -321,7 +321,7 @@ def edge_mask(n: int, fraction: float = 0.05) -> np.ndarray:
     there.
     """
     if not (0.0 <= fraction < 0.5):
-        raise ValueError("edge fraction must lie in [0, 0.5)")
+        raise ValueError("fraction must lie in [0, 0.5)")
     trim = int(np.ceil(fraction * n))
     mask = np.ones(n, dtype=bool)
     if trim:

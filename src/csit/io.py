@@ -10,10 +10,28 @@ Conventions, fixed so that outputs are byte-reproducible:
   is populated, flushed, and renamed over the destination.
 * Every output CSV is accompanied by a JSON run manifest carrying the
   resolved parameters, enough to re-run the command exactly.
+
+:func:`format_cell` is the definition of a cell.  ``write_table_csv``
+works on whole columns, one block of 8192 rows at a time, and gives
+every cell the text ``format_cell`` gives: each row is one %-format in
+which finite float64 columns enter as ``%.17g`` (the text of
+``f"{v:.17g}"``) and bool columns as ``%d``, straight from
+``tolist()``; non-finite floats become empty cells, and every other
+dtype goes through ``format_cell`` cell by cell.
+
+``read_series_csv`` first parses a plain file in one ``np.loadtxt``
+pass: printable ASCII and ``\n`` line breaks only, no ``#`` and no
+``_``, a one-line header at most, every line a data row.  Whatever that
+pass cannot take, or whatever fails a check there (parse, column count,
+finiteness, ordering), goes to the line-by-line loop, which is the
+definition of the format and the source of every error message and line
+number.  Both paths give bit-identical arrays, and the one-pass path
+accepts no file that the loop rejects.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import tempfile
@@ -36,6 +54,13 @@ __all__ = [
 # relative deviation of sample spacing tolerated before a grid is
 # declared nonuniform
 _JITTER_TOL = 1e-9
+
+# rows formatted per block by write_table_csv
+_BLOCK_ROWS = 8192
+
+# bytes of a file that the one-pass reader takes: printable ASCII but the
+# comment mark and the digit separator float() allows, and \n line breaks
+_PLAIN = (bytes(range(0x20, 0x7F)) + b"\n").replace(b"#", b"").replace(b"_", b"")
 
 
 class CsvFormatError(ValueError):
@@ -86,6 +111,47 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def _block_rows(block: list[np.ndarray]) -> list[str]:
+    """The CSV rows of one block of columns; every cell is the one
+    ``format_cell`` gives for its entry.
+
+    Each row is one %-format: finite float64 columns enter as ``%.17g``
+    and bool columns as ``%d``, straight from ``tolist()``; any other
+    column, and a float64 block with a non-finite entry, enters as its
+    cell strings through ``%s``.
+    """
+    specs, values = [], []
+    for column in block:
+        flat = column.ndim == 1
+        if flat and column.dtype == np.bool_:
+            spec, cells = "%d", column.tolist()
+        elif flat and column.dtype == np.float64:
+            finite = np.isfinite(column)
+            spec, cells = "%.17g", column.tolist()
+            if not finite.all():
+                spec = "%s"
+                cells = ["%.17g" % v if ok else "" for v, ok in zip(cells, finite.tolist())]
+        else:
+            spec, cells = "%s", [format_cell(v) for v in column]
+        specs.append(spec)
+        values.append(cells)
+    template = ",".join(specs)
+    return [template % row for row in zip(*values)]
+
+
+def _table_text(header: Sequence[str], columns: list[np.ndarray], n: int) -> str:
+    # one block of rows at a time bounds the per-cell objects alive at
+    # once; the rows stay small strings until the one join (joining each
+    # block to one string raised the peak resident memory of a 65536-row
+    # transform by about 1 MB) and are freed on return, before the text
+    # is encoded
+    lines = [",".join(header)]
+    for start in range(0, n, _BLOCK_ROWS):
+        lines.extend(_block_rows([c[start:start + _BLOCK_ROWS] for c in columns]))
+    lines.append("")
+    return "\n".join(lines)
+
+
 def write_table_csv(
     path,
     header: Sequence[str],
@@ -101,35 +167,56 @@ def write_table_csv(
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
         raise ValueError("columns must share one length")
-    lines = [",".join(header)]
     n = lengths.pop() if lengths else 0
-    for i in range(n):
-        lines.append(",".join(format_cell(c[i]) for c in columns))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, _table_text(header, columns, n))
 
 
-def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a two-column (coordinate, value) CSV with a uniform grid.
-
-    The first line may be a header (detected by non-numeric cells).
-    Returns the coordinate and value arrays.
-
-    Raises
-    ------
-    CsvFormatError
-        On missing files, short files, rows without exactly two numeric
-        cells, non-finite entries, or spacing jitter beyond 1e-9
-        relative; the message carries the 1-based line number.
-    """
-    path = Path(path)
+def _read_file(path: Path, read):
     try:
-        raw = path.read_text()
+        return read(path)
     except OSError as exc:
         raise CsvFormatError(path, f"cannot read file ({exc})") from exc
+
+
+def _parse_plain(raw: bytes):
+    """``(coords, values, has_header)`` from one numpy pass, or None.
+
+    None leaves the decision to the line loop: a byte outside the plain
+    set, a first line without two cells, any line that is not a data row
+    (numpy skips blank ones), fewer than two rows, or a parse, finiteness
+    or ordering failure.
+    """
+    if not raw or raw.translate(None, _PLAIN):
+        return None
+    first = raw.split(b"\n", 1)[0].split(b",")
+    if len(first) != 2:
+        return None
+    try:
+        float(first[0]), float(first[1])
+        header = 0
+    except ValueError:
+        header = 1
+    rows = raw.count(b"\n") + (not raw.endswith(b"\n")) - header
+    if rows < 2:
+        return None
+    try:
+        table = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, skiprows=header, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (rows, 2) or not np.isfinite(table).all():
+        return None
+    t, v = table[:, 0].copy(), table[:, 1].copy()
+    if not (t[1:] > t[:-1]).all():
+        return None
+    return t, v, bool(header)
+
+
+def _parse_lines(path: Path, text: str):
+    """``(coords, values, has_header)`` line by line; raises on any fault."""
     coords: list[float] = []
     values: list[float] = []
     first_data_line = None
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -158,8 +245,27 @@ def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
         values.append(v)
     if len(coords) < 2:
         raise CsvFormatError(path, "need at least 2 data rows")
-    t = np.asarray(coords)
-    v = np.asarray(values)
+    return np.asarray(coords), np.asarray(values), first_data_line is not None
+
+
+def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a two-column (coordinate, value) CSV with a uniform grid.
+
+    The first line may be a header (detected by non-numeric cells).
+    Returns the coordinate and value arrays.
+
+    Raises
+    ------
+    CsvFormatError
+        On missing files, short files, rows without exactly two numeric
+        cells, non-finite entries, or spacing jitter beyond 1e-9
+        relative; the message carries the 1-based line number.
+    """
+    path = Path(path)
+    parsed = _parse_plain(_read_file(path, Path.read_bytes))
+    if parsed is None:
+        parsed = _parse_lines(path, _read_file(path, Path.read_text))
+    t, v, has_header = parsed
     dt = (t[-1] - t[0]) / (len(t) - 1)
     jitter = np.abs(np.diff(t) - dt)
     worst = int(np.argmax(jitter))
@@ -168,7 +274,7 @@ def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
             path,
             f"grid spacing varies by {jitter[worst] / abs(dt):.3e} relative "
             f"(tolerance {_JITTER_TOL:g})",
-            line=worst + 2 + (1 if first_data_line is not None else 0),
+            line=worst + 2 + has_header,
         )
     return t, v
 

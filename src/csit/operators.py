@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
-from scipy import integrate as _integrate
 
 from .continuation import AnalyticFunction, _check_growth
 from .grid import Series, UniformGrid, wavenumbers
@@ -74,7 +73,7 @@ def _check_extents(eta_half_width: float, tau_max: float, k=()) -> None:
         raise ValueError("eta_half_width must be finite and nonnegative")
     if not (tau_max > 0.0 and np.isfinite(tau_max)):
         raise ValueError("tau_max must be positive and finite")
-    _check_growth(k, tau_max)
+    _check_growth(k, tau_max, "tau_max")
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,7 @@ def _quadrature_multiplier(grid: UniformGrid, p: CsitParams) -> np.ndarray:
 
     Raises ValueError when sinh(k*tau_max) would overflow on this grid.
     """
-    _check_growth(wavenumbers(grid), p.tau_max)
+    _check_growth(wavenumbers(grid), p.tau_max, "tau_max")
     etas, w_eta = p.eta_nodes_weights()
     taus, w_tau = p.tau_nodes_weights()
 
@@ -340,16 +339,17 @@ def _bruteforce_reference(
     Independent of the node/weight machinery above: scipy's adaptive
     rules never touch the removable singularity at tau = 0.
     """
+    from scipy.integrate import quad
 
     def at_point(x: float) -> float:
         def inner(eta: float) -> float:
             g = lambda tau: complex(f(x + eta + 1j * tau)).imag / tau
-            val, _ = _integrate.quad(g, 0.0, Z, epsabs=1e-12, epsrel=1e-12, limit=200)
+            val, _ = quad(g, 0.0, Z, epsabs=1e-12, epsrel=1e-12, limit=200)
             return val
 
         if H == 0.0:
             return inner(0.0) / Z
-        outer, _ = _integrate.quad(inner, -H, H, epsabs=1e-12, epsrel=1e-12, limit=200)
+        outer, _ = quad(inner, -H, H, epsabs=1e-12, epsrel=1e-12, limit=200)
         return outer / (2.0 * H * Z)
 
     return np.array([at_point(float(x)) for x in xs])

@@ -6,12 +6,15 @@ shi and si are the hyperbolic and ordinary sine integrals
 
 both odd, both zero at the origin.  sinc_kernel is the unnormalized
 cardinal sine sin(w)/w with the removable singularity filled in.
+
+scipy is imported inside shi and si, on first use: the routes that never
+evaluate a sine integral (advection, the frequency estimators, the
+quadrature transform) then start without it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special as _sp
 
 __all__ = ["shi", "si", "sinc_kernel"]
 
@@ -32,14 +35,18 @@ def shi(z):
         raise OverflowError(
             f"shi argument exceeds the representable range (|z| > {_SHI_OVERFLOW:g})"
         )
-    out = _sp.shichi(z)[0]
+    from scipy.special import shichi
+
+    out = shichi(z)[0]
     return out if out.ndim else float(out)
 
 
 def si(z):
     """Sine integral, elementwise on real input; si(z) -> pi/2 as z -> inf."""
+    from scipy.special import sici
+
     z = np.asarray(z, dtype=np.float64)
-    out = _sp.sici(z)[0]
+    out = sici(z)[0]
     return out if out.ndim else float(out)
 
 

@@ -2,14 +2,16 @@
 
 Everything here recomputes quantities from definitions, sharing no code
 with the package: power series and hand-written adaptive Simpson for the
-sine integrals, an O(n^2) summation DFT, and a nested adaptive quadrature
-of the defining double integral of the transform.  Tolerances are
+sine integrals, an O(n^2) summation DFT, a nested adaptive quadrature
+of the defining double integral of the transform, and the CSV format
+written one cell and read one line at a time.  Tolerances are
 absolute unless noted.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -223,3 +225,98 @@ def patch_flagged_loop(integrand: np.ndarray, flagged: np.ndarray) -> np.ndarray
                             best_key, best = key, (jp, jm)
                 integrand[ip, im, j] = integrand[best[0], best[1], j]
     return valid
+
+
+class CsvError(ValueError):
+    """Malformed tabular input, worded like the package's ``CsvFormatError``."""
+
+    def __init__(self, path, message: str, line: int | None = None):
+        where = f"{path}:{line}" if line is not None else str(path)
+        super().__init__(f"{where}: {message}")
+
+
+def csv_cell(value) -> str:
+    """One CSV cell: 17-significant-digit floats, 0/1 booleans, empty for
+    non-finite entries, integers and text as they are."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (str, np.str_)):
+        if "," in value or "\n" in value or "\r" in value:
+            raise ValueError(f"cell text may not contain separators: {value!r}")
+        return str(value)
+    x = float(value)
+    if not math.isfinite(x):
+        return ""
+    return f"{x:.17g}"
+
+
+def csv_table_text(header, columns) -> str:
+    """The CSV text of named columns, one cell at a time."""
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0]) if columns else 0
+    lines = [",".join(header)]
+    for i in range(n):
+        lines.append(",".join(csv_cell(c[i]) for c in columns))
+    return "\n".join(lines) + "\n"
+
+
+def parse_series_lines(path, text: str):
+    """The two-column series format, line by line.
+
+    Blank lines and lines starting with ``#`` are skipped; one leading
+    row with a non-numeric cell is a header; every other line holds two
+    finite cells that ``float`` takes, with strictly increasing
+    coordinates.  Returns ``(coords, values, has_header)`` or raises
+    :class:`CsvError` with the 1-based line number.
+    """
+    coords: list[float] = []
+    values: list[float] = []
+    header = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        cells = [c.strip() for c in stripped.split(",")]
+        if len(cells) != 2:
+            raise CsvError(path, f"expected 2 columns, found {len(cells)}", lineno)
+        try:
+            t, v = float(cells[0]), float(cells[1])
+        except ValueError:
+            if not coords and header is None:
+                header = lineno
+                continue
+            raise CsvError(path, f"non-numeric cell in {cells!r}", lineno) from None
+        if not (math.isfinite(t) and math.isfinite(v)):
+            raise CsvError(path, "non-finite sample", lineno)
+        if coords and t <= coords[-1]:
+            raise CsvError(path, "coordinates must be strictly increasing", lineno)
+        coords.append(t)
+        values.append(v)
+    if len(coords) < 2:
+        raise CsvError(path, "need at least 2 data rows")
+    return np.array(coords), np.array(values), header is not None
+
+
+def read_series_lines(path):
+    """``(coords, values)`` of a series CSV; spacing may vary by 1e-9 relative.
+
+    The jitter error names the line ``index + 2 + has_header`` of the worst
+    spacing, counting data rows only.
+    """
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise CsvError(path, f"cannot read file ({exc})") from exc
+    t, v, has_header = parse_series_lines(path, text)
+    dt = (t[-1] - t[0]) / (len(t) - 1)
+    jitter = np.abs(np.diff(t) - dt)
+    worst = int(np.argmax(jitter))
+    if jitter[worst] > 1e-9 * abs(dt):
+        raise CsvError(
+            path,
+            f"grid spacing varies by {jitter[worst] / abs(dt):.3e} relative (tolerance 1e-09)",
+            worst + 2 + has_header,
+        )
+    return t, v

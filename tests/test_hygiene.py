@@ -1,7 +1,11 @@
 """Every module-level import in the package is used somewhere in its module,
-and the test oracles in ``reference.py`` import nothing from the package."""
+the test oracles in ``reference.py`` import nothing from the package, and
+importing the command line does not import scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +45,12 @@ def test_reference_imports_no_package_code():
         alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
     ] + [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert [m for m in modules if m.split(".")[0] == "csit"] == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported on first use, by the sine integrals and table1's
+    # reference quadrature; the other subcommands start without it
+    code = "import sys, csit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -7,11 +7,13 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from csit import io as csit_io
 from csit.cli import MAX_COUNT, main
 from csit.io import (
     CsvFormatError,
@@ -20,6 +22,7 @@ from csit.io import (
     read_series_csv,
     write_table_csv,
 )
+from reference import CsvError, csv_table_text, parse_series_lines, read_series_lines
 
 
 def write_tone_csv(path, n=64, freq=3.0, header=True):
@@ -148,6 +151,195 @@ class TestReadSeriesCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CsvFormatError):
             read_series_csv(tmp_path / "absent.csv")
+
+
+# --- the array-speed CSV paths against the cell-by-cell reference ------------
+
+# edge values of float64: signed zeros, subnormals, the extremes, and the
+# non-finite ones that become empty cells or reject a row
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308, math.nan, math.inf, -math.inf, 1.0 / 3.0, 1e-9]
+any_floats = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+cell_text = st.text(st.characters(codec="ascii", exclude_characters=",\n\r"), max_size=6)
+
+
+@st.composite
+def tables(draw):
+    """A header and 0-5 columns of one length, of every dtype the writer meets."""
+    n = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(
+        ["float", "float_list", "bool", "int", "float32", "object"]), max_size=5))
+    columns = []
+    for kind in kinds:
+        if kind in ("float", "float_list"):
+            values = draw(st.lists(any_floats, min_size=n, max_size=n))
+            columns.append(values if kind == "float_list" else np.array(values))
+        elif kind == "bool":
+            columns.append(np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool))
+        elif kind == "int":
+            columns.append(np.array(draw(st.lists(st.integers(-2**62, 2**62), min_size=n, max_size=n))))
+        elif kind == "float32":
+            columns.append(np.array(draw(st.lists(st.floats(width=32), min_size=n, max_size=n)),
+                                    dtype=np.float32))
+        else:
+            cells = st.one_of(any_floats, st.booleans(), st.integers(-10**20, 10**20), cell_text)
+            columns.append(np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=object))
+    header = draw(st.lists(cell_text, min_size=len(columns), max_size=len(columns)))
+    return header, columns
+
+
+def _spell(draw, x: float, lossy: bool) -> str:
+    """One number as a cell: exact as the writer or ``repr`` gives it, or
+    rounded to fewer digits where ``lossy``."""
+    spellings = [repr, "{:.17g}".format] + (["{:.6e}".format, "{:.3f}".format] if lossy else [])
+    return draw(st.sampled_from(spellings))(x)
+
+
+def _misspell(draw, cell: str) -> str:
+    """The same number in a spelling ``float`` takes but a plain file does not have."""
+    style = draw(st.sampled_from(["padded", "plus", "underscore", "arabic_one", "tab"]))
+    if style == "padded":
+        return f"  {cell} "
+    if style == "plus" and not cell.startswith("-"):
+        return "+" + cell
+    if style == "underscore" and cell[:2].isdigit():
+        return f"{cell[0]}_{cell[1:]}"
+    if style == "arabic_one":
+        return cell.replace("1", "\u0661")
+    return f"\t{cell}"
+
+
+@st.composite
+def series_files(draw):
+    """Text of a two-column series file, about half of them plain.
+
+    Uniform coordinates with one node moved by a relative jitter on either
+    side of the 1e-9 tolerance, values from a wide float range, an
+    optional header; each of the following, at random, makes the file
+    one that only the line loop may judge or one that it rejects: a
+    non-increasing coordinate, a non-finite value, an unusual spelling of
+    a number, stray lines (comments, blanks, wrong cell counts, inline
+    ``#``, ``1_000``), and line breaks other than ``\\n``.
+    """
+    rare = lambda: draw(st.integers(0, 9)) == 0
+    n = draw(st.integers(0, 10))
+    x0 = draw(st.sampled_from([0.0, -3.5, 1e-300, 7.25]))
+    dt = draw(st.sampled_from([1.0, 0.1, 1e-6, 3.0e5]))
+    t = x0 + dt * np.arange(n)
+    if n > 2:
+        jitter = draw(st.sampled_from([0.0, 0.0, 5e-10, 9.9e-10, 1.01e-9, 2e-9, 1e-3]))
+        t[draw(st.integers(1, n - 2))] += jitter * dt
+    if n > 1 and rare():
+        i = draw(st.integers(1, n - 1))
+        t[i] = t[i - 1] if draw(st.booleans()) else t[i] - 2.0 * dt
+    finite = [x for x in _EDGE_FLOATS if math.isfinite(x)]
+    values = draw(st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from(finite)),
+                           min_size=n, max_size=n))
+    if n and rare():
+        values[draw(st.integers(0, n - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    cells = [_spell(draw, x, lossy) for pair in zip(t.tolist(), values)
+             for x, lossy in zip(pair, (False, True))]
+    if cells and rare():
+        i = draw(st.integers(0, len(cells) - 1))
+        cells[i] = _misspell(draw, cells[i])
+    lines = [f"{a},{b}" for a, b in zip(cells[::2], cells[1::2])]
+    if rare():
+        stray = ["# note", "", "   ", "1_000,2", "1,2,3", "5", "1,", "a,b", "1.5 # inline,2"]
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(stray)))
+    header = draw(st.sampled_from([None, "t,value", " x , y ", "t,1.5", "1.5,t"]))
+    if rare():
+        header = draw(st.sampled_from(["time", "a,b,c", "t,v,"]))
+    if header is not None:
+        lines.insert(0, header)
+    breaks = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028"]
+    newline = draw(st.sampled_from(breaks)) if rare() else "\n"
+    text = newline.join(lines)
+    if lines and rare():
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(breaks + ["\n"])) + text[i:]
+    return text + (newline if draw(st.booleans()) else "")
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype == np.float64 and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCsvAgainstReference:
+    """The writer's bytes and the reader's arrays or error text equal those
+    of the cell-by-cell writer and line-by-line reader in reference.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=tables(), block=st.integers(1, 5))
+    def test_writer_matches_cell_by_cell_reference(self, table, block):
+        header, columns = table
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(csit_io, "_BLOCK_ROWS", block):
+            path = Path(tmp) / "t.csv"
+            write_table_csv(path, header, columns)
+            assert path.read_bytes() == csv_table_text(header, columns).encode()
+
+    def test_writer_blocks_cover_every_row(self, tmp_path):
+        x = np.linspace(-1.0, 1.0, 3 * csit_io._BLOCK_ROWS + 5)
+        x[::7] = np.nan
+        columns = [x, x > 0, np.arange(len(x))]
+        write_table_csv(tmp_path / "t.csv", ["x", "b", "i"], columns)
+        assert (tmp_path / "t.csv").read_bytes() == csv_table_text(["x", "b", "i"], columns).encode()
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=series_files())
+    @example(text="t,value\n0,1\n1,2\n2,3\n")
+    @example(text="0,1\n1,2\n2,3")
+    @example(text="0,1\n1,2\n\n2,3\n")
+    @example(text="0,1\n1,2 # c\n2,3\n")
+    @example(text="0,1\n1_0,2\n2,3\n")
+    @example(text="0,1\r\n1,2\r\n2,3\r\n")
+    @example(text="0,1\n1,2\u20282,3\n")
+    @example(text="0,1\n1,2\n2.000000002,3\n3,4\n")
+    def test_reader_matches_line_by_line_reference(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.csv"
+            path.write_bytes(text.encode())
+            try:
+                expected = read_series_lines(path)
+            except CsvError as exc:
+                with pytest.raises(CsvFormatError) as info:
+                    read_series_csv(path)
+                assert str(info.value) == str(exc)
+            else:
+                got = read_series_csv(path)
+                assert same_bits(got[0], expected[0]) and same_bits(got[1], expected[1])
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=series_files())
+    def test_one_pass_accepts_only_what_the_loop_accepts(self, text):
+        parsed = csit_io._parse_plain(text.encode())
+        if parsed is not None:
+            t, v, has_header = parse_series_lines("s.csv", text)
+            assert parsed[2] == has_header
+            assert same_bits(parsed[0], t) and same_bits(parsed[1], v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 40), x0=st.floats(-10.0, 10.0), dt=st.floats(1e-3, 10.0),
+           data=st.data())
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, n, x0, dt, data):
+        t = x0 + dt * np.arange(n)
+        v = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                        min_size=n, max_size=n)))
+        path = tmp_path_factory.mktemp("rt") / "s.csv"
+        write_table_csv(path, ["t", "value"], [t, v])
+        assert csit_io._parse_plain(path.read_bytes()) is not None
+        rt, rv = read_series_csv(path)
+        assert same_bits(rt, t) and same_bits(rv, v)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["# c\n0,1\n1,2\n", "0,1\n1,2 # c\n", "0,1\n1_0,2\n", "0,1\n\n1,2\n", "0,1\n   \n1,2\n",
+         "0,1\r\n1,2\r\n", "0,1\r1,2\r", "0,1\x0c1,2\n", "0,1\u20281,2\n", "0,1\n\t1,2\n",
+         "0,1\n\u0661,2\n", "0,1\n"],
+        ids=["comment", "inline_comment", "underscore", "blank", "spaces_only", "crlf", "cr",
+             "form_feed", "line_separator", "tab", "arabic_digit", "one_row"],
+    )
+    def test_unusual_files_go_to_the_line_loop(self, text):
+        assert csit_io._parse_plain(text.encode()) is None
 
 
 class TestRunManifest:
@@ -474,6 +666,26 @@ def write_manifest(tmp_path, subcommand, parameters):
     return path
 
 
+# the growth error of a 64-sample grid on [0, 1) with Z = 1000
+RANGE_GROWTH = "continuation step too large: Z (tau_max) 1000 times wavenumber 201.062 exceeds 700"
+
+
+def assert_range_error_names_key(tmp_path, subcommand, key, value, message):
+    """A flag gives exit 2 and a manifest entry exit 3, both with ``message``."""
+    src = tmp_path / "tone.csv"
+    write_tone_csv(src)
+    argv = [subcommand, src, "--H", "0.02", "--Z", "0.01", "--out", tmp_path / "q.csv"]
+    assert main([str(a) for a in argv]) == 0
+    out = tmp_path / "o"
+    err = assert_rejected([*argv[:-1], out / "q.csv", f"--{key}", value], 2, out)
+    assert err == f"csit: error: {message}"
+    path = tmp_path / "q.csv.manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["parameters"][key] = value
+    path.write_text(json.dumps(manifest))
+    err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
+    assert err == f"csit: error: {path}: bad parameters: {message}"
+
 class TestParameterBoundary:
     """Regression cases: each exits 2 (flags or config) or 3 (replay) with
     one line, before the output directory is created."""
@@ -621,20 +833,36 @@ class TestParameterBoundary:
         "key, value, message",
         [("Z", -1, "Z (tau_max) must be positive and finite"),
          ("H", -1, "H (eta_half_width) must be finite and nonnegative"),
-         ("eps", 1, "eps (tau_min) must lie strictly between 0 and Z (tau_max)")],
-        ids=["Z", "H", "eps"],
+         ("eps", 1, "eps (tau_min) must lie strictly between 0 and Z (tau_max)"),
+         ("Z", 1000, RANGE_GROWTH)],
+        ids=["Z", "H", "eps", "Z_growth"],
     )
     def test_range_errors_name_key_and_field(self, tmp_path, key, value, message):
-        src = tmp_path / "tone.csv"
-        write_tone_csv(src)
-        argv = ["transform", src, "--H", "0.02", "--Z", "0.01", "--out", tmp_path / "q.csv"]
-        assert main([str(a) for a in argv]) == 0
+        assert_range_error_names_key(tmp_path, "transform", key, value, message)
+
+    @pytest.mark.parametrize("subcommand", ["derive", "ifreq"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("Z", -1, "Z (tau_max) must be positive and finite"),
+         ("eps", 1, "eps (tau_min) must lie strictly between 0 and Z (tau_max)"),
+         ("Z", 1000, RANGE_GROWTH)],
+        ids=["Z", "eps", "Z_growth"],
+    )
+    def test_derive_and_ifreq_range_errors_name_key_and_field(self, tmp_path, subcommand,
+                                                              key, value, message):
+        assert_range_error_names_key(tmp_path, subcommand, key, value, message)
+
+    @pytest.mark.parametrize("trim", [0.5, -0.1])
+    def test_trim_out_of_range_names_key(self, tmp_path, trim):
+        message = "trim (fraction) must lie in [0, 0.5)"
         out = tmp_path / "o"
-        err = assert_rejected([*argv[:-1], out / "q.csv", f"--{key}", value], 2, out)
+        err = assert_rejected(["ifreq", "--demo", "chirp", "--n", "64", "--trim", trim,
+                               "--out", out / "f.csv"], 2, out)
         assert err == f"csit: error: {message}"
-        path = tmp_path / "q.csv.manifest.json"
+        assert main(["ifreq", "--demo", "chirp", "--n", "64", "--out", str(tmp_path / "f.csv")]) == 0
+        path = tmp_path / "f.csv.manifest.json"
         manifest = json.loads(path.read_text())
-        manifest["parameters"][key] = value
+        manifest["parameters"]["trim"] = trim
         path.write_text(json.dumps(manifest))
         err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
         assert err == f"csit: error: {path}: bad parameters: {message}"

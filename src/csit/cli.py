@@ -59,7 +59,14 @@ from .instfreq import (
     if_csit,
     if_damped,
 )
-from .io import CsvFormatError, RunManifest, atomic_write_text, read_series_csv, write_table_csv
+from .io import (
+    CsvFormatError,
+    RunManifest,
+    _read_json_object,
+    atomic_write_text,
+    read_series_csv,
+    write_table_csv,
+)
 from .operators import (
     _RULES,
     CsitParams,
@@ -404,15 +411,7 @@ def _advect_raw(args: dict) -> dict:
     """The advect flags as raw parameters, with the --config overrides merged in."""
     overrides = {}
     if args["config"] is not None:
-        path = Path(args["config"])
-        try:
-            overrides = json.loads(path.read_text())
-        except OSError as exc:
-            raise CsvFormatError(path, f"cannot read config ({exc})") from exc
-        except json.JSONDecodeError as exc:
-            raise CsvFormatError(path, f"invalid JSON ({exc})") from exc
-        if not isinstance(overrides, dict):
-            raise CsvFormatError(path, "config must be a JSON object")
+        overrides = _read_json_object(args["config"], "config")
     source = overrides.pop("source", {})
     if not isinstance(source, dict):
         raise ValueError(f"source must be an object, got {source!r}")

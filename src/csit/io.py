@@ -174,8 +174,23 @@ def write_table_csv(
 def _read_file(path: Path, read):
     try:
         return read(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CsvFormatError(path, f"cannot read file ({exc})") from exc
+
+
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object in the file ``path``; any fault is a CsvFormatError
+    naming the file, with ``what`` naming the document."""
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CsvFormatError(path, f"cannot read {what} ({exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise CsvFormatError(path, f"invalid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise CsvFormatError(path, f"{what} must be a JSON object")
+    return data
 
 
 def _parse_plain(raw: bytes):
@@ -212,9 +227,11 @@ def _parse_plain(raw: bytes):
 
 
 def _parse_lines(path: Path, text: str):
-    """``(coords, values, has_header)`` line by line; raises on any fault."""
+    """``(coords, values, lines)`` line by line, ``lines`` holding the
+    1-based line number of each data row; raises on any fault."""
     coords: list[float] = []
     values: list[float] = []
+    lines: list[int] = []
     first_data_line = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -243,9 +260,10 @@ def _parse_lines(path: Path, text: str):
             )
         coords.append(t)
         values.append(v)
+        lines.append(lineno)
     if len(coords) < 2:
         raise CsvFormatError(path, "need at least 2 data rows")
-    return np.asarray(coords), np.asarray(values), first_data_line is not None
+    return np.asarray(coords), np.asarray(values), lines
 
 
 def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -264,8 +282,11 @@ def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
     path = Path(path)
     parsed = _parse_plain(_read_file(path, Path.read_bytes))
     if parsed is None:
-        parsed = _parse_lines(path, _read_file(path, Path.read_text))
-    t, v, has_header = parsed
+        t, v, lines = _parse_lines(path, _read_file(path, Path.read_text))
+    else:
+        # the one-pass path takes no comment or blank line
+        t, v, has_header = parsed
+        lines = range(1 + has_header, 1 + has_header + len(t))
     dt = (t[-1] - t[0]) / (len(t) - 1)
     jitter = np.abs(np.diff(t) - dt)
     worst = int(np.argmax(jitter))
@@ -274,7 +295,7 @@ def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
             path,
             f"grid spacing varies by {jitter[worst] / abs(dt):.3e} relative "
             f"(tolerance {_JITTER_TOL:g})",
-            line=worst + 2 + has_header,
+            line=lines[worst + 1],
         )
     return t, v
 
@@ -311,12 +332,7 @@ class RunManifest:
     @classmethod
     def read(cls, path) -> "RunManifest":
         path = Path(path)
-        try:
-            data = json.loads(path.read_text())
-        except OSError as exc:
-            raise CsvFormatError(path, f"cannot read manifest ({exc})") from exc
-        except json.JSONDecodeError as exc:
-            raise CsvFormatError(path, f"invalid JSON ({exc})") from exc
+        data = _read_json_object(path, "manifest")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:

@@ -261,7 +261,13 @@ def csit_spectral(s: Series, eta_half_width: float, tau_max: float) -> Series:
 
 
 def _centered_difference(values: np.ndarray, dx: float) -> np.ndarray:
-    return (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * dx)
+    """(v[j+1] - v[j-1]) / (2 dx) with periodic wrap, in one new array."""
+    out = np.empty_like(values)
+    np.subtract(values[2:], values[:-2], out=out[1:-1])
+    out[0] = values[1] - values[-1]
+    out[-1] = values[0] - values[-2]
+    out /= 2.0 * dx
+    return out
 
 
 def _derivative_multiplier(grid: UniformGrid) -> np.ndarray:

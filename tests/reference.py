@@ -268,11 +268,13 @@ def parse_series_lines(path, text: str):
     Blank lines and lines starting with ``#`` are skipped; one leading
     row with a non-numeric cell is a header; every other line holds two
     finite cells that ``float`` takes, with strictly increasing
-    coordinates.  Returns ``(coords, values, has_header)`` or raises
+    coordinates.  Returns ``(coords, values, has_header, lines)``, with
+    ``lines`` the 1-based line number of each data row, or raises
     :class:`CsvError` with the 1-based line number.
     """
     coords: list[float] = []
     values: list[float] = []
+    lines: list[int] = []
     header = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -294,22 +296,23 @@ def parse_series_lines(path, text: str):
             raise CsvError(path, "coordinates must be strictly increasing", lineno)
         coords.append(t)
         values.append(v)
+        lines.append(lineno)
     if len(coords) < 2:
         raise CsvError(path, "need at least 2 data rows")
-    return np.array(coords), np.array(values), header is not None
+    return np.array(coords), np.array(values), header is not None, lines
 
 
 def read_series_lines(path):
     """``(coords, values)`` of a series CSV; spacing may vary by 1e-9 relative.
 
-    The jitter error names the line ``index + 2 + has_header`` of the worst
-    spacing, counting data rows only.
+    The jitter error names the line of the data row that ends the worst
+    spacing, counting every line of the file.
     """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise CsvError(path, f"cannot read file ({exc})") from exc
-    t, v, has_header = parse_series_lines(path, text)
+    t, v, _, lines = parse_series_lines(path, text)
     dt = (t[-1] - t[0]) / (len(t) - 1)
     jitter = np.abs(np.diff(t) - dt)
     worst = int(np.argmax(jitter))
@@ -317,6 +320,6 @@ def read_series_lines(path):
         raise CsvError(
             path,
             f"grid spacing varies by {jitter[worst] / abs(dt):.3e} relative (tolerance 1e-09)",
-            worst + 2 + has_header,
+            lines[worst + 1],
         )
     return t, v

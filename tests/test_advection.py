@@ -7,6 +7,7 @@ counts; measured thresholds follow the shipped calibration run.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from csit.advection import (
     AdvectionConfig,
@@ -23,7 +24,7 @@ from csit.advection import (
     run_advection,
 )
 from csit.grid import Series, UniformGrid
-from csit.operators import CsitParams
+from csit.operators import CsitParams, csit_quadrature, fd_centered, pseudospectral_derivative
 from csit.special import shi
 
 
@@ -230,6 +231,129 @@ class TestRunAdvection:
             e_1 = np.sum(snaps[0].u.values ** 2)
             e_4 = np.sum(snaps[1].u.values ** 2)
             assert e_4 <= 1.01 * e_1
+
+
+# --- the step loop against a per-step textbook leapfrog ----------------------
+
+
+def textbook_advection(cfg, src, steps):
+    """The leapfrog of ``run_advection`` written out one step at a time.
+
+    The source is evaluated at each step time, the derivative goes through
+    the public route on a Series, and the divergence gate is a finite check
+    plus the 1e30 magnitude bound.  Returns the field at each of ``steps``.
+    """
+    grid, dt = cfg.grid, cfg.dt
+    route = {
+        "fd": fd_centered,
+        "pseudospectral": pseudospectral_derivative,
+        "csit": lambda s: csit_quadrature(s, cfg.csit),
+    }[cfg.scheme]
+    j_src = int(round((cfg.x_s - grid.x0) / grid.dx)) % cfg.n_x
+    inject = 1.0 / grid.dx
+
+    def rhs(u, t):
+        out = -cfg.c * route(Series(grid, u)).values
+        out[j_src] += float(src(t)) * inject
+        return out
+
+    def check(step, u, last):
+        if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 1e30:
+            last_snap = WavefieldSnapshot(t=(step - 1) * dt, u=Series(grid, last.copy()))
+            raise DivergenceError(step * dt, last_snap)
+
+    u_prev = np.zeros(cfg.n_x) if cfg.initial_field is None else cfg.initial_field.copy()
+    fields = {0: u_prev.copy()}
+    u_curr = u_prev + dt * rhs(u_prev, 0.0)
+    check(1, u_curr, u_prev)
+    fields[1] = u_curr.copy()
+    for step in range(1, cfg.n_t):
+        u_next = u_prev + 2.0 * dt * rhs(u_curr, step * dt)
+        check(step + 1, u_next, u_curr)
+        u_prev, u_curr = u_curr, u_next
+        fields[step + 1] = u_curr.copy()
+    return {step: fields[step] for step in steps}
+
+
+@st.composite
+def advection_cases(draw):
+    """Keyword sets for AdvectionConfig and SourceTimeFunction, and snapshot steps.
+
+    Courant numbers up to 8 put every scheme far outside its leapfrog
+    stability interval, so a good share of the runs diverge.
+    """
+    n_x = draw(st.integers(16, 64))
+    L = draw(st.floats(1e-2, 1e4))
+    c = draw(st.floats(1e-2, 1e3))
+    n_t = draw(st.integers(1, 80))
+    cfl = draw(st.floats(0.05, 8.0))
+    duration = n_t * cfl * (L / n_x) / c
+    f0 = draw(st.floats(0.2, 20.0)) / duration
+    init = draw(st.none() | st.lists(st.floats(-1.0, 1.0), min_size=n_x, max_size=n_x))
+    cfg = {
+        "c": c, "L": L, "n_x": n_x, "n_t": n_t, "cfl": cfl, "f0": f0,
+        "x_s": draw(st.floats(0.0, L, exclude_min=True, exclude_max=True)),
+        "scheme": draw(st.sampled_from(["fd", "pseudospectral", "csit"])),
+        "initial_field": None if init is None else np.array(init),
+    }
+    src = {
+        "kind": draw(st.sampled_from(["gaussian_derivative", "ricker"])),
+        "f0": f0,
+        "t_delay": draw(st.floats(0.0, 1.5)) * duration,
+    }
+    steps = draw(st.sets(st.integers(0, n_t), min_size=1, max_size=4))
+    return cfg, src, sorted(steps)
+
+
+_DIVERGING = {"c": 1.0, "L": 2.0, "n_x": 32, "n_t": 80, "cfl": 6.0, "f0": 4.0,
+              "x_s": 1.0, "initial_field": None}
+
+
+class TestStepLoopAgainstTextbook:
+    """``run_advection`` gives the bits of the per-step textbook leapfrog:
+    the same snapshots, or the same divergence step and last finite field."""
+
+    @staticmethod
+    def assert_same_run(cfg, src, steps):
+        times = [step * cfg.dt for step in steps]
+        try:
+            expected = textbook_advection(cfg, src, steps)
+        except DivergenceError as exc:
+            with pytest.raises(DivergenceError) as info:
+                run_advection(cfg, src, times)
+            assert info.value.t == exc.t
+            assert info.value.last_finite.t == exc.last_finite.t
+            assert np.array_equal(info.value.last_finite.u.values, exc.last_finite.u.values)
+            return
+        snaps = run_advection(cfg, src, times)
+        assert [snap.t for snap in snaps] == times
+        for snap, step in zip(snaps, steps):
+            assert np.array_equal(snap.u.values, expected[step])
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=advection_cases())
+    @example(case=({**_DIVERGING, "scheme": "fd"},
+                   {"kind": "ricker", "f0": 4.0, "t_delay": 0.1}, [0, 40, 80]))
+    @example(case=({**_DIVERGING, "scheme": "csit"},
+                   {"kind": "gaussian_derivative", "f0": 4.0, "t_delay": 0.0}, [80]))
+    @example(case=({**_DIVERGING, "scheme": "pseudospectral", "cfl": 0.25, "x_s": 1.999},
+                   {"kind": "ricker", "f0": 4.0, "t_delay": 0.3}, [0, 1, 80]))
+    def test_bit_identical_to_per_step_loop(self, case):
+        cfg_kwargs, src_kwargs, steps = case
+        self.assert_same_run(AdvectionConfig(**cfg_kwargs), SourceTimeFunction(**src_kwargs), steps)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("scheme", ["fd", "csit"])
+    def test_non_finite_source_diverges_at_the_same_step(self, bad, scheme):
+        class _Broken(SourceTimeFunction):
+            def __call__(self, t):
+                return np.where(np.asarray(t) >= 7 * cfg.dt, bad, 1.0)
+
+        cfg = AdvectionConfig(c=1.0, L=2.0, x_s=1.0, f0=4.0, n_x=32, n_t=20, scheme=scheme)
+        self.assert_same_run(cfg, _Broken(f0=4.0), [20])
+        with pytest.raises(DivergenceError) as info:
+            run_advection(cfg, _Broken(f0=4.0), [20 * cfg.dt])
+        assert info.value.last_finite.t == 7 * cfg.dt
 
 
 class TestDispersion:

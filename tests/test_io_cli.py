@@ -152,6 +152,24 @@ class TestReadSeriesCsv:
         with pytest.raises(CsvFormatError):
             read_series_csv(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("# comment\n\nt,v\n0,1\n1,1\n2.5,1\n3,1\n", 6), ("t,v\n0,1\n1,1\n2.5,1\n3,1\n", 4),
+         ("0,1\n# c\n1,1\n\n2.5,1\n3,1\n", 5)],
+        ids=["comment_and_blank_before_header", "plain", "interleaved"],
+    )
+    def test_jitter_error_names_the_physical_line(self, tmp_path, text, line):
+        path = tmp_path / "j.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match=rf"j\.csv:{line}: grid spacing varies"):
+            read_series_csv(path)
+
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_bytes(b"t,v\n0,1\n1,\xff2\n")
+        with pytest.raises(CsvFormatError, match=r"b\.csv: cannot read file \('utf-8' codec"):
+            read_series_csv(path)
+
 
 # --- the array-speed CSV paths against the cell-by-cell reference ------------
 
@@ -294,6 +312,7 @@ class TestCsvAgainstReference:
     @example(text="0,1\r\n1,2\r\n2,3\r\n")
     @example(text="0,1\n1,2\u20282,3\n")
     @example(text="0,1\n1,2\n2.000000002,3\n3,4\n")
+    @example(text="# c\n\nt,v\n0,1\n1,2\n2.5,3\n3,4\n")
     def test_reader_matches_line_by_line_reference(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "s.csv"
@@ -313,7 +332,7 @@ class TestCsvAgainstReference:
     def test_one_pass_accepts_only_what_the_loop_accepts(self, text):
         parsed = csit_io._parse_plain(text.encode())
         if parsed is not None:
-            t, v, has_header = parse_series_lines("s.csv", text)
+            t, v, has_header, _ = parse_series_lines("s.csv", text)
             assert parsed[2] == has_header
             assert same_bits(parsed[0], t) and same_bits(parsed[1], v)
 
@@ -894,6 +913,33 @@ class TestParameterBoundary:
         out = tmp_path / "replay"
         err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
         assert f"{path}: bad parameters: {key} " in err
+
+    @pytest.mark.parametrize("text", ["5", "null", "[1, 2]", '"abc"'])
+    def test_manifest_must_be_a_json_object(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        out = tmp_path / "replay"
+        err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
+        assert err == f"csit: error: {path}: manifest must be a JSON object"
+
+    @pytest.mark.parametrize("what", ["input", "manifest", "config"])
+    def test_non_utf8_input_exits_3_naming_the_file(self, tmp_path, what):
+        out = tmp_path / "out"
+        if what == "input":
+            path = tmp_path / "bad.csv"
+            path.write_bytes(b"t,value\n0,1\n1,\xff2\n")
+            argv = ["transform", path, "--H", "0.02", "--Z", "0.01", "--out", out / "q.csv"]
+            wording = "cannot read file"
+        else:
+            path = tmp_path / "bad.json"
+            path.write_bytes(b'{"x_s": "\xff"}')
+            if what == "manifest":
+                argv = ["replay", path, "--out-dir", out]
+            else:
+                argv = ["advect", "--config", path, "--out-dir", out]
+            wording = f"cannot read {what}"
+        err = assert_rejected(argv, 3, out)
+        assert err.startswith(f"csit: error: {path}: {wording} ('utf-8' codec can't decode byte 0xff")
 
     def test_manifest_parameters_must_be_an_object(self, tmp_path):
         path = write_manifest(tmp_path, "symbol", [1, 2])

@@ -305,6 +305,90 @@ class TestQuadratureRouteAgreement:
         assert np.max(np.abs(out - expected)) <= 1e-12 * scale
 
 
+# --- invariants of every multiplier route -----------------------------------
+
+
+def _route(name: str, extents: dict):
+    if name == "csit_quadrature":
+        p = CsitParams(**extents)
+        return lambda s: csit_quadrature(s, p)
+    if name == "csit_spectral":
+        return lambda s: csit_spectral(s, extents["eta_half_width"], extents["tau_max"])
+    return {"pseudospectral_derivative": pseudospectral_derivative, "hilbert_fft": hilbert_fft}[name]
+
+
+@st.composite
+def route_cases(draw):
+    """A multiplier route on a 2*pi-periodic grid of n <= 64 nodes, odd or
+    even, and two complex sample arrays.
+
+    Extents are at most two cells, as in the advection runs, which bounds
+    the gain of the top mode over the first.  Each array's real and
+    imaginary parts are 3*sin(x) plus drawn samples in [-1, 1], so every
+    route's output has a first mode of size near 1 or more once n > 2.
+    """
+    n = draw(st.integers(2, 64))
+    name = draw(st.sampled_from(
+        ["csit_quadrature", "csit_spectral", "pseudospectral_derivative", "hilbert_fft"]))
+    dx = 2.0 * np.pi / n
+    extents = {
+        "eta_half_width": draw(st.just(0.0) | st.floats(0.01, 2.0)) * dx,
+        "tau_max": draw(st.floats(0.05, 2.0)) * dx,
+    }
+    if name == "csit_quadrature":
+        extents.update(n_eta=draw(st.integers(1, 4)), n_tau=draw(st.integers(1, 4)),
+                       rule=draw(st.sampled_from(["trapezoid", "midpoint"])))
+    grid = UniformGrid(x0=0.0, length=2.0 * np.pi, n=n)
+    parts = [3.0 * np.sin(grid.nodes) + np.array(draw(st.lists(
+        st.floats(-1.0, 1.0), min_size=n, max_size=n))) for _ in range(4)]
+    return name, extents, grid, parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+
+
+def _max_abs(a) -> float:
+    return float(np.max(np.abs(a)))
+
+
+class TestMultiplierRouteInvariants:
+    """Every route is one odd, purely imaginary multiplier: linear over
+    complex scalars, real in gives real out, and reflecting the input
+    about x0 reflects and negates the output.  Tolerances are relative to
+    the output maximum."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=route_cases(),
+           a=st.complex_numbers(max_magnitude=2.0), b=st.complex_numbers(max_magnitude=2.0))
+    def test_linear_over_complex_scalars(self, case, a, b):
+        name, extents, grid, x, y = case
+        route = _route(name, extents)
+        tx, ty = route(Series(grid, x)).values, route(Series(grid, y)).values
+        combined = route(Series(grid, a * x + b * y)).values
+        scale = max(abs(a) * _max_abs(tx), abs(b) * _max_abs(ty))
+        assert _max_abs(combined - (a * tx + b * ty)) <= 1e-12 * scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=route_cases())
+    def test_real_input_gives_real_output(self, case):
+        name, extents, grid, x, _ = case
+        route = _route(name, extents)
+        out = route(Series(grid, x.real)).values
+        assert out.dtype == np.float64
+        as_complex = route(Series(grid, x.real + 0j)).values
+        assert as_complex.dtype == np.complex128
+        assert _max_abs(as_complex.imag) <= 1e-12 * _max_abs(out)
+        assert _max_abs(as_complex.real - out) <= 1e-12 * _max_abs(out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=route_cases(), complex_input=st.booleans())
+    def test_odd(self, case, complex_input):
+        name, extents, grid, x, _ = case
+        route = _route(name, extents)
+        x = x if complex_input else x.real
+        reflect = (-np.arange(grid.n)) % grid.n
+        out = route(Series(grid, x)).values
+        mirrored = route(Series(grid, x[reflect])).values
+        assert _max_abs(mirrored + out[reflect]) <= 1e-12 * _max_abs(out)
+
+
 class TestSpectralRoute:
     def test_single_mode_exact(self):
         grid = UniformGrid(x0=0.0, length=2.0 * np.pi, n=64)

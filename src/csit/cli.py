@@ -735,9 +735,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser of ``main``, built on its first call; argparse makes a new
+# Namespace per parse and no default is mutable, so calls share no state
+_parser = None
+
+
 def main(argv=None) -> int:
+    global _parser
     try:
-        args = vars(build_parser().parse_args(argv))
+        if _parser is None:
+            _parser = build_parser()
+        args = vars(_parser.parse_args(argv))
         subcommand = args.pop("subcommand")
         if subcommand == "replay":
             return _replay(args["manifest"], Path(args["out_dir"]))

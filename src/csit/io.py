@@ -25,8 +25,9 @@ pass: printable ASCII and ``\n`` line breaks only, no ``#`` and no
 pass cannot take, or whatever fails a check there (parse, column count,
 finiteness, ordering), goes to the line-by-line loop, which is the
 definition of the format and the source of every error message and line
-number.  Both paths give bit-identical arrays, and the one-pass path
-accepts no file that the loop rejects.
+number.  The loop decodes UTF-8 and drops a leading byte-order mark,
+which is outside the plain set.  Both paths give bit-identical arrays,
+and the one-pass path accepts no file that the loop rejects.
 """
 
 from __future__ import annotations
@@ -269,8 +270,9 @@ def _parse_lines(path: Path, text: str):
 def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column (coordinate, value) CSV with a uniform grid.
 
-    The first line may be a header (detected by non-numeric cells).
-    Returns the coordinate and value arrays.
+    The first line may be a header (detected by non-numeric cells); a
+    UTF-8 byte-order mark before it is skipped.  Returns the coordinate
+    and value arrays.
 
     Raises
     ------
@@ -282,7 +284,8 @@ def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
     path = Path(path)
     parsed = _parse_plain(_read_file(path, Path.read_bytes))
     if parsed is None:
-        t, v, lines = _parse_lines(path, _read_file(path, Path.read_text))
+        text = _read_file(path, lambda p: p.read_text(encoding="utf-8-sig"))
+        t, v, lines = _parse_lines(path, text)
     else:
         # the one-pass path takes no comment or blank line
         t, v, has_header = parsed

@@ -306,10 +306,11 @@ def read_series_lines(path):
     """``(coords, values)`` of a series CSV; spacing may vary by 1e-9 relative.
 
     The jitter error names the line of the data row that ends the worst
-    spacing, counting every line of the file.
+    spacing, counting every line of the file.  A leading UTF-8 byte-order
+    mark is dropped.
     """
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise CsvError(path, f"cannot read file ({exc})") from exc
     t, v, _, lines = parse_series_lines(path, text)

@@ -7,6 +7,8 @@ and spectral routes are also cross-checked against each other since they
 approximate the same operator from opposite ends.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -500,6 +502,17 @@ class TestDerivativeHelpers:
     def test_complex_step_rejects_bad_step(self):
         with pytest.raises(ValueError):
             complex_step_derivative(np.sin, 0.0, v=0.0)
+
+    @pytest.mark.parametrize(
+        "steps",
+        [{"v": np.nan}, {"v": np.inf}, {"h": np.nan}, {"h": np.inf}, {"h": -np.inf}],
+        ids=["v_nan", "v_inf", "h_nan", "h_inf", "h_minus_inf"],
+    )
+    def test_complex_step_rejects_non_finite_steps(self, steps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="steps h and v must be finite"):
+                complex_step_derivative(np.sin, np.array([0.0, 1.0]), **steps)
 
     def test_hilbert_cos_to_sin(self):
         grid = UniformGrid(x0=0.0, length=2.0 * np.pi, n=64)

@@ -30,6 +30,8 @@ Layout
     The ``csit`` console entry point.
 """
 
+__version__ = "0.1.0"  # set before the submodules: cli and io read it
+
 from .advection import (
     AdvectionConfig,
     DivergenceError,
@@ -73,8 +75,6 @@ from .operators import (
     table1_verify,
 )
 from .special import shi, si
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AdvectionConfig",

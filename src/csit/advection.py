@@ -14,19 +14,12 @@ parasitic (checkerboard) contamination behind the main pulse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .grid import Series, UniformGrid
-from .operators import (
-    CsitParams,
-    _apply,
-    _centered_difference,
-    _derivative_multiplier,
-    _quadrature_multiplier,
-    csit_symbol,
-)
+from .operators import CsitParams, _derivative, csit_symbol
 
 __all__ = [
     "AdvectionConfig",
@@ -198,18 +191,6 @@ class DivergenceError(RuntimeError):
         self.last_finite = last_finite
 
 
-def _derivative_for(cfg: AdvectionConfig) -> Callable[[np.ndarray], np.ndarray]:
-    """The scheme's derivative on raw sample arrays, built once per run."""
-    if cfg.scheme == "fd":
-        dx = cfg.dx
-        return lambda u: _centered_difference(u, dx)
-    if cfg.scheme == "pseudospectral":
-        mult = _derivative_multiplier(cfg.grid)
-    else:
-        mult = _quadrature_multiplier(cfg.grid, cfg.csit)
-    return lambda u: _apply(u, mult)
-
-
 def _snapshot_steps(cfg: AdvectionConfig, snapshot_times: Sequence[float]) -> set[int]:
     """The completed step nearest each snapshot time."""
     if len(snapshot_times) == 0:
@@ -248,7 +229,7 @@ def run_advection(
     grid = cfg.grid
     dt = cfg.dt
     wanted = _snapshot_steps(cfg, snapshot_times)
-    deriv = _derivative_for(cfg)
+    deriv = _derivative(grid, cfg.scheme, cfg.csit)
     j_src = int(round((cfg.x_s - grid.x0) / grid.dx)) % cfg.n_x
     # the point source's term in u_t at every step, injected with weight 1/dx
     force = np.asarray(src(np.arange(cfg.n_t) * dt), dtype=np.float64) * (1.0 / grid.dx)

@@ -37,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .advection import (
     _SCHEMES,
     AdvectionConfig,
@@ -49,6 +50,7 @@ from .advection import (
     pulse_speed,
     run_advection,
 )
+from .continuation import _check_growth
 from .grid import Series, UniformGrid, wavenumbers
 from .instfreq import (
     _check_damping,
@@ -86,8 +88,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
-
-_VERSION = "0.1.0"
 
 # largest count (nodes per axis, samples, grid points, time steps) a run
 # accepts; each count is capped on its own
@@ -194,9 +194,14 @@ def _keyed(check, *args, keys=_EXTENT_KEYS, **kwargs):
         raise ValueError(message) from None
 
 
-def _csit_params(params: dict) -> CsitParams:
+def _csit_params(params: dict, grid: UniformGrid) -> CsitParams:
+    """The rectangle of ``params``, within the growth limit of ``grid``;
+    ``params["eps"]`` becomes its resolved lower cutoff."""
     extents = {field: params[key] for field, key in _EXTENT_KEYS.items()}
-    return _keyed(CsitParams, **extents, **{key: params[key] for key in ("n_eta", "n_tau", "rule")})
+    p = _keyed(CsitParams, **extents, **{key: params[key] for key in ("n_eta", "n_tau", "rule")})
+    _keyed(_check_growth, wavenumbers(grid), p.tau_max, "tau_max")
+    params["eps"] = p.tau_min
+    return p
 
 
 def _load_series(path) -> Series:
@@ -216,13 +221,11 @@ def _resolve_transform(raw: dict) -> tuple[dict, tuple]:
         **_rectangle(raw, None),
         "out": _out_name(raw),
     }
-    p = None
-    if params["mode"] == "quadrature":
-        p = _csit_params(params)
-        params["eps"] = p.tau_min
     s = _load_series(params["input"])
+    if params["mode"] == "quadrature":
+        return params, (s, _csit_params(params, s.grid))
     _keyed(_check_extents, params["H"], params["Z"], wavenumbers(s.grid))
-    return params, (s, p)
+    return params, (s, None)
 
 
 def _run_transform(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
@@ -266,13 +269,13 @@ def _resolve_derive(raw: dict) -> tuple[dict, tuple]:
         with np.errstate(over="ignore"):  # exp overflow gives the exact limit f = 0
             f = 1.0 / (1.0 + np.exp(-params["k"] * (grid.nodes - params["t0"])))
         s, analytic = Series(grid, f), params["k"] * f * (1.0 - f)
+        if not np.any(analytic):  # the relative errors would divide by a zero scale
+            raise ValueError(f"k {params['k']!r} and t0 {params['t0']!r} give an analytic "
+                             "derivative that underflows to 0 at every node")
     else:
         s, analytic = _load_series(params["input"]), None
     params.update(_rectangle(raw, s.grid.dx), out=_out_name(raw))
-    p = _csit_params(params)
-    params["eps"] = p.tau_min
-    _keyed(_check_extents, p.eta_half_width, p.tau_max, wavenumbers(s.grid))
-    return params, (s, analytic, p)
+    return params, (s, analytic, _csit_params(params, s.grid))
 
 
 def _run_derive(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
@@ -468,8 +471,7 @@ def _resolve_ifreq(raw: dict) -> tuple[dict, tuple]:
         trim=_real(raw, "trim"),
         out=_out_name(raw),
     )
-    p = _csit_params(params)
-    _keyed(_check_extents, p.eta_half_width, p.tau_max, wavenumbers(s.grid))
+    p = _csit_params(params, s.grid)
     _check_damping(params["damping"])
     keep = _keyed(edge_mask, s.grid.n, params["trim"], keys={"fraction": "trim"})
     if not keep.any():
@@ -604,7 +606,6 @@ def _execute(subcommand: str, raw: dict, out_dir: Path, manifest_path=None) -> i
         parameters=params,
         inputs=[params["input"]] if params.get("input") else [],
         outputs=outputs,
-        version=_VERSION,
     )
     name = "manifest.json" if subcommand == "advect" else params["out"] + ".manifest.json"
     manifest.finalize(time.perf_counter() - started).write(out_dir / name)
@@ -648,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="csit",
         description="Complex-step integral transform tools",
     )
-    parser.add_argument("--version", action="version", version=f"csit {_VERSION}")
+    parser.add_argument("--version", action="version", version=f"csit {__version__}")
     commands = parser.add_subparsers(dest="subcommand", required=True)
 
     transform = commands.add_parser(
@@ -755,18 +756,11 @@ def main(argv=None) -> int:
         return _execute(subcommand, dict(args, out=out.name), out.parent)
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
-    except CsvFormatError as exc:
+    except (ValueError, OSError, DivergenceError) as exc:
         print(f"csit: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"csit: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except DivergenceError as exc:
-        print(f"csit: error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except ValueError as exc:
-        print(f"csit: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, DivergenceError):
+            return EXIT_DIVERGED
+        return EXIT_DATA if isinstance(exc, (CsvFormatError, OSError)) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ import numpy as np
 
 from .continuation import ComplexShift, continue_spectral
 from .grid import Series, UniformGrid
-from .operators import CsitParams, fd_centered, hilbert_fft, pseudospectral_derivative
+from .operators import CsitParams, _derivative, hilbert_fft
 
 __all__ = [
     "AnalyticTrace",
@@ -155,15 +155,11 @@ class FrequencyEstimate:
 
 
 def _phase_rate_numerator(tr: AnalyticTrace, backend: str) -> np.ndarray:
-    if backend == "pseudospectral":
-        dx = pseudospectral_derivative(tr.x).values
-        dy = pseudospectral_derivative(tr.y).values
-    elif backend == "fd":
-        dx = fd_centered(tr.x).values
-        dy = fd_centered(tr.y).values
-    else:
+    """x*dy/dt - y*dx/dt, with one derivative operator for both parts."""
+    if backend not in ("pseudospectral", "fd"):
         raise ValueError(f"unknown derivative backend {backend!r}")
-    return tr.x.values * dy - tr.y.values * dx
+    deriv = _derivative(tr.grid, backend)
+    return tr.x.values * deriv(tr.y.values) - tr.y.values * deriv(tr.x.values)
 
 
 def if_classical(

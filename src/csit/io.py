@@ -43,6 +43,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import __version__
+
 __all__ = [
     "CsvFormatError",
     "RunManifest",
@@ -184,7 +186,7 @@ def _read_json_object(path, what: str) -> dict:
     naming the file, with ``what`` naming the document."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:
         raise CsvFormatError(path, f"cannot read {what} ({exc})") from exc
     except json.JSONDecodeError as exc:
@@ -278,8 +280,9 @@ def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
     ------
     CsvFormatError
         On missing files, short files, rows without exactly two numeric
-        cells, non-finite entries, or spacing jitter beyond 1e-9
-        relative; the message carries the 1-based line number.
+        cells, non-finite entries, a grid length n*dt that overflows,
+        or spacing jitter beyond 1e-9 relative; the message carries the
+        1-based line number of a faulty row.
     """
     path = Path(path)
     parsed = _parse_plain(_read_file(path, Path.read_bytes))
@@ -290,7 +293,11 @@ def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
         # the one-pass path takes no comment or blank line
         t, v, has_header = parsed
         lines = range(1 + has_header, 1 + has_header + len(t))
-    dt = (t[-1] - t[0]) / (len(t) - 1)
+    with np.errstate(over="ignore"):
+        dt = (t[-1] - t[0]) / (len(t) - 1)
+        if not np.isfinite(len(t) * dt):
+            raise CsvFormatError(path, f"grid length n*dt of coordinates {t[0]:g} to {t[-1]:g} "
+                                       "overflows float64")
     jitter = np.abs(np.diff(t) - dt)
     worst = int(np.argmax(jitter))
     if jitter[worst] > _JITTER_TOL * abs(dt):
@@ -319,7 +326,7 @@ class RunManifest:
     inputs: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
     tool: str = "csit"
-    version: str = "0.1.0"
+    version: str = __version__
     reduction: str = "fixed"
     created_utc: str = ""
     duration_seconds: float = 0.0

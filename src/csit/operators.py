@@ -212,7 +212,7 @@ def csit_quadrature(s: Series, p: CsitParams) -> Series:
     transform(Re) + i*transform(Im), which keeps the operator linear over
     complex scalars.
     """
-    return Series(s.grid, _apply(s.values, _quadrature_multiplier(s.grid, p)))
+    return Series(s.grid, _derivative(s.grid, "csit", p)(s.values))
 
 
 def csit_quadrature_direct(
@@ -262,29 +262,42 @@ def csit_spectral(s: Series, eta_half_width: float, tau_max: float) -> Series:
     return Series(s.grid, _apply(s.values, mult))
 
 
-def _centered_difference(values: np.ndarray, dx: float) -> np.ndarray:
-    """(v[j+1] - v[j-1]) / (2 dx) with periodic wrap, in one new array."""
-    out = np.empty_like(values)
-    np.subtract(values[2:], values[:-2], out=out[1:-1])
-    out[0] = values[1] - values[-1]
-    out[-1] = values[0] - values[-2]
-    out /= 2.0 * dx
-    return out
+def _derivative(grid: UniformGrid, scheme: str,
+                p: CsitParams | None = None) -> Callable[[np.ndarray], np.ndarray]:
+    """The derivative of a scheme on raw sample arrays of ``grid``, built once:
+    ``"fd"`` the centered stencil, ``"pseudospectral"`` the i*k multiplier,
+    ``"csit"`` the quadrature multiplier m_q of ``p``."""
+    if scheme == "fd":
+        two_dx = 2.0 * grid.dx
 
+        def centered(values: np.ndarray) -> np.ndarray:
+            # (v[j+1] - v[j-1]) / (2 dx) with periodic wrap, in one new array
+            out = np.empty_like(values)
+            np.subtract(values[2:], values[:-2], out=out[1:-1])
+            out[0] = values[1] - values[-1]
+            out[-1] = values[0] - values[-2]
+            out /= two_dx
+            return out
 
-def _derivative_multiplier(grid: UniformGrid) -> np.ndarray:
-    return _multiplier(grid, lambda k: 1j * k)
+        return centered
+    if scheme == "pseudospectral":
+        mult = _multiplier(grid, lambda k: 1j * k)
+    elif scheme == "csit":
+        mult = _quadrature_multiplier(grid, p)
+    else:
+        raise ValueError(f"unknown derivative scheme {scheme!r}")
+    return lambda values: _apply(values, mult)
 
 
 def fd_centered(s: Series) -> Series:
     """Second-order centered difference with periodic wrap."""
-    return Series(s.grid, _centered_difference(s.values, s.grid.dx))
+    return Series(s.grid, _derivative(s.grid, "fd")(s.values))
 
 
 def pseudospectral_derivative(s: Series) -> Series:
     """Exact derivative of the trigonometric interpolant (i*k multiplier,
     Nyquist zeroed on even grids)."""
-    return Series(s.grid, _apply(s.values, _derivative_multiplier(s.grid)))
+    return Series(s.grid, _derivative(s.grid, "pseudospectral")(s.values))
 
 
 def complex_step_derivative(f: AnalyticFunction, x, h: float = 0.0, v: float = 1e-200):

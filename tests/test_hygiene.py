@@ -1,5 +1,6 @@
 """Every module-level import in the package is used somewhere in its module,
-the test oracles in ``reference.py`` import nothing from the package, and
+the applications take no private operator helper but ``_derivative``, the
+test oracles in ``reference.py`` import nothing from the package, and
 importing the command line does not import scipy."""
 
 import ast
@@ -37,6 +38,20 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("name", ["advection.py", "instfreq.py"])
+def test_applications_take_only_the_scheme_map_from_operators(name):
+    # the scheme name -> derivative decision lives in operators._derivative alone
+    tree = ast.parse((PACKAGE / name).read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "operators"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == ["_derivative"]
 
 
 def test_reference_imports_no_package_code():

@@ -25,8 +25,8 @@ from csit.instfreq import (
     if_csit,
     if_damped,
 )
-from csit.instfreq import _imag_arctan_ratio, _patch_flagged
-from csit.operators import CsitParams
+from csit.instfreq import _imag_arctan_ratio, _patch_flagged, _phase_rate_numerator
+from csit.operators import CsitParams, fd_centered, pseudospectral_derivative
 
 from reference import enveloped_chirp_trace, imag_arctan_two_branch, patch_flagged_loop
 
@@ -246,6 +246,18 @@ class TestIfClassical:
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="backend"):
             if_classical(tone_trace(), backend="stencil")
+
+    @pytest.mark.parametrize("n", [255, 256])
+    @pytest.mark.parametrize(
+        "backend, deriv",
+        [("pseudospectral", pseudospectral_derivative), ("fd", fd_centered)],
+        ids=["pseudospectral", "fd"],
+    )
+    def test_numerator_matches_public_derivatives_bit_for_bit(self, n, backend, deriv):
+        tr = analytic_signal(chirp(3.0, 5.0, UniformGrid(0.0, 1.0, n)))
+        x, y = tr.x.values, tr.y.values
+        expected = x * deriv(tr.y).values - y * deriv(tr.x).values
+        assert np.array_equal(_phase_rate_numerator(tr, backend), expected)
 
 
 class TestIfDamped:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import csit
 from csit import cli, operators
 from csit import io as csit_io
 from csit.cli import MAX_COUNT, main
@@ -24,6 +25,8 @@ from csit.io import (
     write_table_csv,
 )
 from reference import CsvError, csv_table_text, parse_series_lines, read_series_lines
+
+CALIBRATION = Path(__file__).resolve().parent.parent / "calibration"
 
 
 def write_tone_csv(path, n=64, freq=3.0, header=True):
@@ -178,6 +181,16 @@ class TestReadSeriesCsv:
         rt, rv = read_series_csv(path)
         assert np.array_equal(rt, [0.0, 1.0, 2.0])
         assert np.array_equal(rv, [0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("edge", ["1.5e308", "8e307"], ids=["span", "length"])
+    def test_grid_length_overflowing_float64_is_rejected(self, tmp_path, edge):
+        # 1.5e308: t[-1] - t[0] overflows; 8e307: the span is finite but n*dt is not
+        path = tmp_path / "o.csv"
+        path.write_text(f"x,v\n-{edge},0\n0,1\n{edge},0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvFormatError, match=r"o\.csv: grid length n\*dt .* overflows float64"):
+                read_series_csv(path)
 
     def test_non_utf8_file_names_the_file(self, tmp_path):
         path = tmp_path / "b.csv"
@@ -447,6 +460,13 @@ class TestTransformCommand:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("mode", ["quadrature", "symbol"])
+    def test_bad_input_is_reported_before_bad_rectangle(self, tmp_path, mode):
+        # both modes load the input first, as derive and ifreq do
+        code = main(["transform", str(tmp_path / "no.csv"), "--mode", mode, "--H", "-1",
+                     "--Z", "0.1", "--out", str(tmp_path / "o.csv")])
+        assert code == 3
+
 
 class TestDeriveCommand:
     def test_demo_emits_error_columns_blanked_at_edges(self, tmp_path):
@@ -640,6 +660,27 @@ class TestReplayCommand:
         assert main(["replay", str(path), "--out-dir", str(replay_dir)]) == 0
         assert (replay_dir / "s.csv").read_bytes() == out.read_bytes()
 
+    @pytest.mark.parametrize("scheme", ["fd", "pseudospectral", "csit"])
+    def test_calibration_runs_replay(self, tmp_path, scheme):
+        committed = CALIBRATION / f"advect_{scheme}"
+        out = tmp_path / "replay"
+        assert main(["replay", str(committed / "manifest.json"), "--out-dir", str(out)]) == 0
+        names = ["snapshot_000.csv", "snapshot_001.csv", "summary.json"]
+        if scheme == "fd":
+            for name in names:
+                assert (out / name).read_bytes() == (committed / name).read_bytes(), name
+            return
+        # the committed spectral runs predate the half-spectrum multiplier
+        for name in names[:2]:
+            got = np.loadtxt(out / name, delimiter=",", skiprows=1)
+            ref = np.loadtxt(committed / name, delimiter=",", skiprows=1)
+            assert np.array_equal(got[:, 0], ref[:, 0])
+            assert np.max(np.abs(got[:, 1] - ref[:, 1])) <= 1e-12 * np.max(np.abs(ref[:, 1]))
+        got, ref = (json.loads((d / "summary.json").read_text()) for d in (out, committed))
+        np.testing.assert_allclose(got["window"], ref["window"], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose([e["centroid"] for e in got["snapshots"]],
+                                   [e["centroid"] for e in ref["snapshots"]], rtol=1e-12, atol=0.0)
+
     def test_unknown_subcommand_in_manifest_exits_3(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"subcommand": "zzz", "parameters": {}}))
@@ -667,9 +708,15 @@ class TestUsageSurface:
         assert main([]) == 2
         capsys.readouterr()
 
-    def test_version_string(self, capsys):
+    def test_version_string(self, tmp_path, capsys):
         assert main(["--version"]) == 0
-        assert "0.1.0" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "0.1.0" in out
+        # one version constant: the flag and every new manifest read it
+        assert out == f"csit {csit.__version__}\n"
+        assert main(["symbol", "--samples", "2", "--out", str(tmp_path / "s.csv")]) == 0
+        manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+        assert manifest["version"] == csit.__version__
 
 
 # --- the parameter boundary -------------------------------------------------
@@ -839,6 +886,13 @@ class TestParameterBoundary:
                               2, out.parent)
         assert "k must be nonzero" in err
 
+    def test_logistic_derivative_underflowing_everywhere_exits_2(self, tmp_path):
+        # 1/k * 745 < one spacing: f is 0 or 1 at every node, so the error scale is 0
+        out = tmp_path / "o" / "d.csv"
+        err = assert_rejected(["derive", "--demo", "logistic", "--k", "1e300", "--t0", "0.1234567",
+                               "--out", out], 2, out.parent)
+        assert "k 1e+300 and t0 0.1234567" in err
+
     @pytest.mark.parametrize("k", ["1e-320", "-5"])
     def test_tiny_or_negative_logistic_steepness_runs(self, tmp_path, k):
         code, err, caught = run_cli(["derive", "--demo", "logistic", "--n", "64", "--k", k,
@@ -964,6 +1018,34 @@ class TestParameterBoundary:
             wording = f"cannot read {what}"
         err = assert_rejected(argv, 3, out)
         assert err.startswith(f"csit: error: {path}: {wording} ('utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("edge", ["1.5e308", "8e307"], ids=["span", "length"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["transform", "--H", "1", "--Z", "1"], ["transform", "--mode", "symbol", "--H", "1", "--Z", "1"],
+         ["ifreq"], ["derive"]],
+        ids=["transform", "transform_symbol", "ifreq", "derive"],
+    )
+    def test_grid_length_overflowing_float64_exits_3(self, tmp_path, edge, argv):
+        path = tmp_path / "o.csv"
+        path.write_text(f"x,v\n-{edge},0\n0,1\n{edge},0\n")
+        out = tmp_path / "out"
+        err = assert_rejected([argv[0], path, *argv[1:], "--out", out / "r.csv"], 3, out)
+        assert err.startswith(f"csit: error: {path}: grid length n*dt")
+
+    @pytest.mark.parametrize("what", ["manifest", "config"])
+    def test_byte_order_mark_before_json_is_skipped(self, tmp_path, what):
+        if what == "config":
+            path = tmp_path / "cfg.json"
+            path.write_bytes(b'\xef\xbb\xbf{"n_x": 32, "n_t": 8}')
+            assert main(["advect", "--config", str(path), "--out-dir", str(tmp_path / "adv")]) == 0
+            return
+        assert main(["symbol", "--samples", "4", "--out", str(tmp_path / "s.csv")]) == 0
+        path = tmp_path / "s.csv.manifest.json"
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        replay_dir = tmp_path / "replay"
+        assert main(["replay", str(path), "--out-dir", str(replay_dir)]) == 0
+        assert (replay_dir / "s.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
 
     def test_manifest_parameters_must_be_an_object(self, tmp_path):
         path = write_manifest(tmp_path, "symbol", [1, 2])

@@ -26,6 +26,7 @@ from csit.operators import (
     pseudospectral_derivative,
     table1_verify,
 )
+from csit.operators import _derivative
 from csit.special import shi, si, sinc_kernel
 
 from reference import csit_bruteforce
@@ -462,6 +463,10 @@ class TestSymbolRouteChecks:
 
 
 class TestDerivativeHelpers:
+    def test_scheme_map_rejects_an_unknown_name(self):
+        with pytest.raises(ValueError, match="unknown derivative scheme 'spectral'"):
+            _derivative(UniformGrid(x0=0.0, length=1.0, n=16), "spectral")
+
     def test_pseudospectral_exact_for_band_limited(self):
         grid = UniformGrid(x0=0.0, length=2.0 * np.pi, n=64)
         s = Series(grid, np.sin(5.0 * grid.nodes))

@@ -47,7 +47,7 @@ def default_csit_params(dx: float) -> CsitParams:
     small enough that the hyperbolic amplification of high wavenumbers
     is negligible and the symbol remains a monotone low-pass curve.
     """
-    return CsitParams(eta_half_width=0.1 * dx, tau_max=0.0005 * dx, n_eta=4, n_tau=4)
+    return CsitParams(eta_half_width=0.1 * dx, tau_max=0.0005 * dx)
 
 
 @dataclass(frozen=True, eq=False)

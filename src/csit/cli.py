@@ -7,15 +7,19 @@ estimates instantaneous frequency, ``table1`` runs the closed-form
 verification table, and ``replay`` re-executes any of them from a saved
 manifest.
 
-Each subcommand has one resolver, ``_resolve_<name>``.  It takes raw
-parameter values, from the command line or from a manifest's
-``parameters``, checks their types (floats finite and not bool, counts
-strict integers from 1 to ``MAX_COUNT``, choices among the allowed
-values), fills every data-dependent default, loads the input and builds
-the typed objects, and applies the growth rule -- all before any output
-directory is created.  The runner, ``_run_<name>``, then computes and
-writes from that result.  ``replay`` goes through the same resolver, so
-a manifest is checked exactly like a command line.
+Each subcommand has one parameter table: for every key, in flag order,
+its kind, its static default and its help line.  ``build_parser`` makes
+every flag from the tables.  Each subcommand also has one resolver,
+``_resolve_<name>``.  It takes raw parameter values, from the command
+line or from a manifest's ``parameters``, checks each as the kind its
+table gives (floats finite and not bool, counts strict integers from 1
+to ``MAX_COUNT``, choices among the allowed values), fills every
+data-dependent default, loads the input and builds the typed objects,
+and applies the growth rule -- all before any output directory is
+created.  The runner, ``_run_<name>``, then computes and writes from
+that result.  ``replay`` goes through the same resolver, so a manifest
+is checked exactly like a command line; a key that no table lists is
+rejected.
 
 Every run writes its outputs plus a JSON manifest carrying the fully
 resolved parameters; reduction order is fixed in all code paths, so
@@ -34,6 +38,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,10 +49,12 @@ from .advection import (
     DivergenceError,
     SourceTimeFunction,
     _snapshot_steps,
+    default_csit_params,
     dispersion_fd,
     parasitic_energy,
     pulse_centroid,
     pulse_speed,
+    reference_config,
     run_advection,
 )
 from .continuation import _check_growth
@@ -56,6 +63,7 @@ from .instfreq import (
     _check_damping,
     analytic_signal,
     chirp,
+    default_if_params,
     edge_mask,
     if_classical,
     if_csit,
@@ -93,8 +101,126 @@ EXIT_DIVERGED = 4
 # accepts; each count is capped on its own
 MAX_COUNT = 2**20
 
-_MODES = ("quadrature", "symbol")
-_BACKENDS = ("pseudospectral", "fd")
+
+# --- parameter tables ------------------------------------------------------
+
+
+class _Param(NamedTuple):
+    """One row of a parameter table.
+
+    ``kind`` is "real", "count", "reals" (a list of reals), "path" (an input
+    file, a positional argument), "out" (a plain file name), "csit" (a csit
+    block), a tuple of choices, or None (checked where the value is used).
+    ``default`` is static, ``_REQUIRED``, or None: none, or filled from the data.
+    """
+
+    kind: str | tuple | None
+    default: object = None
+    help: str | None = None
+
+
+_REQUIRED = object()
+_RECTANGLE = ("H", "Z", "eps", "n_eta", "n_tau", "rule")
+# the library's defaults: the advection reference configuration, and the
+# default rectangles at unit spacing, whose extents scale with the spacing
+_REFERENCE = reference_config()
+_UNIT_CSIT, _UNIT_IF = default_csit_params(1.0), default_if_params(1.0)
+
+
+def _or(value, default):
+    return default if value is None else value
+
+
+def _rectangle_rows(eps_default: str, nodes: int | None = None, required: bool = False) -> dict:
+    """The rows of ``_RECTANGLE``; H and Z are required or default to one sample spacing."""
+    extent = "" if required else " (default: one sample spacing)"
+    default = _REQUIRED if required else None
+    return {
+        "H": _Param("real", default, "real averaging half-width" + extent),
+        "Z": _Param("real", default, "imaginary extent" + extent),
+        "eps": _Param("real", None, f"lower tau cutoff (default: {eps_default})"),
+        "n_eta": _Param("count", _or(nodes, CsitParams.n_eta), "eta node count"),
+        "n_tau": _Param("count", _or(nodes, CsitParams.n_tau), "tau node count"),
+        "rule": _Param(_RULES, CsitParams.rule, "tau weight rule"),
+    }
+
+
+_TRANSFORM = {
+    "input": _Param("path", _REQUIRED, "two-column (x, value) CSV"),
+    "mode": _Param(("quadrature", "symbol"), "quadrature",
+                   "numerical quadrature or exact spectral symbol"),
+    "out": _Param("out", "csit_transform.csv"),
+    **_rectangle_rows("Z / max(n_tau, 2)", nodes=32, required=True),
+}
+_DERIVE = {
+    "input": _Param("path", None, "two-column (t, value) CSV"),
+    "demo": _Param(("logistic",), None, "built-in steep-transition experiment"),
+    "n": _Param("count", 500, "demo sample count"),
+    "k": _Param("real", 100.0, "demo steepness"),
+    "t0": _Param("real", 0.5, "demo midpoint"),
+    "out": _Param("out", "csit_derive.csv"),
+    **_rectangle_rows("Z / max(n_tau, 2)"),
+}
+_ADVECT = {
+    "scheme": _Param(_SCHEMES, _REFERENCE.scheme),
+    "config": _Param(None, None, "JSON overrides for the reference configuration"),
+    "snapshots": _Param("reals", None, "comma-separated output times (default: 0, T/2, T)"),
+    "window": _Param("reals", None, "pulse window lo,hi for the parasitic-energy summary "
+                                    "(default: final centroid +- 4 wavelengths)"),
+    "out_dir": _Param(None, "csit_advect"),
+}
+# the fields of an advect --config object, its "csit" block and its "source" object
+_ADVECT_CONFIG = {
+    "c": _Param("real", _REFERENCE.c),
+    "L": _Param("real", _REFERENCE.L),
+    "x_s": _Param("real", _REFERENCE.x_s),
+    "f0": _Param("real", _REFERENCE.f0),
+    "n_x": _Param("count", _REFERENCE.n_x),
+    "cfl": _Param("real", _REFERENCE.cfl),
+    "n_t": _Param("count", _REFERENCE.n_t),
+    "csit": _Param("csit", None),
+}
+_CSIT_BLOCK = {
+    "eta_half_width": _Param("real", _REQUIRED),
+    "tau_max": _Param("real", _REQUIRED),
+    "tau_min": _Param("real", CsitParams.tau_min),
+    "n_eta": _Param("count", CsitParams.n_eta),
+    "n_tau": _Param("count", CsitParams.n_tau),
+    "rule": _Param(_RULES, CsitParams.rule),
+}
+_SOURCE = {"kind": _Param(None, SourceTimeFunction.kind), "t_delay": _Param("real", None)}
+# the keys of an advect manifest, in the order it records them
+_ADVECT_KEYS = {"scheme": _ADVECT["scheme"], **_ADVECT_CONFIG, "source_kind": _SOURCE["kind"],
+                "t_delay": _SOURCE["t_delay"], "window": _ADVECT["window"],
+                "snapshots": _ADVECT["snapshots"]}
+_IFREQ = {
+    "input": _Param("path", None, "two-column (t, value) CSV"),
+    "demo": _Param(("chirp",), None, "built-in linear chirp"),
+    "f0": _Param("real", 20.0, "demo start frequency"),
+    "rate": _Param("real", 20.0, "demo sweep rate"),
+    "n": _Param("count", 2500, "demo sample count"),
+    "out": _Param("out", "csit_ifreq.csv"),
+    **_rectangle_rows("1e-2 * Z"),
+    "backend": _Param(("pseudospectral", "fd"), "pseudospectral",
+                      "time-derivative scheme for the classical ratio"),
+    "damping": _Param("real", None, "damping for the damped ratio "
+                                    "(default: 1e-3 of the peak amplitude)"),
+    "trim": _Param("real", 0.05, "fraction of samples dropped per edge"),
+}
+_SYMBOL = {
+    "kmax": _Param("real", None, "largest wavenumber (default: pi/dx)"),
+    "samples": _Param("count", 200),
+    "H": _Param("real", None, "real half-width (default: 0.1 dx)"),
+    "Z": _Param("real", None, "imaginary extent (default: 5e-4 dx)"),
+    "dx": _Param("real", 1.0, "grid spacing"),
+    "c": _Param("real", 1.0, "advection speed"),
+    "out": _Param("out", "csit_symbol.csv"),
+}
+_TABLE1 = {"out": _Param("out", "csit_table1.csv")}
+_REPLAY = {
+    "manifest": _Param("path", _REQUIRED, "manifest JSON written by a previous run"),
+    "out_dir": _Param(None, _REQUIRED, "directory for the re-created outputs"),
+}
 
 
 # --- raw values ------------------------------------------------------------
@@ -114,66 +240,75 @@ def _finite(value, key: str) -> float:
     return float(value)
 
 
-def _real(params: dict, key: str, optional: bool = False) -> float | None:
-    value = _get(params, key)
-    return None if value is None and optional else _finite(value, key)
-
-
-def _reals(params: dict, key: str) -> list[float] | None:
-    value = _get(params, key)
-    if value is None:
-        return None
+def _reals(value, key: str) -> list[float]:
     if not isinstance(value, list):
         raise ValueError(f"{key} must be a list of numbers, got {value!r}")
     return [_finite(v, key) for v in value]
 
 
-def _count(params: dict, key: str) -> int:
-    value = _get(params, key)
+def _count(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= MAX_COUNT:
         raise ValueError(f"{key} must be an integer from 1 to {MAX_COUNT}, got {value!r}")
     return value
 
 
-def _choice(params: dict, key: str, allowed: tuple):
-    value = _get(params, key)
-    if not (value is None or isinstance(value, str)) or value not in allowed:
-        raise ValueError(f"{key} must be one of {allowed}, got {value!r}")
-    return value
-
-
-def _path(params: dict, key: str, optional: bool = False) -> str | None:
-    value = _get(params, key)
-    if value is None and optional:
-        return None
+def _path(value, key: str) -> str:
     if not isinstance(value, str) or not value:
         raise ValueError(f"{key} must be a file path, got {value!r}")
     return str(Path(value).resolve())
 
 
-def _out_name(params: dict) -> str:
-    value = _get(params, "out")
+def _out_name(value, key: str) -> str:
     plain = isinstance(value, str) and Path(value).name == value and "\0" not in value
     if not plain or value in ("", ".", ".."):
-        raise ValueError(f"out must be a plain file name, got {value!r}")
+        raise ValueError(f"{key} must be a plain file name, got {value!r}")
     return value
 
 
-def _or(value, default):
-    return default if value is None else value
+def _csit_block(block, key: str) -> CsitParams:
+    if not isinstance(block, dict):
+        raise ValueError(f"{key} must be an object, got {block!r}")
+    _known(block, _CSIT_BLOCK, key)
+    return CsitParams(**_read({**_defaults(_CSIT_BLOCK), **block}, _CSIT_BLOCK, *_CSIT_BLOCK))
 
 
-def _rectangle(raw: dict, dt: float | None) -> dict:
-    """H, Z, eps, node counts and rule; H and Z default to ``dt`` when it is given."""
-    H, Z = (_real(raw, key, optional=dt is not None) for key in ("H", "Z"))
-    return {
-        "H": _or(H, dt),
-        "Z": _or(Z, dt),
-        "eps": _real(raw, "eps", optional=True),
-        "n_eta": _count(raw, "n_eta"),
-        "n_tau": _count(raw, "n_tau"),
-        "rule": _choice(raw, "rule", _RULES),
-    }
+_CHECKS = {"real": _finite, "reals": _reals, "count": _count, "path": _path,
+           "out": _out_name, "csit": _csit_block}
+
+
+def _read(raw: dict, table: dict, *keys: str) -> dict:
+    """``raw[key]`` for each of ``keys``, checked as the kind its row gives.
+
+    None passes for a row whose default is None.
+    """
+    values = {}
+    for key in keys:
+        kind, default, _ = table[key]
+        value = _get(raw, key)
+        if isinstance(kind, tuple):
+            allowed = kind if default is not None else (None, *kind)
+            if not (value is None or isinstance(value, str)) or value not in allowed:
+                raise ValueError(f"{key} must be one of {allowed}, got {value!r}")
+        elif kind is not None and not (value is None and default is None):
+            value = _CHECKS[kind](value, key)
+        values[key] = value
+    return values
+
+
+def _defaults(table: dict) -> dict:
+    return {key: row.default for key, row in table.items() if row.default is not _REQUIRED}
+
+
+def _known(fields: dict, keys, what: str) -> None:
+    unknown = set(fields) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {what} fields {sorted(unknown)}")
+
+
+def _rectangle(raw: dict, table: dict, dt: float) -> dict:
+    """H, Z, eps, node counts and rule; H and Z default to ``dt``."""
+    params = _read(raw, table, *_RECTANGLE)
+    return dict(params, H=_or(params["H"], dt), Z=_or(params["Z"], dt))
 
 
 # the keys that flags and manifests give the extents of a CsitParams
@@ -215,12 +350,7 @@ def _load_series(path) -> Series:
 
 
 def _resolve_transform(raw: dict) -> tuple[dict, tuple]:
-    params = {
-        "input": _path(raw, "input"),
-        "mode": _choice(raw, "mode", _MODES),
-        **_rectangle(raw, None),
-        "out": _out_name(raw),
-    }
+    params = _read(raw, _TRANSFORM, "input", "mode", *_RECTANGLE, "out")
     s = _load_series(params["input"])
     if params["mode"] == "quadrature":
         return params, (s, _csit_params(params, s.grid))
@@ -250,17 +380,11 @@ _DERIVE_EDGE = 5
 
 
 def _resolve_derive(raw: dict) -> tuple[dict, tuple]:
-    params = {
-        "demo": _choice(raw, "demo", (None, "logistic")),
-        "input": _path(raw, "input", optional=True),
-        "n": None,
-        "k": None,
-        "t0": None,
-    }
+    params = {**_read(raw, _DERIVE, "demo", "input"), "n": None, "k": None, "t0": None}
     if (params["demo"] is None) == (params["input"] is None):
         raise ValueError("provide exactly one of an input CSV or --demo")
     if params["demo"] == "logistic":
-        params.update(n=_count(raw, "n"), k=_real(raw, "k"), t0=_real(raw, "t0"))
+        params.update(_read(raw, _DERIVE, "n", "k", "t0"))
         if params["k"] == 0.0:
             raise ValueError("k must be nonzero")
         if params["n"] <= 2 * _DERIVE_EDGE:
@@ -274,7 +398,7 @@ def _resolve_derive(raw: dict) -> tuple[dict, tuple]:
                              "derivative that underflows to 0 at every node")
     else:
         s, analytic = _load_series(params["input"]), None
-    params.update(_rectangle(raw, s.grid.dx), out=_out_name(raw))
+    params.update(_rectangle(raw, _DERIVE, s.grid.dx), **_read(raw, _DERIVE, "out"))
     return params, (s, analytic, _csit_params(params, s.grid))
 
 
@@ -302,58 +426,15 @@ def _run_derive(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
 
 # --- advect ----------------------------------------------------------------
 
-# the reference configuration; a --config JSON object overrides any of these
-_ADVECT_DEFAULTS = {
-    "c": 900.0, "L": 10000.0, "x_s": 5000.0, "f0": 1.0,
-    "n_x": 500, "cfl": 0.25, "n_t": 600, "csit": None,
-}
-# optional fields of a csit block; eta_half_width and tau_max are required
-_CSIT_DEFAULTS = {"tau_min": None, "n_eta": 4, "n_tau": 4, "rule": "trapezoid"}
-
-
-def _csit_block(block) -> CsitParams | None:
-    if block is None:
-        return None
-    if not isinstance(block, dict):
-        raise ValueError(f"csit must be an object, got {block!r}")
-    unknown = set(block) - {"eta_half_width", "tau_max", *_CSIT_DEFAULTS}
-    if unknown:
-        raise ValueError(f"unknown csit fields {sorted(unknown)}")
-    block = {**_CSIT_DEFAULTS, **block}
-    return CsitParams(
-        eta_half_width=_real(block, "eta_half_width"),
-        tau_max=_real(block, "tau_max"),
-        tau_min=_real(block, "tau_min", optional=True),
-        n_eta=_count(block, "n_eta"),
-        n_tau=_count(block, "n_tau"),
-        rule=_choice(block, "rule", _RULES),
-    )
-
 
 def _resolve_advect(raw: dict) -> tuple[dict, tuple]:
-    params = {
-        "scheme": _get(raw, "scheme"),
-        "c": _real(raw, "c"),
-        "L": _real(raw, "L"),
-        "x_s": _real(raw, "x_s"),
-        "f0": _real(raw, "f0"),
-        "n_x": _count(raw, "n_x"),
-        "cfl": _real(raw, "cfl"),
-        "n_t": _count(raw, "n_t"),
-        "csit": None,
-        "source_kind": _get(raw, "source_kind"),
-        "t_delay": _real(raw, "t_delay", optional=True),
-        "window": _reals(raw, "window"),
-        "snapshots": _reals(raw, "snapshots"),
-    }
+    params = _read(raw, _ADVECT_KEYS, *_ADVECT_KEYS)
     if params["window"] is not None and len(params["window"]) != 2:
         raise ValueError("window needs exactly two numbers")
     cfg = AdvectionConfig(
-        **{key: params[key] for key in ("c", "L", "x_s", "f0", "n_x", "cfl", "n_t", "scheme")},
-        csit=_csit_block(_get(raw, "csit")),
+        **{key: params[key] for key in ("c", "L", "x_s", "f0", "n_x", "cfl", "n_t", "scheme", "csit")}
     )
-    if cfg.csit is not None:
-        params["csit"] = dict(vars(cfg.csit))
+    params["csit"] = None if cfg.csit is None else dict(vars(cfg.csit))
     if cfg.scheme == "csit":
         _check_extents(cfg.csit.eta_half_width, cfg.csit.tau_max, wavenumbers(cfg.grid))
     src = SourceTimeFunction(kind=params["source_kind"], f0=cfg.f0, t_delay=params["t_delay"])
@@ -418,18 +499,15 @@ def _advect_raw(args: dict) -> dict:
     source = overrides.pop("source", {})
     if not isinstance(source, dict):
         raise ValueError(f"source must be an object, got {source!r}")
-    unknown = set(overrides) - set(_ADVECT_DEFAULTS)
-    if unknown:
-        raise ValueError(f"unknown config fields {sorted(unknown)}")
-    unknown = set(source) - {"kind", "t_delay"}
-    if unknown:
-        raise ValueError(f"unknown source fields {sorted(unknown)}")
+    _known(overrides, _ADVECT_CONFIG, "config")
+    _known(source, _SOURCE, "source")
+    source = {**_defaults(_SOURCE), **source}
     return {
         "scheme": args["scheme"],
-        **_ADVECT_DEFAULTS,
+        **_defaults(_ADVECT_CONFIG),
         **overrides,
-        "source_kind": source.get("kind", "gaussian_derivative"),
-        "t_delay": source.get("t_delay"),
+        "source_kind": source["kind"],
+        "t_delay": source["t_delay"],
         **{key: None if args[key] is None else _parse_floats(args[key], f"--{key}")
            for key in ("window", "snapshots")},
     }
@@ -439,38 +517,26 @@ def _advect_raw(args: dict) -> dict:
 
 
 def _resolve_ifreq(raw: dict) -> tuple[dict, tuple]:
-    params = {
-        "demo": _choice(raw, "demo", (None, "chirp")),
-        "input": _path(raw, "input", optional=True),
-        "f0": None,
-        "rate": None,
-        "n": None,
-    }
+    params = {**_read(raw, _IFREQ, "demo", "input"), "f0": None, "rate": None, "n": None}
     if (params["demo"] is None) == (params["input"] is None):
         raise ValueError("provide exactly one of an input CSV or --demo")
     # manifests written before the estimator had a single form name it
     if raw.get("variant", "spectral_shift") != "spectral_shift":
         raise ValueError(f"variant {raw['variant']!r} is not supported (only 'spectral_shift')")
     if params["demo"] == "chirp":
-        params.update(f0=_real(raw, "f0"), rate=_real(raw, "rate"), n=_count(raw, "n"))
+        params.update(_read(raw, _IFREQ, "f0", "rate", "n"))
         grid = UniformGrid(0.0, 1.0, params["n"])
         s = chirp(params["f0"], params["rate"], grid)
         truth = params["f0"] + params["rate"] * grid.nodes
     else:
         s, truth = _load_series(params["input"]), None
     trace = analytic_signal(s)
-    params.update(_rectangle(raw, s.grid.dx))
-    params["eps"] = _or(params["eps"], 1e-2 * params["Z"])
-    damping = _real(raw, "damping", optional=True)
-    if damping is None:
+    params.update(_rectangle(raw, _IFREQ, s.grid.dx))
+    params["eps"] = _or(params["eps"], _UNIT_IF.tau_min * params["Z"])
+    params.update(_read(raw, _IFREQ, "backend", "damping", "trim", "out"))
+    if params["damping"] is None:
         amplitude = np.max(np.abs(trace.amplitude))
-        damping = 1e-3 * amplitude if amplitude > 0.0 else 1e-3
-    params.update(
-        backend=_choice(raw, "backend", _BACKENDS),
-        damping=damping,
-        trim=_real(raw, "trim"),
-        out=_out_name(raw),
-    )
+        params["damping"] = 1e-3 * amplitude if amplitude > 0.0 else 1e-3
     p = _csit_params(params, s.grid)
     _check_damping(params["damping"])
     keep = _keyed(edge_mask, s.grid.n, params["trim"], keys={"fraction": "trim"})
@@ -517,22 +583,21 @@ def _run_ifreq(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
 
 
 def _resolve_symbol(raw: dict) -> tuple[dict, tuple]:
-    dx = _real(raw, "dx")
+    dx = _read(raw, _SYMBOL, "dx")["dx"]
     if dx <= 0.0:
         raise ValueError("dx must be positive")
-    params = {
-        "kmax": _or(_real(raw, "kmax", optional=True), np.pi / dx),
-        "samples": _count(raw, "samples"),
-        "H": _or(_real(raw, "H", optional=True), 0.1 * dx),
-        "Z": _or(_real(raw, "Z", optional=True), 5e-4 * dx),
-        "dx": dx,
-        "c": _real(raw, "c"),
-        "out": _out_name(raw),
-    }
+    params = _read(raw, _SYMBOL, *_SYMBOL)
+    # the extents of default_csit_params(dx), which also requires 1/(2*H*Z)
+    # finite; the symbol builds no quadrature and does not need it
+    params.update(kmax=_or(params["kmax"], np.pi / dx),
+                  H=_or(params["H"], _UNIT_CSIT.eta_half_width * dx),
+                  Z=_or(params["Z"], _UNIT_CSIT.tau_max * dx))
     if params["samples"] < 2:
         raise ValueError("samples must be at least 2")
     if not 0.0 < params["kmax"] < np.inf:
         raise ValueError("kmax must be positive and finite")
+    if not abs(params["c"] / dx) <= sys.float_info.max:  # omega_fd would be inf * 0 at k = 0
+        raise ValueError(f"c/dx overflows for c {params['c']!r} and dx {dx!r}")
     _keyed(_check_extents, params["H"], params["Z"], params["kmax"])
     return params, ()
 
@@ -554,7 +619,7 @@ def _run_symbol(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
 
 
 def _resolve_table1(raw: dict) -> tuple[dict, tuple]:
-    return {"out": _out_name(raw)}, ()
+    return _read(raw, _TABLE1, "out"), ()
 
 
 def _run_table1(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
@@ -575,25 +640,30 @@ def _run_table1(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
 
 # --- execution and replay --------------------------------------------------
 
+# resolver, runner and the keys a manifest may carry; besides these, a
+# manifest of an earlier version may carry a thread count that nothing read
 _COMMANDS = {
-    "transform": (_resolve_transform, _run_transform),
-    "derive": (_resolve_derive, _run_derive),
-    "advect": (_resolve_advect, _run_advect),
-    "ifreq": (_resolve_ifreq, _run_ifreq),
-    "symbol": (_resolve_symbol, _run_symbol),
-    "table1": (_resolve_table1, _run_table1),
+    "transform": (_resolve_transform, _run_transform, _TRANSFORM),
+    "derive": (_resolve_derive, _run_derive, _DERIVE),
+    "advect": (_resolve_advect, _run_advect, _ADVECT_KEYS),
+    # _resolve_ifreq checks the estimator variant that earlier versions recorded
+    "ifreq": (_resolve_ifreq, _run_ifreq, (*_IFREQ, "variant")),
+    "symbol": (_resolve_symbol, _run_symbol, _SYMBOL),
+    "table1": (_resolve_table1, _run_table1, _TABLE1),
 }
 
 
 def _execute(subcommand: str, raw: dict, out_dir: Path, manifest_path=None) -> int:
     """Resolve ``raw``; only then create ``out_dir``, run, and write the manifest.
 
-    For a replay (``manifest_path`` given), parameters the resolver
-    rejects are malformed input of that manifest.
+    For a replay (``manifest_path`` given), unknown keys and parameters
+    the resolver rejects are malformed input of that manifest.
     """
     started = time.perf_counter()
-    resolve, run = _COMMANDS[subcommand]
+    resolve, run, keys = _COMMANDS[subcommand]
     try:
+        if manifest_path is not None:
+            _known(raw, (*keys, "threads"), "parameter")
         params, loaded = resolve(raw)
     except ValueError as exc:
         if manifest_path is None:
@@ -631,108 +701,36 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _add_rectangle_flags(sub, nodes=4, eps_default="Z / max(n_tau, 2)", required=False):
-    extent = "" if required else " (default: one sample spacing)"
-    sub.add_argument("--H", type=float, required=required,
-                     help="real averaging half-width" + extent)
-    sub.add_argument("--Z", type=float, required=required,
-                     help="imaginary extent" + extent)
-    sub.add_argument("--eps", type=float, default=None,
-                     help=f"lower tau cutoff (default: {eps_default})")
-    sub.add_argument("--n-eta", type=int, default=nodes, help="eta node count")
-    sub.add_argument("--n-tau", type=int, default=nodes, help="tau node count")
-    sub.add_argument("--rule", choices=_RULES, default="trapezoid", help="tau weight rule")
+# subcommand, its help line and its flags, in the order of ``csit --help``
+_SUBCOMMANDS = (
+    ("transform", "apply the transform to a sampled series", _TRANSFORM),
+    ("derive", "compare derivative operators on a series", _DERIVE),
+    ("advect", "run the forced advection experiment", _ADVECT),
+    ("ifreq", "instantaneous-frequency estimates for a trace", _IFREQ),
+    ("symbol", "tabulate the operator symbol and dispersion curves", _SYMBOL),
+    ("table1", "closed-form verification table for the transform", _TABLE1),
+    ("replay", "re-run a subcommand from its manifest", _REPLAY),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="csit",
-        description="Complex-step integral transform tools",
-    )
+    parser = _Parser(prog="csit", description="Complex-step integral transform tools")
     parser.add_argument("--version", action="version", version=f"csit {__version__}")
     commands = parser.add_subparsers(dest="subcommand", required=True)
-
-    transform = commands.add_parser(
-        "transform", help="apply the transform to a sampled series"
-    )
-    transform.add_argument("input", help="two-column (x, value) CSV")
-    transform.add_argument("--mode", choices=_MODES, default="quadrature",
-                           help="numerical quadrature or exact spectral symbol")
-    transform.add_argument("--out", default="csit_transform.csv")
-    _add_rectangle_flags(transform, nodes=32, required=True)
-
-    derive = commands.add_parser(
-        "derive", help="compare derivative operators on a series"
-    )
-    derive.add_argument("input", nargs="?", default=None,
-                        help="two-column (t, value) CSV")
-    derive.add_argument("--demo", choices=["logistic"], default=None,
-                        help="built-in steep-transition experiment")
-    derive.add_argument("--n", type=int, default=500, help="demo sample count")
-    derive.add_argument("--k", type=float, default=100.0, help="demo steepness")
-    derive.add_argument("--t0", type=float, default=0.5, help="demo midpoint")
-    derive.add_argument("--out", default="csit_derive.csv")
-    _add_rectangle_flags(derive)
-
-    advect = commands.add_parser(
-        "advect", help="run the forced advection experiment"
-    )
-    advect.add_argument("--scheme", choices=_SCHEMES, default="csit")
-    advect.add_argument("--config", default=None,
-                        help="JSON overrides for the reference configuration")
-    advect.add_argument("--snapshots", default=None,
-                        help="comma-separated output times (default: 0, T/2, T)")
-    advect.add_argument("--window", default=None,
-                        help="pulse window lo,hi for the parasitic-energy summary "
-                             "(default: final centroid +- 4 wavelengths)")
-    advect.add_argument("--out-dir", default="csit_advect")
-
-    ifreq = commands.add_parser(
-        "ifreq", help="instantaneous-frequency estimates for a trace"
-    )
-    ifreq.add_argument("input", nargs="?", default=None,
-                       help="two-column (t, value) CSV")
-    ifreq.add_argument("--demo", choices=["chirp"], default=None,
-                       help="built-in linear chirp")
-    ifreq.add_argument("--f0", type=float, default=20.0, help="demo start frequency")
-    ifreq.add_argument("--rate", type=float, default=20.0, help="demo sweep rate")
-    ifreq.add_argument("--n", type=int, default=2500, help="demo sample count")
-    ifreq.add_argument("--out", default="csit_ifreq.csv")
-    _add_rectangle_flags(ifreq, eps_default="1e-2 * Z")
-    ifreq.add_argument("--backend", choices=_BACKENDS, default="pseudospectral",
-                       help="time-derivative scheme for the classical ratio")
-    ifreq.add_argument("--damping", type=float, default=None,
-                       help="damping for the damped ratio "
-                            "(default: 1e-3 of the peak amplitude)")
-    ifreq.add_argument("--trim", type=float, default=0.05,
-                       help="fraction of samples dropped per edge")
-
-    symbol = commands.add_parser(
-        "symbol", help="tabulate the operator symbol and dispersion curves"
-    )
-    symbol.add_argument("--kmax", type=float, default=None,
-                        help="largest wavenumber (default: pi/dx)")
-    symbol.add_argument("--samples", type=int, default=200)
-    symbol.add_argument("--H", type=float, default=None,
-                        help="real half-width (default: 0.1 dx)")
-    symbol.add_argument("--Z", type=float, default=None,
-                        help="imaginary extent (default: 5e-4 dx)")
-    symbol.add_argument("--dx", type=float, default=1.0, help="grid spacing")
-    symbol.add_argument("--c", type=float, default=1.0, help="advection speed")
-    symbol.add_argument("--out", default="csit_symbol.csv")
-
-    table1 = commands.add_parser(
-        "table1", help="closed-form verification table for the transform"
-    )
-    table1.add_argument("--out", default="csit_table1.csv")
-
-    replay = commands.add_parser(
-        "replay", help="re-run a subcommand from its manifest"
-    )
-    replay.add_argument("manifest", help="manifest JSON written by a previous run")
-    replay.add_argument("--out-dir", required=True,
-                        help="directory for the re-created outputs")
-
+    for name, summary, table in _SUBCOMMANDS:
+        sub = commands.add_parser(name, help=summary)
+        for key, (kind, default, text) in table.items():
+            options = {"help": text, "type": {"real": float, "count": int}.get(kind)}
+            if isinstance(kind, tuple):
+                options["choices"] = kind
+            if kind == "path":
+                names = [key]
+                if default is None:
+                    options.update(nargs="?", default=None)
+            else:
+                names = ["--" + key.replace("_", "-")]
+                options.update({"required": True} if default is _REQUIRED else {"default": default})
+            sub.add_argument(*names, **options)
     return parser
 
 

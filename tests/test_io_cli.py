@@ -16,7 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 import csit
 from csit import cli, operators
 from csit import io as csit_io
+from csit.advection import default_csit_params, reference_config
 from csit.cli import MAX_COUNT, main
+from csit.instfreq import default_if_params
 from csit.io import (
     CsvFormatError,
     RunManifest,
@@ -27,6 +29,7 @@ from csit.io import (
 from reference import CsvError, csv_table_text, parse_series_lines, read_series_lines
 
 CALIBRATION = Path(__file__).resolve().parent.parent / "calibration"
+HELP = Path(__file__).resolve().parent / "help"
 
 
 def write_tone_csv(path, n=64, freq=3.0, header=True):
@@ -698,6 +701,59 @@ class TestReplayCommand:
         assert len(err) == 1 and err[0].startswith("csit: error:")
         assert "'n_tau'" in err[0]
 
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [(["symbol", "--samples", "7"], {"sampels": 7}),
+         (["advect", "--scheme", "fd"], {"CFL": 0.9, "zzz": None}),
+         (["table1"], {"threads": None, "out_dir": "x"})],
+        ids=["symbol", "advect", "table1"],
+    )
+    def test_unknown_parameter_in_manifest_exits_3(self, tmp_path, argv, keys):
+        path, _ = replayable(tmp_path, argv)
+        manifest = json.loads(path.read_text())
+        manifest["parameters"].update(keys)
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "replay"
+        err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
+        unknown = sorted(set(keys) - {"threads"})
+        assert err == f"csit: error: {path}: bad parameters: unknown parameter fields {unknown}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["transform", "tone.csv", "--H", "0.02", "--Z", "0.01"],
+         ["derive", "--demo", "logistic", "--n", "64"],
+         ["ifreq", "--demo", "chirp", "--n", "64"],
+         ["advect", "--scheme", "fd"],
+         ["table1"]],
+        ids=["transform", "derive", "ifreq", "advect", "table1"],
+    )
+    def test_legacy_threads_entry_replays_for_every_subcommand(self, tmp_path, argv):
+        path, outputs = replayable(tmp_path, argv)
+        manifest = json.loads(path.read_text())
+        manifest["parameters"]["threads"] = 2
+        path.write_text(json.dumps(manifest))
+        replay_dir = tmp_path / "replay"
+        assert main(["replay", str(path), "--out-dir", str(replay_dir)]) == 0
+        for name in outputs:
+            assert (replay_dir / name).read_bytes() == (path.parent / name).read_bytes(), name
+
+
+def replayable(tmp_path, argv):
+    """Run ``argv`` (a small run; ``tone.csv`` names a tone) into ``tmp_path / "run"``;
+    its manifest path and the names of its other outputs."""
+    write_tone_csv(tmp_path / "tone.csv")
+    argv = [str(tmp_path / a) if a == "tone.csv" else a for a in argv]
+    run = tmp_path / "run"
+    if argv[0] == "advect":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_x": 32, "n_t": 8}))
+        assert main([*argv, "--config", str(cfg), "--out-dir", str(run)]) == 0
+        path = run / "manifest.json"
+    else:
+        assert main([*argv, "--out", str(run / "x.csv")]) == 0
+        path = run / "x.csv.manifest.json"
+    return path, json.loads(path.read_text())["outputs"]
+
 
 class TestUsageSurface:
     def test_help_exits_0(self, capsys):
@@ -717,6 +773,40 @@ class TestUsageSurface:
         assert main(["symbol", "--samples", "2", "--out", str(tmp_path / "s.csv")]) == 0
         manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
         assert manifest["version"] == csit.__version__
+
+    @pytest.mark.parametrize(
+        "name", ["csit", "transform", "derive", "advect", "ifreq", "symbol", "table1", "replay"]
+    )
+    def test_help_text_is_unchanged(self, monkeypatch, capsys, name):
+        # the flag surface, byte for byte, at a pinned terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(["--help"] if name == "csit" else [name, "--help"]) == 0
+        assert capsys.readouterr().out.encode() == (HELP / f"{name}.txt").read_bytes()
+
+
+class TestDefaultsHaveOneSource:
+    """With no optional flags, each default comes from the library's own definition."""
+
+    def test_advect_defaults_are_the_reference_config(self, tmp_path):
+        assert main(["advect", "--out-dir", str(tmp_path / "adv")]) == 0
+        params = json.loads((tmp_path / "adv" / "manifest.json").read_text())["parameters"]
+        ref = reference_config()
+        for key in ("c", "L", "x_s", "f0", "n_x", "cfl", "n_t"):
+            assert params[key] == getattr(ref, key), key
+            assert type(params[key]) is type(getattr(ref, key)), key
+
+    @pytest.mark.parametrize("flags", [[], ["--dx", "0.37"]], ids=["default", "dx"])
+    def test_symbol_extents_are_the_reference_extents(self, tmp_path, flags):
+        assert main(["symbol", *flags, "--out", str(tmp_path / "s.csv")]) == 0
+        params = json.loads((tmp_path / "s.csv.manifest.json").read_text())["parameters"]
+        p = default_csit_params(params["dx"])
+        assert (params["H"], params["Z"]) == (p.eta_half_width, p.tau_max)
+
+    def test_ifreq_rectangle_is_the_default_shift_rectangle(self, tmp_path):
+        assert main(["ifreq", "--demo", "chirp", "--out", str(tmp_path / "f.csv")]) == 0
+        params = json.loads((tmp_path / "f.csv.manifest.json").read_text())["parameters"]
+        p = default_if_params(1.0 / params["n"])
+        assert (params["H"], params["Z"], params["eps"]) == (p.eta_half_width, p.tau_max, p.tau_min)
 
 
 # --- the parameter boundary -------------------------------------------------
@@ -863,6 +953,26 @@ class TestParameterBoundary:
         out = tmp_path / "o" / "s.csv"
         err = assert_rejected(["symbol", *flags, "--out", out], 2, out.parent)
         assert match in err
+
+    @pytest.mark.parametrize("c, dx", [(1e308, 1e-10), (1e300, 1e-300), (-1e308, 1e-10)])
+    def test_symbol_with_overflowing_c_over_dx_exits_2(self, tmp_path, c, dx):
+        # c/dx is inf, and the fd dispersion would be inf * 0 = NaN at k = 0
+        message = f"c/dx overflows for c {c!r} and dx {dx!r}"
+        out = tmp_path / "o"
+        err = assert_rejected(["symbol", f"--c={c!r}", f"--dx={dx!r}", "--out", out / "s.csv"],
+                              2, out)
+        assert err == f"csit: error: {message}"
+        path = write_manifest(tmp_path, "symbol", {"kmax": None, "samples": 4, "H": None,
+                                                   "Z": None, "dx": dx, "c": c, "out": "s.csv"})
+        err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
+        assert err == f"csit: error: {path}: bad parameters: {message}"
+
+    def test_symbol_with_tiny_spacing_runs(self, tmp_path):
+        # 1/(2*H*Z) overflows for the default extents of dx = 1e-200, and
+        # symbol, which builds no quadrature, does not need it finite
+        code, err, caught = run_cli(["symbol", "--dx", "1e-200", "--samples", "4",
+                                     "--out", tmp_path / "s.csv"])
+        assert (code, err, caught) == (0, [], [])
 
     def test_nonpositive_damping_exits_2(self, tmp_path):
         out = tmp_path / "o" / "f.csv"

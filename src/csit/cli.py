@@ -57,7 +57,6 @@ from .advection import (
     reference_config,
     run_advection,
 )
-from .continuation import _check_growth
 from .grid import Series, UniformGrid, wavenumbers
 from .instfreq import (
     _check_damping,
@@ -88,6 +87,7 @@ from .operators import (
     pseudospectral_derivative,
     table1_verify,
 )
+from .special import shi
 
 __all__ = ["main"]
 
@@ -334,7 +334,7 @@ def _csit_params(params: dict, grid: UniformGrid) -> CsitParams:
     ``params["eps"]`` becomes its resolved lower cutoff."""
     extents = {field: params[key] for field, key in _EXTENT_KEYS.items()}
     p = _keyed(CsitParams, **extents, **{key: params[key] for key in ("n_eta", "n_tau", "rule")})
-    _keyed(_check_growth, wavenumbers(grid), p.tau_max, "tau_max")
+    _keyed(_check_extents, p.eta_half_width, p.tau_max, wavenumbers(grid))
     params["eps"] = p.tau_min
     return p
 
@@ -599,6 +599,11 @@ def _resolve_symbol(raw: dict) -> tuple[dict, tuple]:
     if not abs(params["c"] / dx) <= sys.float_info.max:  # omega_fd would be inf * 0 at k = 0
         raise ValueError(f"c/dx overflows for c {params['c']!r} and dx {dx!r}")
     _keyed(_check_extents, params["H"], params["Z"], params["kmax"])
+    kmax, Z = params["kmax"], params["Z"]
+    if not kmax * dx <= sys.float_info.max:  # the sine argument of omega_fd
+        raise ValueError(f"kmax*dx overflows for kmax {kmax!r} and dx {dx!r}")
+    if not shi(kmax * Z) / Z <= sys.float_info.max:  # the symbol's shi(k*Z)/Z
+        raise ValueError(f"shi(kmax*Z)/Z overflows for kmax {kmax!r} and Z {Z!r}")
     return params, ()
 
 

@@ -7,7 +7,10 @@ Conventions, fixed so that outputs are byte-reproducible:
 * Non-finite values are written as empty cells; boolean flag columns are
   written as 0/1.
 * Files are written atomically: a temporary file in the target directory
-  is populated, flushed, and renamed over the destination.
+  is populated, closed, and renamed over the destination, so a reader
+  sees either the old file or the whole new one, never a partial file.
+  Nothing is fsync'd, so no durability against a crash or power loss is
+  promised.
 * Every output CSV is accompanied by a JSON run manifest carrying the
   resolved parameters, enough to re-run the command exactly.
 
@@ -95,7 +98,7 @@ def format_cell(value) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file plus rename."""
+    """Write ``text`` to ``path`` through a temp file plus rename (no fsync)."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(
         dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
@@ -103,8 +106,6 @@ def atomic_write_text(path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -9,7 +9,8 @@ cardinal sine sin(w)/w with the removable singularity filled in.
 
 scipy is imported inside shi and si, on first use: the routes that never
 evaluate a sine integral (advection, the frequency estimators, the
-quadrature transform) then start without it.
+quadrature transform) then start without it.  ``scipy.special`` is the
+only part of scipy the package loads.
 """
 
 from __future__ import annotations

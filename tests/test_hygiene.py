@@ -63,9 +63,23 @@ def test_reference_imports_no_package_code():
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported on first use, by the sine integrals and table1's
-    # reference quadrature; the other subcommands start without it
+    # scipy is imported on first use, by the sine integrals; the other
+    # subcommands start without it
     code = "import sys, csit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_table1_loads_only_scipy_special(tmp_path):
+    # the exp and Gaussian rows take a numpy Gauss-Legendre reference, so
+    # only the sine integrals of the closed forms reach into scipy
+    code = (
+        "import sys; from csit.cli import main; rc = main(['table1', '--out', sys.argv[1]]); "
+        "print(rc, sorted(m for m in sys.modules if m.count('.') == 1 and m.startswith('scipy.') "
+        "and not m.split('.')[1].startswith('_') and hasattr(sys.modules[m], '__path__')))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv")], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "0 ['scipy.special']"

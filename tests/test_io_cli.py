@@ -967,6 +967,59 @@ class TestParameterBoundary:
         err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
         assert err == f"csit: error: {path}: bad parameters: {message}"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [({"samples": 16, "H": 1e308},
+          "H (eta_half_width) 1e+308 times wavenumber 3.14159 overflows"),
+         ({"samples": 3, "dx": 1e300, "kmax": 1e300, "Z": 1e-298, "H": 0.0},
+          "kmax*dx overflows for kmax 1e+300 and dx 1e+300"),
+         ({"samples": 3, "kmax": 1e300, "Z": 1e-298, "H": 0.0},
+          "shi(kmax*Z)/Z overflows for kmax 1e+300 and Z 1e-298")],
+        ids=["k_times_H", "kmax_times_dx", "shi_over_Z"],
+    )
+    def test_symbol_with_overflowing_columns_exits_2(self, tmp_path, flags, message):
+        # each would leave empty cells in abs_sigma_csit, omega_fd or abs_sigma_single
+        out = tmp_path / "o"
+        argv = [f"--{key}={value!r}" for key, value in flags.items()]
+        err = assert_rejected(["symbol", *argv, "--out", out / "s.csv"], 2, out)
+        assert err == f"csit: error: {message}"
+        parameters = {"kmax": None, "samples": 200, "H": None, "Z": None, "dx": 1.0, "c": 1.0,
+                      "out": "s.csv"}
+        path = write_manifest(tmp_path, "symbol", {**parameters, **flags})
+        err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
+        assert err == f"csit: error: {path}: bad parameters: {message}"
+
+    @pytest.mark.parametrize("subcommand", ["transform", "derive", "ifreq"])
+    def test_overflowing_k_times_H_names_key(self, tmp_path, subcommand):
+        # k*eta would overflow in the quadrature multiplier's cosines; 2*H is still finite
+        assert_range_error_names_key(tmp_path, subcommand, "H", 1e307,
+                                     "H (eta_half_width) 1e+307 times wavenumber 201.062 overflows")
+
+    def test_symbol_mode_transform_checks_k_times_H(self, tmp_path):
+        src = tmp_path / "tone.csv"
+        write_tone_csv(src)
+        out = tmp_path / "o"
+        err = assert_rejected(["transform", src, "--mode", "symbol", "--H", "1e308", "--Z", "0.01",
+                               "--out", out / "s.csv"], 2, out)
+        assert err == "csit: error: H (eta_half_width) 1e+308 times wavenumber 201.062 overflows"
+
+    def test_overflowing_eta_span_exits_2(self, tmp_path):
+        # spacing 2: max|k|*H is finite, but the eta nodes span 2*H
+        src = tmp_path / "coarse.csv"
+        src.write_text("t,value\n" + "".join(f"{2 * i},{math.sin(i)}\n" for i in range(16)))
+        message = "H (eta_half_width) 1e+308 is too large: 2*H overflows"
+        out = tmp_path / "o"
+        argv = ["transform", src, "--H", "1e308", "--Z", "0.01"]
+        err = assert_rejected([*argv, "--out", out / "q.csv"], 2, out)
+        assert err == f"csit: error: {message}"
+        assert main([str(a) for a in ["transform", src, "--H", "0.5", "--Z", "0.01", "--out", tmp_path / "q.csv"]]) == 0
+        path = tmp_path / "q.csv.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["parameters"]["H"] = 1e308
+        path.write_text(json.dumps(manifest))
+        err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
+        assert err == f"csit: error: {path}: bad parameters: {message}"
+
     def test_symbol_with_tiny_spacing_runs(self, tmp_path):
         # 1/(2*H*Z) overflows for the default extents of dx = 1e-200, and
         # symbol, which builds no quadrature, does not need it finite

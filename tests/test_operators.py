@@ -26,7 +26,7 @@ from csit.operators import (
     pseudospectral_derivative,
     table1_verify,
 )
-from csit.operators import _derivative
+from csit.operators import _bruteforce_reference, _derivative
 from csit.special import shi, si, sinc_kernel
 
 from reference import csit_bruteforce
@@ -552,3 +552,32 @@ class TestVerificationTable:
             assert row.max_deviation >= 0.0
             assert row.tolerance == 1e-3
         assert "normalization" in report.note
+
+
+class TestTable1Reference:
+    """The Gauss-Legendre reference of table1's exp and Gaussian rows."""
+
+    FUNCTIONS = {"exp": np.exp, "gaussian": lambda z: np.exp(-z * z)}
+    XS = np.array([-1.3, 0.2, 0.9])
+
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    @pytest.mark.parametrize("H", [0.0, 0.05, 0.1, 0.5])
+    @pytest.mark.parametrize("Z", [0.05, 0.1, 0.5])
+    def test_matches_package_free_oracle(self, name, H, Z):
+        f = self.FUNCTIONS[name]
+        got = _bruteforce_reference(f, self.XS, H, Z)
+        # the oracle's tolerance is absolute on the unnormalized integrals,
+        # and its tau_min of 1e-30 leaves out a negligible strip
+        tol = 1e-13 * (2.0 * H * Z if H else Z)
+        for x, value in zip(self.XS, got):
+            ref = csit_bruteforce(f, float(x), H, Z, tau_min=1e-30, tol=tol)
+            assert abs(value - ref) < 1e-12
+
+    @pytest.mark.parametrize("H", [0.0, 0.05, 0.1, 0.5])
+    @pytest.mark.parametrize("Z", [0.05, 0.1, 0.5])
+    def test_exp_matches_closed_form(self, H, Z):
+        # Im exp(x + eta + i tau)/tau = exp(x + eta) sin(tau)/tau separates
+        xs = np.linspace(-1.0, 1.0, 7)
+        closed = np.exp(xs) * (np.sinh(H) / H if H else 1.0) * (si(Z) / Z)
+        got = _bruteforce_reference(np.exp, xs, H, Z)
+        np.testing.assert_allclose(got, closed, rtol=1e-14, atol=0.0)

@@ -9,16 +9,18 @@ manifest.
 
 Each subcommand has one parameter table: for every key, in flag order,
 its kind, its static default and its help line.  ``build_parser`` makes
-every flag from the tables.  Each subcommand also has one resolver,
-``_resolve_<name>``.  It takes raw parameter values, from the command
-line or from a manifest's ``parameters``, checks each as the kind its
-table gives (floats finite and not bool, counts strict integers from 1
-to ``MAX_COUNT``, choices among the allowed values), fills every
-data-dependent default, loads the input and builds the typed objects,
-and applies the growth rule -- all before any output directory is
-created.  The runner, ``_run_<name>``, then computes and writes from
-that result.  ``replay`` goes through the same resolver, so a manifest
-is checked exactly like a command line; a key that no table lists is
+every flag from the tables.  Each subcommand also has one step,
+``_<name>``.  It takes raw parameter values, from the command line or
+from a manifest's ``parameters``, checks each as the kind its table
+gives (floats finite and not bool, counts strict integers from 1 to
+``MAX_COUNT``, choices among the allowed values), fills every
+data-dependent default, loads the input, and computes every output.  A
+check that the library makes before it computes anything is left to the
+library.  The step returns the resolved parameters and the outputs
+without writing; ``_execute`` creates the output directory only after
+the step returns, so a rejected parameter or a diverged run leaves no
+directory.  ``replay`` goes through the same step, so a manifest is
+checked exactly like a command line; a key that no table lists is
 rejected.
 
 Every run writes its outputs plus a JSON manifest carrying the fully
@@ -26,9 +28,9 @@ resolved parameters; reduction order is fixed in all code paths, so
 re-running a manifest reproduces output CSVs byte for byte.
 
 Exit codes: 0 success (for ``table1``: all rows passed, otherwise 1),
-2 usage or parameter error, 3 unreadable or malformed input data
-(including a manifest whose parameters the resolver rejects),
-4 numerical divergence.
+2 usage or parameter error (an allocation that fails included), 3
+unreadable or malformed input data (including a manifest whose
+parameters the step rejects), 4 numerical divergence.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .advection import (
     AdvectionConfig,
     DivergenceError,
     SourceTimeFunction,
-    _snapshot_steps,
     default_csit_params,
     dispersion_fd,
     parasitic_energy,
@@ -59,7 +60,6 @@ from .advection import (
 )
 from .grid import Series, UniformGrid, wavenumbers
 from .instfreq import (
-    _check_damping,
     analytic_signal,
     chirp,
     default_if_params,
@@ -315,13 +315,13 @@ def _rectangle(raw: dict, table: dict, dt: float) -> dict:
 _EXTENT_KEYS = {"eta_half_width": "H", "tau_max": "Z", "tau_min": "eps"}
 
 
-def _keyed(check, *args, keys=_EXTENT_KEYS, **kwargs):
-    """``check(*args, **kwargs)``; a range error names key and field, as in "Z (tau_max)".
+def _keyed(call, *args, keys=_EXTENT_KEYS, **kwargs):
+    """``call(*args, **kwargs)``; a range error names key and field, as in "Z (tau_max)".
 
-    ``keys`` maps the field names of ``check`` to the flag and manifest keys.
+    ``keys`` maps the field names of ``call`` to the flag and manifest keys.
     """
     try:
-        return check(*args, **kwargs)
+        return call(*args, **kwargs)
     except ValueError as exc:
         message = str(exc)
         for field, key in keys.items():
@@ -348,28 +348,20 @@ def _load_series(path) -> Series:
 
 # --- transform -------------------------------------------------------------
 
+# a step returns the resolved parameters, its outputs by file name in write
+# order -- (header, columns) for a CSV, text for summary.json -- and its exit code
+_Step = tuple[dict, dict, int]
 
-def _resolve_transform(raw: dict) -> tuple[dict, tuple]:
+
+def _transform(raw: dict) -> _Step:
     params = _read(raw, _TRANSFORM, "input", "mode", *_RECTANGLE, "out")
     s = _load_series(params["input"])
     if params["mode"] == "quadrature":
-        return params, (s, _csit_params(params, s.grid))
-    _keyed(_check_extents, params["H"], params["Z"], wavenumbers(s.grid))
-    return params, (s, None)
-
-
-def _run_transform(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
-    s, p = loaded
-    if p is not None:
-        out = csit_quadrature(s, p)
+        out = csit_quadrature(s, _csit_params(params, s.grid))
     else:
-        out = csit_spectral(s, params["H"], params["Z"])
-    write_table_csv(
-        out_dir / params["out"],
-        ["x", "input", "csit_output"],
-        [s.grid.nodes, s.values, out.values],
-    )
-    return [params["out"]], EXIT_OK
+        out = _keyed(csit_spectral, s, params["H"], params["Z"])
+    table = (["x", "input", "csit_output"], [s.grid.nodes, s.values, out.values])
+    return params, {params["out"]: table}, EXIT_OK
 
 
 # --- derive ----------------------------------------------------------------
@@ -379,7 +371,7 @@ def _run_transform(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, in
 _DERIVE_EDGE = 5
 
 
-def _resolve_derive(raw: dict) -> tuple[dict, tuple]:
+def _derive(raw: dict) -> _Step:
     params = {**_read(raw, _DERIVE, "demo", "input"), "n": None, "k": None, "t0": None}
     if (params["demo"] is None) == (params["input"] is None):
         raise ValueError("provide exactly one of an input CSV or --demo")
@@ -399,11 +391,7 @@ def _resolve_derive(raw: dict) -> tuple[dict, tuple]:
     else:
         s, analytic = _load_series(params["input"]), None
     params.update(_rectangle(raw, _DERIVE, s.grid.dx), **_read(raw, _DERIVE, "out"))
-    return params, (s, analytic, _csit_params(params, s.grid))
-
-
-def _run_derive(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
-    s, analytic, p = loaded
+    p = _csit_params(params, s.grid)
     fd = fd_centered(s).values
     ps = pseudospectral_derivative(s).values
     cs = csit_quadrature(s, p).values
@@ -420,14 +408,13 @@ def _run_derive(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
             rel = np.abs(d - analytic) / scale
             header.append(f"rel_err_{label}")
             columns.append(np.where(interior, rel, np.nan))
-    write_table_csv(out_dir / params["out"], header, columns)
-    return [params["out"]], EXIT_OK
+    return params, {params["out"]: (header, columns)}, EXIT_OK
 
 
 # --- advect ----------------------------------------------------------------
 
 
-def _resolve_advect(raw: dict) -> tuple[dict, tuple]:
+def _advect(raw: dict) -> _Step:
     params = _read(raw, _ADVECT_KEYS, *_ADVECT_KEYS)
     if params["window"] is not None and len(params["window"]) != 2:
         raise ValueError("window needs exactly two numbers")
@@ -435,27 +422,17 @@ def _resolve_advect(raw: dict) -> tuple[dict, tuple]:
         **{key: params[key] for key in ("c", "L", "x_s", "f0", "n_x", "cfl", "n_t", "scheme", "csit")}
     )
     params["csit"] = None if cfg.csit is None else dict(vars(cfg.csit))
-    if cfg.scheme == "csit":
-        _check_extents(cfg.csit.eta_half_width, cfg.csit.tau_max, wavenumbers(cfg.grid))
     src = SourceTimeFunction(kind=params["source_kind"], f0=cfg.f0, t_delay=params["t_delay"])
     params["t_delay"] = src.t_delay
     if params["snapshots"] is None:
         duration = cfg.n_t * cfg.dt
         params["snapshots"] = [0.0, 0.5 * duration, duration]
-    _snapshot_steps(cfg, params["snapshots"])
-    return params, (cfg, src)
-
-
-def _run_advect(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
-    cfg, src = loaded
+    # run_advection checks the snapshot times and the csit extents before its first step
     snapshots = run_advection(cfg, src, params["snapshots"])
-    outputs = []
-    for index, snap in enumerate(snapshots):
-        name = f"snapshot_{index:03d}.csv"
-        write_table_csv(
-            out_dir / name, ["x", "u"], [snap.u.grid.nodes, snap.u.values]
-        )
-        outputs.append(name)
+    outputs = {
+        f"snapshot_{index:03d}.csv": (["x", "u"], [snap.u.grid.nodes, snap.u.values])
+        for index, snap in enumerate(snapshots)
+    }
 
     if params["window"] is None:
         # pulse window: final centroid +- 4 wavelengths
@@ -479,9 +456,8 @@ def _run_advect(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
             for snap in snapshots
         ],
     }
-    atomic_write_text(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
-    outputs.append("summary.json")
-    return outputs, EXIT_OK
+    outputs["summary.json"] = json.dumps(summary, indent=2) + "\n"
+    return params, outputs, EXIT_OK
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -516,7 +492,7 @@ def _advect_raw(args: dict) -> dict:
 # --- ifreq -----------------------------------------------------------------
 
 
-def _resolve_ifreq(raw: dict) -> tuple[dict, tuple]:
+def _ifreq(raw: dict) -> _Step:
     params = {**_read(raw, _IFREQ, "demo", "input"), "f0": None, "rate": None, "n": None}
     if (params["demo"] is None) == (params["input"] is None):
         raise ValueError("provide exactly one of an input CSV or --demo")
@@ -538,19 +514,13 @@ def _resolve_ifreq(raw: dict) -> tuple[dict, tuple]:
         amplitude = np.max(np.abs(trace.amplitude))
         params["damping"] = 1e-3 * amplitude if amplitude > 0.0 else 1e-3
     p = _csit_params(params, s.grid)
-    _check_damping(params["damping"])
     keep = _keyed(edge_mask, s.grid.n, params["trim"], keys={"fraction": "trim"})
     if not keep.any():
         raise ValueError(f"trim {params['trim']:g} leaves none of the {s.grid.n} samples")
-    return params, (trace, truth, p, keep)
-
-
-def _run_ifreq(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
-    trace, truth, p, keep = loaded
-    s = trace.x
-    classical = if_classical(trace, backend=params["backend"])
+    # if_damped first: it checks the damping before computing anything
     damped = if_damped(trace, params["damping"], backend=params["backend"])
-    csit_est = if_csit(trace, p)
+    classical = if_classical(trace, backend=params["backend"])
+    csit_est = _keyed(if_csit, trace, p)
 
     header = [
         "t",
@@ -575,14 +545,13 @@ def _run_ifreq(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
     if truth is not None:
         header.append("truth")
         columns.append(truth[keep])
-    write_table_csv(out_dir / params["out"], header, columns)
-    return [params["out"]], EXIT_OK
+    return params, {params["out"]: (header, columns)}, EXIT_OK
 
 
 # --- symbol ----------------------------------------------------------------
 
 
-def _resolve_symbol(raw: dict) -> tuple[dict, tuple]:
+def _symbol(raw: dict) -> _Step:
     dx = _read(raw, _SYMBOL, "dx")["dx"]
     if dx <= 0.0:
         raise ValueError("dx must be positive")
@@ -604,33 +573,23 @@ def _resolve_symbol(raw: dict) -> tuple[dict, tuple]:
         raise ValueError(f"kmax*dx overflows for kmax {kmax!r} and dx {dx!r}")
     if not shi(kmax * Z) / Z <= sys.float_info.max:  # the symbol's shi(k*Z)/Z
         raise ValueError(f"shi(kmax*Z)/Z overflows for kmax {kmax!r} and Z {Z!r}")
-    return params, ()
 
-
-def _run_symbol(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
-    k = np.linspace(0.0, params["kmax"], params["samples"])
-    sigma = csit_symbol(k, params["H"], params["Z"])
-    single = csit_symbol(k, 0.0, params["Z"])
-    omega_fd = dispersion_fd(k, params["c"], params["dx"])
-    write_table_csv(
-        out_dir / params["out"],
-        ["k", "abs_sigma_csit", "abs_sigma_single", "abs_ik", "omega_fd"],
-        [k, np.abs(sigma), np.abs(single), np.abs(k), omega_fd],
-    )
-    return [params["out"]], EXIT_OK
+    k = np.linspace(0.0, kmax, params["samples"])
+    sigma = csit_symbol(k, params["H"], Z)
+    single = csit_symbol(k, 0.0, Z)
+    omega_fd = dispersion_fd(k, params["c"], dx)
+    table = (["k", "abs_sigma_csit", "abs_sigma_single", "abs_ik", "omega_fd"],
+             [k, np.abs(sigma), np.abs(single), np.abs(k), omega_fd])
+    return params, {params["out"]: table}, EXIT_OK
 
 
 # --- table1 ----------------------------------------------------------------
 
 
-def _resolve_table1(raw: dict) -> tuple[dict, tuple]:
-    return _read(raw, _TABLE1, "out"), ()
-
-
-def _run_table1(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
+def _table1(raw: dict) -> _Step:
+    params = _read(raw, _TABLE1, "out")
     report = table1_verify()
-    write_table_csv(
-        out_dir / params["out"],
+    table = (
         ["name", "reference", "max_deviation", "tolerance", "passed"],
         [
             np.array([row.name for row in report.rows], dtype=object),
@@ -640,47 +599,53 @@ def _run_table1(params: dict, loaded: tuple, out_dir: Path) -> tuple[list, int]:
             np.array([row.passed for row in report.rows]),
         ],
     )
-    return [params["out"]], EXIT_OK if report.passed else EXIT_FAIL
+    return params, {params["out"]: table}, EXIT_OK if report.passed else EXIT_FAIL
 
 
 # --- execution and replay --------------------------------------------------
 
-# resolver, runner and the keys a manifest may carry; besides these, a
-# manifest of an earlier version may carry a thread count that nothing read
+# step and the keys a manifest may carry; besides these, a manifest of an
+# earlier version may carry a thread count that nothing read
 _COMMANDS = {
-    "transform": (_resolve_transform, _run_transform, _TRANSFORM),
-    "derive": (_resolve_derive, _run_derive, _DERIVE),
-    "advect": (_resolve_advect, _run_advect, _ADVECT_KEYS),
-    # _resolve_ifreq checks the estimator variant that earlier versions recorded
-    "ifreq": (_resolve_ifreq, _run_ifreq, (*_IFREQ, "variant")),
-    "symbol": (_resolve_symbol, _run_symbol, _SYMBOL),
-    "table1": (_resolve_table1, _run_table1, _TABLE1),
+    "transform": (_transform, _TRANSFORM),
+    "derive": (_derive, _DERIVE),
+    "advect": (_advect, _ADVECT_KEYS),
+    # _ifreq checks the estimator variant that earlier versions recorded
+    "ifreq": (_ifreq, (*_IFREQ, "variant")),
+    "symbol": (_symbol, _SYMBOL),
+    "table1": (_table1, _TABLE1),
 }
 
 
 def _execute(subcommand: str, raw: dict, out_dir: Path, manifest_path=None) -> int:
-    """Resolve ``raw``; only then create ``out_dir``, run, and write the manifest.
+    """Run the step of ``subcommand`` on ``raw``; only then create ``out_dir``
+    and write the outputs and the manifest.
 
-    For a replay (``manifest_path`` given), unknown keys and parameters
-    the resolver rejects are malformed input of that manifest.
+    For a replay (``manifest_path`` given), unknown keys, parameters the
+    step rejects and node counts too large to allocate are malformed input
+    of that manifest.
     """
     started = time.perf_counter()
-    resolve, run, keys = _COMMANDS[subcommand]
+    step, keys = _COMMANDS[subcommand]
     try:
         if manifest_path is not None:
             _known(raw, (*keys, "threads"), "parameter")
-        params, loaded = resolve(raw)
-    except ValueError as exc:
+        params, outputs, code = step(raw)
+    except (ValueError, MemoryError) as exc:
         if manifest_path is None:
             raise
         raise CsvFormatError(manifest_path, f"bad parameters: {exc}") from None
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs, code = run(params, loaded, out_dir)
+    for name, output in outputs.items():
+        if isinstance(output, str):
+            atomic_write_text(out_dir / name, output)
+        else:
+            write_table_csv(out_dir / name, *output)
     manifest = RunManifest(
         subcommand=subcommand,
         parameters=params,
         inputs=[params["input"]] if params.get("input") else [],
-        outputs=outputs,
+        outputs=list(outputs),
     )
     name = "manifest.json" if subcommand == "advect" else params["out"] + ".manifest.json"
     manifest.finalize(time.perf_counter() - started).write(out_dir / name)
@@ -759,7 +724,7 @@ def main(argv=None) -> int:
         return _execute(subcommand, dict(args, out=out.name), out.parent)
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
-    except (ValueError, OSError, DivergenceError) as exc:
+    except (ValueError, OSError, DivergenceError, MemoryError) as exc:
         print(f"csit: error: {exc}", file=sys.stderr)
         if isinstance(exc, DivergenceError):
             return EXIT_DIVERGED

@@ -274,7 +274,9 @@ def if_csit(tr: AnalyticTrace, p: CsitParams) -> FrequencyEstimate:
     points) borrow the value of the nearest clean node of the same
     sample (smallest tau distance first, then eta distance, lower index
     on ties); a sample with no clean node at all is reported as 0 Hz
-    and flagged invalid.
+    and flagged invalid.  Raises ValueError, naming tau_min, when the
+    frequency of a valid sample is not finite (a tau_min so small that
+    the division by tau overflows).
     """
     etas, w_eta = p.eta_nodes_weights()
     taus, w_tau = p.tau_nodes_weights()
@@ -287,10 +289,15 @@ def if_csit(tr: AnalyticTrace, p: CsitParams) -> FrequencyEstimate:
             a = continue_spectral(tr.x, shift).values
             b = continue_spectral(tr.y, shift).values
             integrand[ip, im], flagged[ip, im] = _imag_arctan_ratio(a, b)
-    integrand /= taus[:, None]
-    valid = _patch_flagged(integrand, flagged)
-    weights = np.outer(w_eta, w_tau)[:, :, None]
-    freq = np.sum(weights * integrand, axis=(0, 1)) / (_TWO_PI * p.normalization)
+    # a subnormal tau_min overflows the division; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand /= taus[:, None]
+        valid = _patch_flagged(integrand, flagged)
+        weights = np.outer(w_eta, w_tau)[:, :, None]
+        freq = np.sum(weights * integrand, axis=(0, 1)) / (_TWO_PI * p.normalization)
+    if not np.all(np.isfinite(freq[valid])):
+        raise ValueError(f"tau_min {p.tau_min:g} is too small: the frequency of a valid "
+                         "sample is not finite")
     return FrequencyEstimate(tr.grid, freq, valid)
 
 

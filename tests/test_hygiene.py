@@ -1,7 +1,8 @@
 """Every module-level import in the package is used somewhere in its module,
 the applications take no private operator helper but ``_derivative``, the
-test oracles in ``reference.py`` import nothing from the package, and
-importing the command line does not import scipy."""
+test oracles in ``reference.py`` import nothing from the package,
+importing the command line does not import scipy, and in the command line
+only ``_execute`` creates a directory or writes a file."""
 
 import ast
 import os
@@ -52,6 +53,43 @@ def test_applications_take_only_the_scheme_map_from_operators(name):
         if alias.name.startswith("_")
     ]
     assert private == ["_derivative"]
+
+
+# the calls that create a directory or write a file
+WRITERS = {"mkdir", "write", "write_table_csv", "atomic_write_text"}
+
+
+def writing_functions(source: str) -> set[str]:
+    """The innermost function (or ``<module>``) around each call of a name or
+    method in ``WRITERS``."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                callee = child.func
+                name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
+                if name in WRITERS:
+                    found.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_flags_each_writer():
+    source = ("def a(p):\n    p.mkdir()\ndef b(f):\n    def inner():\n        f.write('x')\n"
+              "def c(p):\n    write_table_csv(p, [], [])\natomic_write_text('p', '')\n")
+    assert writing_functions(source) == {"a", "inner", "c", "<module>"}
+
+
+def test_only_execute_writes_in_the_command_line():
+    # each subcommand's step computes every output first; _execute alone
+    # creates the directory and writes, so a failed step leaves nothing behind
+    assert writing_functions((PACKAGE / "cli.py").read_text()) == {"_execute"}
 
 
 def test_reference_imports_no_package_code():

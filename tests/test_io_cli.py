@@ -571,8 +571,23 @@ class TestAdvectCommand:
 
     def test_unstable_run_exits_4(self, tmp_path):
         cfg = self._config(tmp_path, cfl=2.5, n_t=400)
+        out = tmp_path / "adv"
         assert main(["advect", "--scheme", "fd", "--config", str(cfg),
-                     "--out-dir", str(tmp_path / "adv")]) == 4
+                     "--out-dir", str(out)]) == 4
+        # every output is computed before the directory is created
+        assert not out.exists()
+
+    def test_unstable_replay_exits_4(self, tmp_path):
+        run = tmp_path / "run"
+        assert main(["advect", "--scheme", "fd", "--config", str(self._config(tmp_path)),
+                     "--out-dir", str(run)]) == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["parameters"]["cfl"] = 2.5
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "replay"
+        assert main(["replay", str(path), "--out-dir", str(out)]) == 4
+        assert not out.exists()
 
     def test_unknown_config_field_exits_2(self, tmp_path):
         cfg = self._config(tmp_path, zzz=1)
@@ -994,6 +1009,35 @@ class TestParameterBoundary:
         # k*eta would overflow in the quadrature multiplier's cosines; 2*H is still finite
         assert_range_error_names_key(tmp_path, subcommand, "H", 1e307,
                                      "H (eta_half_width) 1e+307 times wavenumber 201.062 overflows")
+
+    @pytest.mark.parametrize(
+        "flags, start",
+        [({"eps": 1e-320}, "eps (tau_min) 9.99989e-321 is too small"),
+         ({"n_eta": MAX_COUNT, "n_tau": MAX_COUNT}, "Unable to allocate 19.5 PiB")],
+        ids=["subnormal_eps", "unallocatable_nodes"],
+    )
+    def test_ifreq_run_that_cannot_finish_exits_2(self, tmp_path, flags, start):
+        # a subnormal eps overflows the division by tau; 2^20 nodes per axis
+        # ask numpy for a 19.5 PiB integrand, which it refuses at allocation
+        run = tmp_path / "run"
+        assert main(["ifreq", "--demo", "chirp", "--out", str(run / "f.csv")]) == 0
+        argv = [f"--{key.replace('_', '-')}={value!r}" for key, value in flags.items()]
+        out = tmp_path / "o"
+        err = assert_rejected(["ifreq", "--demo", "chirp", *argv, "--out", out / "f.csv"], 2, out)
+        assert err.startswith(f"csit: error: {start}"), err
+        manifest = json.loads((run / "f.csv.manifest.json").read_text())
+        manifest["parameters"].update(flags)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
+        assert err.startswith(f"csit: error: {path}: bad parameters: {start}"), err
+
+    def test_ifreq_with_smallest_working_eps_is_unchanged(self, tmp_path):
+        # 1e-315 still divides without overflow; the check leaves its outputs alone
+        out = tmp_path / "f.csv"
+        code, err, caught = run_cli(["ifreq", "--demo", "chirp", "--eps", "1e-315", "--out", out])
+        assert (code, err, caught) == (0, [], [])
+        assert np.all(np.isfinite(np.genfromtxt(out, delimiter=",", names=True)["if_csit"]))
 
     def test_symbol_mode_transform_checks_k_times_H(self, tmp_path):
         src = tmp_path / "tone.csv"

@@ -13,6 +13,7 @@ parasitic (checkerboard) contamination behind the main pulse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,6 +38,9 @@ __all__ = [
 ]
 
 _SCHEMES = ("fd", "pseudospectral", "csit")
+
+# largest max|u| a step may leave before the run counts as diverged
+_GATE = 1e30
 
 
 def default_csit_params(dx: float) -> CsitParams:
@@ -77,10 +81,15 @@ class SourceTimeFunction:
             raise ValueError(f"unknown source kind {self.kind!r}")
         if not self.f0 > 0.0:
             raise ValueError("source peak frequency must be positive")
+        # the wavelet divides by 2*pi*f0 and the default delay is 1.2/f0
+        f0 = float(self.f0)
+        if not (math.isfinite(2.0 * math.pi * f0) and math.isfinite(1.2 / f0)):
+            raise ValueError(f"source peak frequency f0 {f0:g} is out of range: "
+                             "2*pi*f0 and 1.2/f0 must be finite")
         if self.t_delay is None:
-            object.__setattr__(self, "t_delay", 1.2 / self.f0)
-        elif self.t_delay < 0.0:
-            raise ValueError("source delay must be nonnegative")
+            object.__setattr__(self, "t_delay", 1.2 / f0)
+        elif not 0.0 <= self.t_delay < math.inf:
+            raise ValueError("source delay must be finite and nonnegative")
 
     def __call__(self, t):
         s = np.asarray(t, dtype=np.float64) - self.t_delay
@@ -120,6 +129,9 @@ class AdvectionConfig:
             raise ValueError("velocity must be positive")
         if not self.L > 0.0:
             raise ValueError("domain length must be positive")
+        # pulse_centroid turns positions into angles 2*pi*x/L
+        if not math.isfinite(2.0 * math.pi * float(self.L)):
+            raise ValueError(f"domain length L {self.L:g} is too large: 2*pi*L overflows float64")
         if not 0.0 < self.x_s < self.L:
             raise ValueError("source position must lie inside the domain")
         if not self.f0 > 0.0:
@@ -205,6 +217,26 @@ def _snapshot_steps(cfg: AdvectionConfig, snapshot_times: Sequence[float]) -> se
     return steps
 
 
+def _forcing(cfg: AdvectionConfig, src: SourceTimeFunction) -> np.ndarray:
+    """The point source's term in u_t at every step, injected with weight
+    1/dx; a ValueError if the step times overflow or if the source alone
+    would carry the field past the divergence gate in one step.  A
+    non-finite term stays for the step loop to report as divergence."""
+    with np.errstate(all="ignore"):  # far from its peak a wavelet underflows or overflows to 0
+        times = np.arange(cfg.n_t) * cfg.dt
+        if not np.isfinite(times[-1]):
+            raise ValueError(f"the last step time (n_t - 1)*dt overflows float64: n_t {cfg.n_t}, "
+                             f"dt = cfl*dx/c = {cfg.dt:g} s")
+        force = np.asarray(src(times), dtype=np.float64) * (1.0 / cfg.dx)
+        force = np.broadcast_to(force, (cfg.n_t,))
+        # a leapfrog step adds 2*dt*force at the source node
+        injected = 2.0 * cfg.dt * np.max(np.abs(force), where=np.isfinite(force), initial=0.0)
+    if not injected <= _GATE:
+        raise ValueError(f"c {cfg.c:g} with cfl {cfg.cfl:g} lets the source alone add {injected:g} "
+                         f"in one step (2*dt*max|f(t)|/dx), above the divergence gate {_GATE:g}")
+    return force
+
+
 def run_advection(
     cfg: AdvectionConfig,
     src: SourceTimeFunction,
@@ -222,6 +254,10 @@ def run_advection(
 
     Raises
     ------
+    ValueError
+        Before the first step, if a step time is not finite or if the
+        finite source terms of one step would carry the field past the
+        divergence gate 1e30 on their own.
     DivergenceError
         If the field develops non-finite values; the exception carries
         the last finite snapshot.
@@ -231,9 +267,7 @@ def run_advection(
     wanted = _snapshot_steps(cfg, snapshot_times)
     deriv = _derivative(grid, cfg.scheme, cfg.csit)
     j_src = int(round((cfg.x_s - grid.x0) / grid.dx)) % cfg.n_x
-    # the point source's term in u_t at every step, injected with weight 1/dx
-    force = np.asarray(src(np.arange(cfg.n_t) * dt), dtype=np.float64) * (1.0 / grid.dx)
-    force = np.broadcast_to(force, (cfg.n_t,))
+    force = _forcing(cfg, src)
     neg_c = -cfg.c
 
     def advance(u: np.ndarray, base: np.ndarray, step: int, h: float) -> np.ndarray:
@@ -261,7 +295,7 @@ def run_advection(
         # the magnitude gate fires well before float overflow so the next
         # derivative evaluation cannot turn the field into inf/nan first;
         # a NaN makes the maximum NaN, which fails the comparison too
-        if not np.abs(u).max() <= 1e30:
+        if not np.abs(u).max() <= _GATE:
             snap = WavefieldSnapshot(t=(step - 1) * dt, u=Series(grid, last.copy()))
             raise DivergenceError(step * dt, snap)
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -451,13 +452,36 @@ def _advect(raw: dict) -> _Step:
                 "t": snap.t,
                 "centroid": pulse_centroid(snap),
                 "energy": float(np.sum(snap.u.values**2)),
-                "parasitic_energy": parasitic_energy(snap, tuple(window)),
+                "parasitic_energy": _null_if_infinite(parasitic_energy(snap, tuple(window))),
             }
             for snap in snapshots
         ],
     }
-    outputs["summary.json"] = json.dumps(summary, indent=2) + "\n"
+    try:
+        outputs["summary.json"] = json.dumps(summary, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # JSON has no NaN or Infinity
+        raise ValueError(f"summary entry {_non_finite(summary)} is not finite") from None
     return params, outputs, EXIT_OK
+
+
+def _null_if_infinite(ratio: float) -> float | None:
+    # a window holding none of the energy gives an infinite ratio, which
+    # JSON cannot hold: it is written as null
+    return None if ratio == math.inf else ratio
+
+
+def _non_finite(value, path: str = "") -> str | None:
+    """``"<path> = <value>"`` of the first non-finite float in nested
+    dicts and lists, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else f"{path} = {value}"
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}".lstrip("."), item) for key, item in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{index}]", item) for index, item in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_non_finite(item, where) for where, item in items)), None)
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -518,7 +542,8 @@ def _ifreq(raw: dict) -> _Step:
     if not keep.any():
         raise ValueError(f"trim {params['trim']:g} leaves none of the {s.grid.n} samples")
     # if_damped first: it checks the damping before computing anything
-    damped = if_damped(trace, params["damping"], backend=params["backend"])
+    damped = _keyed(if_damped, trace, params["damping"], backend=params["backend"],
+                    keys={"eps_damp": "damping"})
     classical = if_classical(trace, backend=params["backend"])
     csit_est = _keyed(if_csit, trace, p)
 

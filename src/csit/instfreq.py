@@ -191,8 +191,10 @@ def if_classical(
 
 
 def _check_damping(eps_damp: float) -> None:
-    if not (eps_damp > 0.0 and np.isfinite(eps_damp * eps_damp)):
-        raise ValueError("damping eps_damp must be positive with a finite square")
+    with np.errstate(over="ignore"):
+        square = eps_damp * eps_damp
+    if not (eps_damp > 0.0 and np.isfinite(square)):
+        raise ValueError(f"eps_damp {eps_damp:g} must be positive with a finite square")
 
 
 def if_damped(

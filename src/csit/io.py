@@ -15,12 +15,20 @@ Conventions, fixed so that outputs are byte-reproducible:
   resolved parameters, enough to re-run the command exactly.
 
 :func:`format_cell` is the definition of a cell.  ``write_table_csv``
-works on whole columns, one block of 8192 rows at a time, and gives
-every cell the text ``format_cell`` gives: each row is one %-format in
-which finite float64 columns enter as ``%.17g`` (the text of
-``f"{v:.17g}"``) and bool columns as ``%d``, straight from
-``tolist()``; non-finite floats become empty cells, and every other
-dtype goes through ``format_cell`` cell by cell.
+works on whole columns, one block of 8192 rows at a time (of at most
+4096 cells for a table of float64 and bool columns only), and gives
+every cell the text ``format_cell`` gives.  A block of float64 and bool
+columns only, of at least 160 cells, is formatted at array speed: each
+finite float's 17 significant digits come out as an exact integer (a
+Dekker product with a double-double power of ten, rounded half-even),
+are laid out as ``%.17g`` lays them out in a fixed-width byte matrix
+whose zero bytes stand for no byte, and one compaction gives the
+block's text.  A rounding within 2**-24 of a tie that the product does
+not give exactly goes to Python's ``%.17g``; non-finite floats become
+empty cells, and a bool enters as 0.0 or 1.0, whose text is 0 or 1.  Any
+other block is formatted one %-format per row, with float64 columns as
+``%.17g`` and bool columns as ``%d`` straight from ``tolist()``, and
+every other dtype through ``format_cell`` cell by cell.
 
 ``read_series_csv`` first parses a plain file in one ``np.loadtxt``
 pass: printable ASCII and ``\n`` line breaks only, no ``#`` and no
@@ -63,6 +71,16 @@ _JITTER_TOL = 1e-9
 
 # rows formatted per block by write_table_csv
 _BLOCK_ROWS = 8192
+
+# a block of float64 and bool columns has at most this many cells, so
+# that the arrays of the field path stay small: a 2250 x 9 ifreq table in
+# one block made 4.4 MB of temporaries, in blocks of 4096 cells 1.1 MB
+_FIELD_CELLS = 4096
+
+# blocks of fewer cells are formatted row by row: below about 160 cells
+# the fixed cost of the field path (about 40 us a block) outweighs its
+# saving per cell
+_MIN_FIELD_CELLS = 160
 
 # bytes of a file that the one-pass reader takes: printable ASCII but the
 # comment mark and the digit separator float() allows, and \n line breaks
@@ -143,17 +161,207 @@ def _block_rows(block: list[np.ndarray]) -> list[str]:
     return [template % row for row in zip(*values)]
 
 
+# --- exact %.17g at array speed ----------------------------------------------
+#
+# A finite nonzero |v| with decimal exponent D = floor(log10 |v|) has the
+# 17 significant digits N = round_half_even(|v| * 10**(16 - D)), an integer
+# in [1e16, 1e17).  With 10**(16 - D) = 2**E * (hi + lo), 1 <= hi < 2 and
+# hi + lo within 2**-106 of it, w = |v| * 2**E is exact (a power-of-two
+# scaling into [5e15, 1e17]), w * hi is exact as the Dekker product p + e,
+# and w * lo adds at most 3e-15 of error.  p is an even integer above
+# 2**53, so N = p + rint(e + w * lo), half-even on e being half-even on N.
+# Where 0 <= 16 - D <= 22, lo is 0 and N exact; elsewhere a rounding within
+# 2**-24 of a tie goes to Python's %.17g instead.
+
+# 16 - D for D from -325 to 309: one beyond the floor(log10 |v|) of the
+# smallest subnormal and of the largest double, which the exponent
+# correction reaches
+_J_MIN, _J_MAX = 16 - 309, 16 + 325
+
+
+def _decimal_power(j: int) -> tuple[int, float, float]:
+    """``(E, hi, lo)``: 10**j = 2**E * (hi + lo), hi the double nearest
+    and lo the double nearest the rest, from exact integers."""
+    if j >= 0:
+        num = 10**j
+        exp = num.bit_length() - 1
+        den = 1 << exp
+    else:
+        den = 10**-j
+        exp = -den.bit_length()
+        num = 1 << -exp
+    hi = num / den  # int true division rounds correctly
+    scaled = int(hi * 2.0**52)
+    lo = (num * 2**52 - scaled * den) / (den * 2**52)
+    return exp, hi, lo
+
+
+_POW_E, _POW_HI, _POW_LO = (
+    np.array(c) for c in zip(*[_decimal_power(j) for j in range(_J_MIN, _J_MAX + 1)])
+)
+_POW_E = _POW_E.astype(np.int32)  # np.ldexp is slow with int64 exponents
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting factor
+_POW_HI_H = _POW_HI * _SPLIT - (_POW_HI * _SPLIT - _POW_HI)
+_POW_HI_L = _POW_HI - _POW_HI_H
+_TIE = 0.5 - 2.0**-24
+
+
+# A float cell is laid out in six 8-byte words, a 0 byte meaning no byte:
+#   word 0     the sign, "0." and up to three zeros of a fixed cell below 1,
+#              the first digit and the slot for a point after it
+#   words 1-4  digits 1 to 16, four per word, each followed by a point slot
+#   word 5     "e", the exponent sign and digits, and the separator
+# Each table below holds words as rows of 8 bytes, so that a word reads
+# the same bytes on any byte order.
+_FIELD_WORDS = 6
+
+
+def _words(table) -> np.ndarray:
+    return np.ascontiguousarray(table, dtype=np.uint8).view(np.uint64)[..., 0]
+
+
+_ZERO = ord("0")
+# every 4-digit group g = 100*hi + lo from the 100 2-digit ones, without
+# an array of 10000 ints
+_pairs = np.arange(100, dtype=np.uint8)
+_pair_digits = np.stack([_pairs // 10, _pairs % 10], axis=1)
+# digits up to the last nonzero one: 2, 1 for a multiple of 10, 0 for 00
+_pair_significant = (_pairs % 10 != 0).astype(np.int8) + (_pairs != 0)
+# the digits of every group, at the even bytes of a word
+_word = np.zeros((100, 100, 8), dtype=np.uint8)
+_word[:, :, 0:4:2] = _pair_digits[:, None, :] + _ZERO
+_word[:, :, 4:8:2] = _pair_digits[None, :, :] + _ZERO
+_DIGITS = _words(_word).reshape(10000)
+# per group index i (digits 4i+1 to 4i+4 of N) and group g: how many
+# digits of N run up to the last nonzero digit of g, 0 for g = 0
+_significant = np.where(_pairs[None, :] != 0, 2 + _pair_significant[None, :],
+                        _pair_significant[:, None]).reshape(10000)
+_TAIL = np.where(_significant > 0, 4 * np.arange(4, dtype=np.int8)[:, None] + 1 + _significant, 0)
+_TAIL_OFFSETS = 10000 * np.arange(4)[:, None]
+# per group index i and count L of digits written: the bytes of the
+# group's word among them
+_kept = np.clip(np.arange(18) - (4 * np.arange(4)[:, None] + 1), 0, 4)
+_KEEP = _words(np.where((np.arange(8) % 2 == 0) & (np.arange(8) // 2 < _kept[:, :, None]), 255, 0))
+# word 0 per sign (2), -D of a cell below 1 ("0." and -D-1 zeros before
+# the first digit; 0 for any other cell, 5) and first digit (10)
+_lead = np.zeros((2, 5, 10, 8), dtype=np.uint8)
+_lead[1, ..., 0] = ord("-")
+_lead[:, 1:, :, 1] = _ZERO
+_lead[:, 1:, :, 2] = ord(".")
+_lead[..., 3:6] = np.where(np.arange(5)[:, None, None] - 1 > np.arange(3), _ZERO, 0)
+_lead[..., 6] = np.arange(10) + _ZERO
+_LEAD = _words(_lead.reshape(100, 8))
+# word 5 per exponent D + 331 for D in -330..330, 0 for a fixed cell
+_exp = np.abs(np.arange(-330, 331))
+_tail = np.zeros((662, 8), dtype=np.uint8)
+_tail[1:, 0] = ord("e")
+_tail[1:, 1] = np.where(np.arange(-330, 331) < 0, ord("-"), ord("+"))
+_tail[1:, 2] = np.where(_exp >= 100, _exp // 100 + _ZERO, 0)
+_tail[1:, 3] = _exp // 10 % 10 + _ZERO
+_tail[1:, 4] = _exp % 10 + _ZERO
+_tail[:, 7] = ord(",")
+_EXPONENT = _words(_tail)
+del _pairs, _pair_digits, _pair_significant, _word, _significant, _kept, _lead, _exp, _tail
+
+
+def _scaled(a: np.ndarray, d: np.ndarray):
+    """``(p, e, exact)`` with ``p + e`` equal to ``a * 10**(16 - d)``
+    within 3e-15, and exactly where ``exact`` (0 <= 16 - d <= 22), for
+    positive finite ``a``."""
+    index = 16 - d - _J_MIN
+    w = np.ldexp(a, _POW_E.take(index))
+    p = w * _POW_HI.take(index)
+    c = w * _SPLIT
+    wh = c - (c - w)
+    wl = w - wh
+    hh, hl = _POW_HI_H.take(index), _POW_HI_L.take(index)
+    e = ((wh * hh - p) + wh * hl + wl * hh) + wl * hl
+    lo = _POW_LO.take(index)
+    e += w * lo
+    return p, e, lo == 0.0
+
+
+def _off(p: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Where the exponent of ``p + e`` is off: outside [1e16 - 0.05, 1e17 - 0.5).
+    Just below 1e16, ``p + e`` rounds to the 1e16 that ten times it at the
+    exponent below would round to as 1e17; at or just below 1e17 - 0.5 it
+    would round to 1e17, the 1e16 of the exponent above."""
+    return ((p - 1e16) + e < -0.05) | ((p - 1e17) + e >= -0.5)
+
+
+def _float_fields(v: np.ndarray, out: np.ndarray) -> None:
+    """Write the ``%.17g`` text of each entry of float64 ``v``, laid out
+    in words, to the rows of ``out`` (``(len(v), _FIELD_WORDS)`` uint64,
+    C-contiguous); a non-finite entry leaves only its separator."""
+    finite = np.isfinite(v)
+    zero = v == 0.0
+    a = np.where(finite & ~zero, np.abs(v), 1.0)
+    d = np.floor(np.log10(a)).astype(np.int64)
+    p, e, exact = _scaled(a, d)
+    off = np.flatnonzero(_off(p, e))
+    doubt = np.zeros(len(v), dtype=bool)
+    if off.size:
+        # log10 rounded across a power of ten: the exponent is one off
+        d[off] += np.where((p[off] - 1e16) + e[off] < 0.0, -1, 1)
+        p[off], e[off], exact[off] = _scaled(a[off], d[off])
+        doubt[off] = _off(p[off], e[off])
+    r = np.rint(e)
+    doubt |= ~exact & (np.abs(e - r) > _TIE)
+    n = p.astype(np.int64) + r.astype(np.int64)
+    n[zero] = 0
+
+    first, rest = np.divmod(n, 10**16)
+    halves = np.empty((2, len(v)), dtype=np.int64)
+    np.divmod(rest, 10**8, out=(halves[0], halves[1]))
+    groups = np.empty((4, len(v)), dtype=np.int64)  # digits 1-4, 5-8, 9-12, 13-16
+    np.divmod(halves, 10**4, out=(groups[0::2], groups[1::2]))
+    tails = _TAIL.take(groups + _TAIL_OFFSETS)
+    significant = np.maximum(np.maximum(tails[0], tails[1]), np.maximum(tails[2], tails[3]))
+    significant = np.maximum(significant, 1).astype(np.int64)
+    fixed = (d >= -4) & (d < 17)
+    below_one = fixed & (d < 0)
+    whole = np.where(fixed & ~below_one, d, 0)  # index of the last integer digit
+    out[:, 0] = _LEAD.take((np.signbit(v) * 5 + np.where(below_one, -d, 0)) * 10 + first)
+    written = np.maximum(significant, whole + 1)  # trailing zeros of a fraction go
+    for i in range(4):
+        np.bitwise_and(_DIGITS.take(groups[i]), _KEEP[i].take(written), out=out[:, 1 + i])
+    out[:, 5] = _EXPONENT.take(np.where(fixed, 0, d + 331))
+    point = np.flatnonzero(~below_one & (significant > whole + 1))
+    out.reshape(-1).view(np.uint8)[8 * _FIELD_WORDS * point + 7 + 2 * whole[point]] = ord(".")
+
+    out[~finite, :5] = 0
+    slow = np.flatnonzero(doubt)
+    if slow.size:
+        out[slow, 3:5] = 0
+        out[slow, 5] = _EXPONENT[0]
+        text = np.array([b"%.17g" % x for x in v[slow].tolist()], dtype="S24")
+        out[slow, :3] = text.view(np.uint64).reshape(-1, 3)
+
+
+def _block_text(block: list[np.ndarray]) -> str:
+    """The CSV rows of one block of 1-D float64 and bool columns, from
+    one field matrix and one compaction.  A bool enters as 0.0 or 1.0,
+    whose ``%.17g`` text is its 0 or 1."""
+    values = np.column_stack(block).astype(np.float64, copy=False)
+    fields = np.empty(values.shape + (_FIELD_WORDS,), dtype=np.uint64)
+    _float_fields(values.ravel(), fields.reshape(values.size, _FIELD_WORDS))
+    text = fields.view(np.uint8)
+    text[:, -1, -1] = ord("\n")
+    return text.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _table_text(header: Sequence[str], columns: list[np.ndarray], n: int) -> str:
-    # one block of rows at a time bounds the per-cell objects alive at
-    # once; the rows stay small strings until the one join (joining each
-    # block to one string raised the peak resident memory of a 65536-row
-    # transform by about 1 MB) and are freed on return, before the text
-    # is encoded
-    lines = [",".join(header)]
-    for start in range(0, n, _BLOCK_ROWS):
-        lines.extend(_block_rows([c[start:start + _BLOCK_ROWS] for c in columns]))
-    lines.append("")
-    return "\n".join(lines)
+    # one block of rows at a time bounds the temporaries alive at once
+    fast = all(c.ndim == 1 and c.dtype in (np.float64, np.bool_) for c in columns)
+    rows = min(_BLOCK_ROWS, max(1, _FIELD_CELLS // len(columns))) if fast and columns else _BLOCK_ROWS
+    parts = [",".join(header), "\n"]
+    for start in range(0, n, rows):
+        block = [c[start:start + rows] for c in columns]
+        if fast and len(block) * len(block[0]) >= _MIN_FIELD_CELLS:
+            parts.append(_block_text(block))
+        else:
+            parts.extend(row + "\n" for row in _block_rows(block))
+    return "".join(parts)
 
 
 def write_table_csv(

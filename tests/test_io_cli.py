@@ -205,9 +205,18 @@ class TestReadSeriesCsv:
 # --- the array-speed CSV paths against the cell-by-cell reference ------------
 
 # edge values of float64: signed zeros, subnormals, the extremes, and the
-# non-finite ones that become empty cells or reject a row
+# non-finite ones that become empty cells or reject a row; then the edges of
+# the writer's exact digit path: each power of ten 1e-30..1e18 and its two
+# neighbours (the exponent estimate and the fixed/exponent switch at 1e-4
+# and 1e17), 99999999999999999 (the double 1e17), doubles just below a power
+# of ten whose 17 digits round up to it (1e-14 among the powers, 1e-305,
+# 1e+220 outside them), and the largest subnormal
+_POWERS = [float(f"1e{k}") for k in range(-30, 19)]
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
-                1.7976931348623157e308, math.nan, math.inf, -math.inf, 1.0 / 3.0, 1e-9]
+                1.7976931348623157e308, math.nan, math.inf, -math.inf, 1.0 / 3.0, 1e-9,
+                *_POWERS, *(math.nextafter(x, 0.0) for x in _POWERS),
+                *(math.nextafter(x, math.inf) for x in _POWERS),
+                99999999999999999.0, 1e-305, 1e220, 2.2250738585072009e-308]
 any_floats = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
 cell_text = st.text(st.characters(codec="ascii", exclude_characters=",\n\r"), max_size=6)
 
@@ -325,6 +334,55 @@ class TestCsvAgainstReference:
             path = Path(tmp) / "t.csv"
             write_table_csv(path, header, columns)
             assert path.read_bytes() == csv_table_text(header, columns).encode()
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=tables(), block=st.integers(1, 5))
+    def test_field_path_matches_cell_by_cell_reference(self, table, block):
+        # every float64 and bool block through the field path, however small
+        header, columns = table
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(csit_io, "_BLOCK_ROWS", block), \
+                mock.patch.object(csit_io, "_MIN_FIELD_CELLS", 0):
+            path = Path(tmp) / "t.csv"
+            write_table_csv(path, header, columns)
+            assert path.read_bytes() == csv_table_text(header, columns).encode()
+
+    @pytest.mark.parametrize(
+        "block, tie",
+        [(csit_io._BLOCK_ROWS, csit_io._TIE), (97, csit_io._TIE), (97, 0.0)],
+        ids=["default_block", "small_block", "small_block_python_fallback"],
+    )
+    def test_writer_matches_reference_on_many_random_cells(self, tmp_path, block, tie):
+        # 20000 rows x 6 columns: random bit patterns (any finite or
+        # non-finite double), log-uniform magnitudes 1e-30..1e20 of either
+        # sign, the edge values, integers and short decimals, bools, and
+        # log-uniform values with NaN runs.  At 97 rows a block goes through
+        # the field path and the last one, 18 rows, through the row path;
+        # a tie margin of 0 sends every rounding that is not exact to
+        # Python's %.17g
+        rng = np.random.default_rng(20261018)
+        n = 20000
+        bits = rng.integers(-2**63, 2**63, n, dtype=np.int64, endpoint=False).view(np.float64)
+        sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        log_uniform = sign * 10.0 ** rng.uniform(-30.0, 20.0, n)
+        edges = np.resize(np.array(_EDGE_FLOATS), n)
+        rng.shuffle(edges)
+        decimals = np.round(rng.uniform(-1e6, 1e6, n), 3) * 10.0 ** rng.integers(-8, 9, n)
+        flags = rng.random(n) < 0.5
+        gappy = 10.0 ** rng.uniform(-30.0, 20.0, n)
+        gappy[(np.arange(n) // 7) % 5 == 0] = np.nan
+        header = ["bits", "log_uniform", "edges", "decimals", "flags", "gappy"]
+        columns = [bits, log_uniform, edges, decimals, flags, gappy]
+        with mock.patch.object(csit_io, "_BLOCK_ROWS", block), mock.patch.object(csit_io, "_TIE", tie):
+            write_table_csv(tmp_path / "t.csv", header, columns)
+        assert (tmp_path / "t.csv").read_bytes() == csv_table_text(header, columns).encode()
+
+    @pytest.mark.parametrize("path", sorted(CALIBRATION.glob("*/*.csv")),
+                             ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_calibration_csv_round_trips_byte_for_byte(self, tmp_path, path):
+        x, u = read_series_csv(path)
+        write_table_csv(tmp_path / "t.csv", ["x", "u"], [x, u])
+        assert (tmp_path / "t.csv").read_bytes() == path.read_bytes()
 
     def test_writer_blocks_cover_every_row(self, tmp_path):
         x = np.linspace(-1.0, 1.0, 3 * csit_io._BLOCK_ROWS + 5)
@@ -1080,6 +1138,68 @@ class TestParameterBoundary:
         out = tmp_path / "o" / "f.csv"
         assert_rejected(["ifreq", "--demo", "chirp", "--n", "200", "--damping", "1e300",
                          "--out", out], 2, out.parent)
+
+    def test_default_damping_of_huge_data_names_damping(self, tmp_path):
+        # 1e-3 of a peak amplitude near 1e300 has no finite square: flags
+        # exit 2 and a replay 3, each one line naming damping, no warning
+        huge = tmp_path / "huge.csv"
+        t, v = write_tone_csv(tmp_path / "tone.csv")
+        write_table_csv(huge, ["t", "value"], [t, 1e300 * v])
+        message = "damping (eps_damp) 1e+297 must be positive with a finite square"
+        out = tmp_path / "o"
+        err = assert_rejected(["ifreq", huge, "--out", out / "f.csv"], 2, out)
+        assert err == f"csit: error: {message}"
+        assert main(["ifreq", str(tmp_path / "tone.csv"), "--out", str(tmp_path / "f.csv")]) == 0
+        path = tmp_path / "f.csv.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["parameters"].update(input=str(huge), damping=None)
+        path.write_text(json.dumps(manifest))
+        err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
+        assert err == f"csit: error: {path}: bad parameters: {message}"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("f0", 1e308, "source peak frequency f0 1e+308 is out of range"),
+         ("f0", 1e-320, "source peak frequency f0 9.99989e-321 is out of range"),
+         ("f0", 5e-324, "source peak frequency f0 4.94066e-324 is out of range"),
+         ("c", 1e-154, "c 1e-154 with cfl 0.25 lets the source alone add"),
+         ("c", 1e-300, "c 1e-300 with cfl 0.25 lets the source alone add"),
+         ("L", 1e308, "domain length L 1e+308 is too large: 2*pi*L overflows float64")],
+    )
+    def test_advect_parameters_that_cannot_drive_a_run(self, tmp_path, key, value, message):
+        # a parameter fault, not a divergence: --config exits 2 and a replay
+        # 3, each one line naming the key, no warning and no directory
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_x": 32, "n_t": 8}))
+        run = tmp_path / "run"
+        assert main(["advect", "--config", str(cfg), "--out-dir", str(run)]) == 0
+        cfg.write_text(json.dumps({"n_x": 32, "n_t": 8, key: value}))
+        out = tmp_path / "o"
+        err = assert_rejected(["advect", "--config", cfg, "--out-dir", out], 2, out)
+        assert err.startswith(f"csit: error: {message}"), err
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["parameters"].update({key: value, "t_delay": None})
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
+        assert err.startswith(f"csit: error: {path}: bad parameters: {message}"), err
+
+    def test_summary_is_strict_json(self, tmp_path):
+        # no NaN or Infinity in summary.json: a window holding none of the
+        # energy gives a null ratio, and any other non-finite entry refuses
+        # the run, naming the entry
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_x": 16, "n_t": 1, "x_s": 100.0}))
+        out = tmp_path / "adv"
+        code, err, caught = run_cli(["advect", "--scheme", "fd", "--config", cfg,
+                                     "--window", "2000,6000", "--out-dir", out])
+        assert (code, err, caught) == (0, [], [])
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
+        assert [entry["parasitic_energy"] for entry in summary["snapshots"]] == [0.0, None]
+        out = tmp_path / "nan"
+        with mock.patch.object(cli, "parasitic_energy", return_value=math.nan):
+            err = assert_rejected(["advect", "--config", cfg, "--out-dir", out], 2, out)
+        assert err == "csit: error: summary entry snapshots[0].parasitic_energy = nan is not finite"
 
     def test_chirp_with_overflowing_phase_exits_2(self, tmp_path):
         out = tmp_path / "o" / "f.csv"

@@ -255,9 +255,10 @@ def run_advection(
     Raises
     ------
     ValueError
-        Before the first step, if a step time is not finite or if the
+        Before the first step, if a step time is not finite, if the
         finite source terms of one step would carry the field past the
-        divergence gate 1e30 on their own.
+        divergence gate 1e30 on their own, or if the sum of the squared
+        snapshot times (which :func:`pulse_speed` forms) overflows.
     DivergenceError
         If the field develops non-finite values; the exception carries
         the last finite snapshot.
@@ -268,6 +269,11 @@ def run_advection(
     deriv = _derivative(grid, cfg.scheme, cfg.csit)
     j_src = int(round((cfg.x_s - grid.x0) / grid.dx)) % cfg.n_x
     force = _forcing(cfg, src)
+    # pulse_speed fits a line through the snapshot times, summing their squares
+    times = [float(step) * float(dt) for step in wanted]
+    if not math.isfinite(sum(t * t for t in times)):
+        raise ValueError(f"snapshot times up to {max(times):g} s (n_t {cfg.n_t}, dt {dt:g} s) are "
+                         "too large: the speed fit's sum of their squares overflows float64")
     neg_c = -cfg.c
 
     def advance(u: np.ndarray, base: np.ndarray, step: int, h: float) -> np.ndarray:

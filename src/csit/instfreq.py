@@ -154,12 +154,25 @@ class FrequencyEstimate:
         object.__setattr__(self, "valid", valid)
 
 
-def _phase_rate_numerator(tr: AnalyticTrace, backend: str) -> np.ndarray:
-    """x*dy/dt - y*dx/dt, with one derivative operator for both parts."""
+def _phase_rate_terms(tr: AnalyticTrace, backend: str) -> tuple[np.ndarray, np.ndarray]:
+    """The numerator x*dy/dt - y*dx/dt, with one derivative operator for
+    both parts, and the squared amplitude x^2 + y^2.
+
+    Raises ValueError when either is not finite at some sample (a trace
+    too large for float64), before any warning.
+    """
     if backend not in ("pseudospectral", "fd"):
         raise ValueError(f"unknown derivative backend {backend!r}")
     deriv = _derivative(tr.grid, backend)
-    return tr.x.values * deriv(tr.y.values) - tr.y.values * deriv(tr.x.values)
+    x, y = tr.x.values, tr.y.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        numerator = x * deriv(y) - y * deriv(x)
+        square = x**2 + y**2
+    if not (np.all(np.isfinite(numerator)) and np.all(np.isfinite(square))):
+        peak = max(np.max(np.abs(x)), np.max(np.abs(y)))
+        raise ValueError(f"trace too large (peak |x|, |y| {peak:g}): "
+                         "x*dy/dt - y*dx/dt or x^2 + y^2 overflows float64")
+    return numerator, square
 
 
 def if_classical(
@@ -171,7 +184,8 @@ def if_classical(
     Computes ``(x*dy/dt - y*dx/dt) / (2*pi*(x^2 + y^2))``.  Samples
     where the squared amplitude falls below 1e-300, or where the ratio
     overflows, are flagged invalid and reported NaN rather than as a
-    fabricated value.
+    fabricated value.  Raises ValueError when the numerator or
+    ``x^2 + y^2`` overflows float64 at some sample.
 
     Parameters
     ----------
@@ -182,8 +196,7 @@ def if_classical(
         trigonometric interpolant, "fd" uses the second-order centered
         difference.
     """
-    num = _phase_rate_numerator(tr, backend)
-    denom = tr.x.values**2 + tr.y.values**2
+    num, denom = _phase_rate_terms(tr, backend)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = num / denom / _TWO_PI
     valid = (denom >= _DENOM_FLOOR) & np.isfinite(ratio)
@@ -208,10 +221,12 @@ def if_damped(
     amplitude zeros yield 0 Hz instead of an indeterminate value; where
     the amplitude dominates the damping the estimate matches the
     classical one to first order in ``eps_damp^2 / amplitude^2``.
+    Raises ValueError for an ``eps_damp`` whose square is not finite and
+    then, as :func:`if_classical` does, for a trace too large for float64.
     """
     _check_damping(eps_damp)
-    num = _phase_rate_numerator(tr, backend)
-    denom = tr.x.values**2 + tr.y.values**2 + eps_damp**2
+    num, square = _phase_rate_terms(tr, backend)
+    denom = square + eps_damp**2
     with np.errstate(over="ignore"):
         ratio = num / denom / _TWO_PI
     valid = np.isfinite(ratio)

@@ -40,6 +40,9 @@ Nyquist bin zeroed, so real input comes back real.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -196,6 +199,61 @@ def _apply(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(values) * mult, len(values))
 
 
+# points per block of csit_quadrature_direct: a complex128 temporary of a
+# block is 512 KiB, which stays in a core's L2 cache
+_DIRECT_BLOCK_POINTS = 1 << 15
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_blocks(block: Callable[[int], None], n_blocks: int) -> None:
+    """Call ``block(0)``, ..., ``block(n_blocks - 1)`` on every usable CPU.
+
+    The caller's thread takes blocks too, and a single block (or a single
+    CPU) runs inline with no thread.  Each worker runs in a copy of the
+    caller's context, which carries numpy's error state.  Once a block
+    raises, no new block starts; every thread is joined and the first
+    exception is re-raised.
+    """
+    n_threads = min(n_blocks, _cpu_count())
+    if n_threads <= 1:
+        for index in range(n_blocks):
+            block(index)
+        return
+    pending = iter(range(n_blocks))
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        while not errors:
+            with lock:
+                index = next(pending, None)
+            if index is None:
+                return
+            try:
+                block(index)
+            except BaseException as exc:  # re-raised in the caller
+                errors.append(exc)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
+               for _ in range(n_threads - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _quadrature_multiplier(grid: UniformGrid, p: CsitParams) -> np.ndarray:
     """The quadrature's exact multiplier m_q (see the module docstring).
 
@@ -234,17 +292,29 @@ def csit_quadrature_direct(
     so a caller with a complex-valued function passes its real and
     imaginary parts as two functions real on the axis and combines the
     results, as the ``cexp`` row of :func:`table1_verify` does.
-    Returns the array of transform values at ``x``.
+
+    ``f`` is applied elementwise to blocks of shifted points
+    ``x + eta_p + i*tau_m`` (a few eta rows at a time), possibly on
+    several threads at once, so it must not depend on the shape of its
+    argument or keep state between calls.  Each thread runs in a copy of
+    the caller's context, so an ``np.errstate`` around the call holds
+    inside ``f``, and the first exception raised by ``f`` is re-raised
+    here.  Returns the array of transform values at ``x``.
     """
     x = np.asarray(x, dtype=np.float64)
     etas, w_eta = p.eta_nodes_weights()
     taus, w_tau = p.tau_nodes_weights()
-    shifts = (etas[:, None] + 1j * taus[None, :]).ravel()
-    z = x[None, :] + shifts[:, None]
-    fz = np.asarray(f(z), dtype=np.complex128).reshape(len(etas), len(taus), -1)
-    quot_real = fz.imag / taus[None, :, None]
-    acc = np.einsum("p,m,pmn->n", w_eta, w_tau, quot_real) / p.normalization
-    return acc
+    quot = np.empty((len(etas), len(taus), len(x)))
+    rows = max(1, _DIRECT_BLOCK_POINTS // (len(taus) * max(len(x), 1)))
+
+    def block(index: int) -> None:
+        sl = slice(index * rows, (index + 1) * rows)
+        shifts = etas[sl, None] + 1j * taus[None, :]
+        fz = np.asarray(f(x + shifts[:, :, None]), dtype=np.complex128)
+        np.divide(fz.imag, taus[:, None], out=quot[sl])
+
+    _run_blocks(block, -(-len(etas) // rows))
+    return np.einsum("p,m,pmn->n", w_eta, w_tau, quot) / p.normalization
 
 
 def csit_symbol(k, eta_half_width: float, tau_max: float):

@@ -3,9 +3,9 @@
 Everything here recomputes quantities from definitions, sharing no code
 with the package: power series and hand-written adaptive Simpson for the
 sine integrals, an O(n^2) summation DFT, a nested adaptive quadrature
-of the defining double integral of the transform, and the CSV format
-written one cell and read one line at a time.  Tolerances are
-absolute unless noted.
+of the defining double integral of the transform, its fixed-node
+quadrature evaluated in one array, and the CSV format written one cell
+and read one line at a time.  Tolerances are absolute unless noted.
 """
 
 from __future__ import annotations
@@ -139,6 +139,23 @@ def csit_bruteforce(
         return inner(0.0) / Z
     outer, _ = adaptive_simpson(inner, -H, H, tol)
     return outer / (2.0 * H * Z)
+
+
+def quadrature_direct_one_array(f, x, etas, w_eta, taus, w_tau, normalization: float) -> np.ndarray:
+    """The fixed-node quadrature of the transform at real points ``x``, in
+    one array.
+
+    Every shifted point x + eta_p + i*tau_m is formed at once, f is called
+    once on the whole (n_eta*n_tau, n) array, and the weighted sum of
+    Im f / tau is a single einsum.  Nodes, weights and the normalization
+    are taken as given.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    shifts = (etas[:, None] + 1j * taus[None, :]).ravel()
+    z = x[None, :] + shifts[:, None]
+    fz = np.asarray(f(z), dtype=np.complex128).reshape(len(etas), len(taus), -1)
+    quot = fz.imag / taus[None, :, None]
+    return np.einsum("p,m,pmn->n", w_eta, w_tau, quot) / normalization
 
 
 def enveloped_chirp_trace(n: int, f0: float = 20.0, rate: float = 20.0):

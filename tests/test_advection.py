@@ -5,6 +5,8 @@ The pulse-propagation runs here use the reference configuration (900 m/s,
 counts; measured thresholds follow the shipped calibration run.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -118,6 +120,16 @@ class TestRunAdvection:
             run_advection(cfg, src, [100.0 * cfg.dt])
         with pytest.raises(ValueError):
             run_advection(cfg, src, [])
+
+    def test_rejects_snapshot_times_whose_squares_overflow(self):
+        # pulse_speed sums the squared snapshot times; a lone t = 0 has none
+        cfg = AdvectionConfig(c=900.0, L=1e307, x_s=5e306, f0=1.0, n_x=32, n_t=8, scheme="fd")
+        src = SourceTimeFunction(f0=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"n_t 8, dt 8\.68056e\+301 s\) are too large"):
+                run_advection(cfg, src, [0.0, 8 * cfg.dt])
+            assert len(run_advection(cfg, src, [0.0])) == 1
 
     def test_divergence_reported_with_last_state(self):
         # cfl = 2 puts the fd leapfrog far outside its stability interval

@@ -1,7 +1,8 @@
 """Every module-level import in the package is used somewhere in its module,
 the applications take no private operator helper but ``_derivative``, the
 test oracles in ``reference.py`` import nothing from the package,
-importing the command line does not import scipy, and in the command line
+importing the command line does not import scipy, neither the command line
+nor a ``table1`` run loads ``concurrent.futures``, and in the command line
 only ``_execute`` creates a directory or writes a file."""
 
 import ast
@@ -121,3 +122,20 @@ def test_table1_loads_only_scipy_special(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv")], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "0 ['scipy.special']"
+
+
+def test_cli_and_table1_load_no_concurrent_futures(tmp_path):
+    # the direct quadrature runs its blocks on plain threads, so start-up
+    # pays no cold import of concurrent.futures.  scipy.special loads it on
+    # its own (through numpy.testing), so the table1 run starts with
+    # scipy.special imported and the concurrent package dropped
+    code = (
+        "import sys, csit.cli; cold = 'concurrent.futures' in sys.modules; import scipy.special; "
+        "[sys.modules.pop(m) for m in list(sys.modules) if m.split('.')[0] == 'concurrent']; "
+        "rc = csit.cli.main(['table1', '--out', sys.argv[1]]); "
+        "print(rc, cold, 'concurrent.futures' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv")], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "0 False False"

@@ -8,6 +8,8 @@ the principal-branch logarithm identity for Im[arctan], and the two-branch
 arctangent form of the complex-step integrand kept in reference.py.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -25,7 +27,7 @@ from csit.instfreq import (
     if_csit,
     if_damped,
 )
-from csit.instfreq import _imag_arctan_ratio, _patch_flagged, _phase_rate_numerator
+from csit.instfreq import _imag_arctan_ratio, _patch_flagged, _phase_rate_terms
 from csit.operators import CsitParams, fd_centered, pseudospectral_derivative
 
 from reference import enveloped_chirp_trace, imag_arctan_two_branch, patch_flagged_loop
@@ -257,7 +259,23 @@ class TestIfClassical:
         tr = analytic_signal(chirp(3.0, 5.0, UniformGrid(0.0, 1.0, n)))
         x, y = tr.x.values, tr.y.values
         expected = x * deriv(tr.y).values - y * deriv(tr.x).values
-        assert np.array_equal(_phase_rate_numerator(tr, backend), expected)
+        numerator, square = _phase_rate_terms(tr, backend)
+        assert np.array_equal(numerator, expected)
+        assert np.array_equal(square, x**2 + y**2)
+
+    @pytest.mark.parametrize("damping", [None, 1.0], ids=["classical", "damped"])
+    def test_refuses_a_trace_too_large_for_float64(self, damping):
+        # x*dy/dt - y*dx/dt and x^2 + y^2 of a 1e300 tone overflow: one
+        # ValueError, not warnings and a trace of invalid samples
+        grid = UniformGrid(0.0, 1.0, 64)
+        tr = analytic_signal(Series(grid, 1e300 * np.cos(TWO_PI * 3.0 * grid.nodes)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="trace too large"):
+                if damping is None:
+                    if_classical(tr)
+                else:
+                    if_damped(tr, damping)
 
 
 class TestIfDamped:

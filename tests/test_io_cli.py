@@ -1157,6 +1157,27 @@ class TestParameterBoundary:
         err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
         assert err == f"csit: error: {path}: bad parameters: {message}"
 
+    def test_huge_trace_names_the_overflow(self, tmp_path):
+        # with a damping whose square is finite, a trace near 1e300 still
+        # overflows x*dy/dt - y*dx/dt and x^2 + y^2: flags exit 2 and a
+        # replay 3, each one line, no warning and no output
+        huge = tmp_path / "huge.csv"
+        t, v = write_tone_csv(tmp_path / "tone.csv")
+        write_table_csv(huge, ["t", "value"], [t, 1e300 * v])
+        message = ("trace too large (peak |x|, |y| 1e+300): "
+                   "x*dy/dt - y*dx/dt or x^2 + y^2 overflows float64")
+        out = tmp_path / "o"
+        err = assert_rejected(["ifreq", huge, "--damping", "1", "--out", out / "f.csv"], 2, out)
+        assert err == f"csit: error: {message}"
+        assert main(["ifreq", str(tmp_path / "tone.csv"), "--damping", "1",
+                     "--out", str(tmp_path / "f.csv")]) == 0
+        path = tmp_path / "f.csv.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["parameters"]["input"] = str(huge)
+        path.write_text(json.dumps(manifest))
+        err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
+        assert err == f"csit: error: {path}: bad parameters: {message}"
+
     @pytest.mark.parametrize(
         "key, value, message",
         [("f0", 1e308, "source peak frequency f0 1e+308 is out of range"),
@@ -1183,6 +1204,27 @@ class TestParameterBoundary:
         path.write_text(json.dumps(manifest))
         err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
         assert err.startswith(f"csit: error: {path}: bad parameters: {message}"), err
+
+    def test_advect_snapshot_times_too_large_for_the_speed_fit(self, tmp_path):
+        # L 1e307 puts the default snapshot times near 7e302, whose squares
+        # overflow the pulse-speed fit: --config exits 2 and a replay 3,
+        # each one line naming n_t and dt, no warning and no directory
+        message = ("snapshot times up to 6.94444e+302 s (n_t 8, dt 8.68056e+301 s) are too "
+                   "large: the speed fit's sum of their squares overflows float64")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_x": 32, "n_t": 8}))
+        run = tmp_path / "run"
+        assert main(["advect", "--config", str(cfg), "--out-dir", str(run)]) == 0
+        cfg.write_text(json.dumps({"n_x": 32, "n_t": 8, "L": 1e307}))
+        out = tmp_path / "o"
+        err = assert_rejected(["advect", "--config", cfg, "--out-dir", out], 2, out)
+        assert err == f"csit: error: {message}"
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["parameters"].update(L=1e307, snapshots=None, t_delay=None)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
+        assert err == f"csit: error: {path}: bad parameters: {message}"
 
     def test_summary_is_strict_json(self, tmp_path):
         # no NaN or Infinity in summary.json: a window holding none of the

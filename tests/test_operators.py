@@ -7,12 +7,15 @@ and spectral routes are also cross-checked against each other since they
 approximate the same operator from opposite ends.
 """
 
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from csit import operators
 from csit.grid import UniformGrid, Series
 from csit.operators import (
     CsitParams,
@@ -29,7 +32,7 @@ from csit.operators import (
 from csit.operators import _bruteforce_reference, _derivative
 from csit.special import shi, si, sinc_kernel
 
-from reference import csit_bruteforce
+from reference import csit_bruteforce, quadrature_direct_one_array
 
 
 def _band_limited_series(seed: int, n: int, max_mode: int) -> Series:
@@ -306,6 +309,147 @@ class TestQuadratureRouteAgreement:
         assert out.dtype == (np.complex128 if complex_input else np.float64)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(out - expected)) <= 1e-12 * scale
+
+
+_DIRECT_FUNCTIONS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "gaussian": lambda z: np.exp(-(z**2)),
+}
+
+
+def _one_array(f, x, p: CsitParams) -> np.ndarray:
+    etas, w_eta = p.eta_nodes_weights()
+    taus, w_tau = p.tau_nodes_weights()
+    return quadrature_direct_one_array(f, x, etas, w_eta, taus, w_tau, p.normalization)
+
+
+class TestDirectQuadratureBlocks:
+    """``csit_quadrature_direct`` calls f on blocks of eta rows, possibly on
+    several threads; the result is the one-array formula bit for bit, and
+    the threads carry the caller's error state and exceptions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        H=st.one_of(st.just(0.0), st.floats(1e-6, 2.0)),
+        Z=st.floats(1e-6, 2.0),
+        rule=st.sampled_from(["trapezoid", "midpoint"]),
+        n_eta=st.integers(1, 64),
+        n_tau=st.integers(1, 64),
+        x=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=40),
+        name=st.sampled_from(sorted(_DIRECT_FUNCTIONS)),
+        block_points=st.sampled_from([1, 37, 500, 4096, operators._DIRECT_BLOCK_POINTS]),
+        cpus=st.integers(1, 3),
+    )
+    def test_bit_identical_to_one_array_formula(
+        self, H, Z, rule, n_eta, n_tau, x, name, block_points, cpus
+    ):
+        p = CsitParams(H, Z, n_eta=n_eta, n_tau=n_tau, rule=rule)
+        f = _DIRECT_FUNCTIONS[name]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_DIRECT_BLOCK_POINTS", block_points)
+            mp.setattr(operators, "_cpu_count", lambda: cpus)
+            got = csit_quadrature_direct(f, x, p)
+        assert got.tobytes() == _one_array(f, x, p).tobytes()
+
+    @pytest.mark.parametrize(
+        "block_points, rows",
+        [(10**6, [12]), (300, [3, 3, 3, 3]), (500, [5, 5, 2]), (1, [1] * 12)],
+        ids=["one_block", "even_blocks", "uneven_last_block", "row_per_block"],
+    )
+    def test_blocks_of_eta_rows(self, monkeypatch, block_points, rows):
+        # 12 eta rows of 5 tau nodes at 20 points: 100 points per row
+        monkeypatch.setattr(operators, "_DIRECT_BLOCK_POINTS", block_points)
+        monkeypatch.setattr(operators, "_cpu_count", lambda: 2)
+        p = CsitParams(0.3, 0.2, n_eta=12, n_tau=5)
+        x = np.linspace(-1.0, 1.0, 20)
+        caller = threading.current_thread()
+        calls = []
+
+        def f(z):
+            calls.append((z.shape, threading.current_thread() is caller))
+            return np.sin(z)
+
+        before = threading.active_count()
+        got = csit_quadrature_direct(f, x, p)
+        assert threading.active_count() == before
+        assert sorted((shape for shape, _ in calls), reverse=True) == [(r, 5, 20) for r in rows]
+        if len(rows) == 1:  # a single block runs inline
+            assert calls[0][1]
+        assert got.tobytes() == _one_array(np.sin, x, p).tobytes()
+
+    def test_every_block_runs_once_under_contention(self, monkeypatch):
+        # more threads than cores, switching every microsecond: each eta row
+        # is evaluated exactly once, and the sum is still bit-identical
+        monkeypatch.setattr(operators, "_DIRECT_BLOCK_POINTS", 1)
+        monkeypatch.setattr(operators, "_cpu_count", lambda: 8)
+        p = CsitParams(0.3, 0.2, n_eta=64, n_tau=3)
+        x = np.linspace(-1.0, 1.0, 4)
+        starts = []
+
+        def f(z):
+            starts.append(z[0, 0, 0])  # x[0] + eta + i*tau[0] names the row
+            return np.cos(z)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = csit_quadrature_direct(f, x, p)
+        finally:
+            sys.setswitchinterval(interval)
+        etas, _ = p.eta_nodes_weights()
+        assert sorted(z.real for z in starts) == sorted(x[0] + etas)
+        assert got.tobytes() == _one_array(np.cos, x, p).tobytes()
+
+    def test_exception_in_a_worker_propagates_with_its_type(self, monkeypatch):
+        monkeypatch.setattr(operators, "_DIRECT_BLOCK_POINTS", 1)
+        monkeypatch.setattr(operators, "_cpu_count", lambda: 2)
+        caller = threading.current_thread()
+        worker_called = threading.Event()
+
+        class WorkerFault(Exception):
+            pass
+
+        def f(z):
+            if threading.current_thread() is caller:
+                worker_called.wait(10.0)  # let the worker take a block first
+                return np.sin(z)
+            worker_called.set()
+            raise WorkerFault("raised in a worker")
+
+        before = threading.active_count()
+        with pytest.raises(WorkerFault, match="raised in a worker"):
+            csit_quadrature_direct(f, np.linspace(0.0, 1.0, 5), CsitParams(0.1, 0.1, n_eta=8, n_tau=4))
+        assert threading.active_count() == before
+
+    def test_overflow_raises_under_the_callers_error_state(self, monkeypatch):
+        monkeypatch.setattr(operators, "_cpu_count", lambda: 2)
+        p = CsitParams(0.1, 0.1, n_eta=128, n_tau=128)
+        before = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            csit_quadrature_direct(np.exp, np.linspace(0.0, 720.0, 20), p)
+        assert threading.active_count() == before
+
+    def test_workers_see_the_callers_error_state(self, monkeypatch):
+        monkeypatch.setattr(operators, "_DIRECT_BLOCK_POINTS", 1)
+        monkeypatch.setattr(operators, "_cpu_count", lambda: 2)
+        caller = threading.current_thread()
+        called = {True: threading.Event(), False: threading.Event()}
+        seen = []
+
+        def f(z):
+            # each thread waits until the other has taken a block too
+            mine = threading.current_thread() is caller
+            seen.append((mine, np.geterr()["over"]))
+            called[mine].set()
+            called[not mine].wait(10.0)
+            return np.sin(z)
+
+        with np.errstate(over="raise"):
+            csit_quadrature_direct(f, np.linspace(0.0, 1.0, 5), CsitParams(0.1, 0.1, n_eta=8, n_tau=4))
+        assert {mine for mine, _ in seen} == {True, False}
+        assert {over for _, over in seen} == {"raise"}
 
 
 # --- invariants of every multiplier route -----------------------------------

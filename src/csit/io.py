@@ -6,9 +6,11 @@ Conventions, fixed so that outputs are byte-reproducible:
   (enough to round-trip float64 exactly); lines end with a bare newline.
 * Non-finite values are written as empty cells; boolean flag columns are
   written as 0/1.
+* Output is UTF-8 whatever the locale, as the reader decodes it.
 * Files are written atomically: a temporary file in the target directory
   is populated, closed, and renamed over the destination, so a reader
-  sees either the old file or the whole new one, never a partial file.
+  sees either the old file or the whole new one, never a partial file;
+  a failure part way leaves the old file and removes the temporary one.
   Nothing is fsync'd, so no durability against a crash or power loss is
   promised.
 * Every output CSV is accompanied by a JSON run manifest carrying the
@@ -17,7 +19,9 @@ Conventions, fixed so that outputs are byte-reproducible:
 :func:`format_cell` is the definition of a cell.  ``write_table_csv``
 works on whole columns, one block of 8192 rows at a time (of at most
 4096 cells for a table of float64 and bool columns only), and gives
-every cell the text ``format_cell`` gives.  A block of float64 and bool
+every cell the text ``format_cell`` gives.  Each block's bytes go into
+the temporary file as soon as they are formatted, so the text of a
+block or two, not the table's, is held at a time.  A block of float64 and bool
 columns only, of at least 160 cells, is formatted at array speed: each
 finite float's 17 significant digits come out as an exact integer (a
 Dekker product with a double-double power of ten, rounded half-even),
@@ -115,15 +119,18 @@ def format_cell(value) -> str:
     return f"{x:.17g}"
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file plus rename (no fsync)."""
+def _write_atomic(path, chunks) -> None:
+    """Write the byte chunks of an iterable, in order, to ``path`` through
+    a temp file in its directory plus rename (no fsync).  On any error,
+    from the iterable or the file, the temp file goes and the destination
+    keeps its previous bytes."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(
         dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -133,9 +140,14 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _block_rows(block: list[np.ndarray]) -> list[str]:
-    """The CSV rows of one block of columns; every cell is the one
-    ``format_cell`` gives for its entry.
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 through a temp file plus rename (no fsync)."""
+    _write_atomic(path, [text.encode("utf-8")])
+
+
+def _block_rows(block: list[np.ndarray]) -> bytes:
+    """The CSV rows of one block of columns, as UTF-8 bytes; every cell
+    is the one ``format_cell`` gives for its entry.
 
     Each row is one %-format: finite float64 columns enter as ``%.17g``
     and bool columns as ``%d``, straight from ``tolist()``; any other
@@ -157,8 +169,8 @@ def _block_rows(block: list[np.ndarray]) -> list[str]:
             spec, cells = "%s", [format_cell(v) for v in column]
         specs.append(spec)
         values.append(cells)
-    template = ",".join(specs)
-    return [template % row for row in zip(*values)]
+    template = ",".join(specs) + "\n"
+    return "".join(template % row for row in zip(*values)).encode("utf-8")
 
 
 # --- exact %.17g at array speed ----------------------------------------------
@@ -338,30 +350,37 @@ def _float_fields(v: np.ndarray, out: np.ndarray) -> None:
         out[slow, :3] = text.view(np.uint64).reshape(-1, 3)
 
 
-def _block_text(block: list[np.ndarray]) -> str:
-    """The CSV rows of one block of 1-D float64 and bool columns, from
-    one field matrix and one compaction.  A bool enters as 0.0 or 1.0,
-    whose ``%.17g`` text is its 0 or 1."""
+def _block_text(block: list[np.ndarray]) -> bytes:
+    """The CSV rows of one block of 1-D float64 and bool columns, as ASCII
+    bytes from one field matrix and one compaction.  A bool enters as 0.0
+    or 1.0, whose ``%.17g`` text is its 0 or 1."""
     values = np.column_stack(block).astype(np.float64, copy=False)
     fields = np.empty(values.shape + (_FIELD_WORDS,), dtype=np.uint64)
     _float_fields(values.ravel(), fields.reshape(values.size, _FIELD_WORDS))
     text = fields.view(np.uint8)
     text[:, -1, -1] = ord("\n")
-    return text.tobytes().translate(None, b"\0").decode("ascii")
+    return text.tobytes().translate(None, b"\0")
 
 
-def _table_text(header: Sequence[str], columns: list[np.ndarray], n: int) -> str:
-    # one block of rows at a time bounds the temporaries alive at once
+def _table_chunks(header: Sequence[str], columns: list[np.ndarray], n: int):
+    """The UTF-8 bytes of a table: the header line, then one chunk per
+    block of rows, each formatted only once the chunk before it is taken,
+    so that the text of two blocks at most is alive at a time."""
     fast = all(c.ndim == 1 and c.dtype in (np.float64, np.bool_) for c in columns)
     rows = min(_BLOCK_ROWS, max(1, _FIELD_CELLS // len(columns))) if fast and columns else _BLOCK_ROWS
-    parts = [",".join(header), "\n"]
+    yield (",".join(header) + "\n").encode("utf-8")
     for start in range(0, n, rows):
         block = [c[start:start + rows] for c in columns]
+        # chunk keeps the block before alive until this block is formatted:
+        # lying above that block's freed temporaries in the heap, it keeps
+        # glibc malloc from trimming them and faulting them back in for
+        # every block (a 2250 x 9 table: about 170 minor faults a write,
+        # not 1130)
         if fast and len(block) * len(block[0]) >= _MIN_FIELD_CELLS:
-            parts.append(_block_text(block))
+            chunk = _block_text(block)
         else:
-            parts.extend(row + "\n" for row in _block_rows(block))
-    return "".join(parts)
+            chunk = _block_rows(block)
+        yield chunk
 
 
 def write_table_csv(
@@ -380,7 +399,7 @@ def write_table_csv(
     if len(lengths) > 1:
         raise ValueError("columns must share one length")
     n = lengths.pop() if lengths else 0
-    atomic_write_text(path, _table_text(header, columns, n))
+    _write_atomic(path, _table_chunks(header, columns, n))
 
 
 def _read_file(path: Path, read):
@@ -415,7 +434,8 @@ def _parse_plain(raw: bytes):
     """
     if not raw or raw.translate(None, _PLAIN):
         return None
-    first = raw.split(b"\n", 1)[0].split(b",")
+    end = raw.find(b"\n")
+    first = raw[:end if end >= 0 else len(raw)].split(b",")
     if len(first) != 2:
         return None
     try:

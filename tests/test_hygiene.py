@@ -2,10 +2,13 @@
 the applications take no private operator helper but ``_derivative``, the
 test oracles in ``reference.py`` import nothing from the package,
 importing the command line does not import scipy, neither the command line
-nor a ``table1`` run loads ``concurrent.futures``, and in the command line
-only ``_execute`` creates a directory or writes a file."""
+nor a ``table1`` run loads ``concurrent.futures``, in the command line
+only ``_execute`` creates a directory or writes a file, and the functions
+the benchmark tracer tallies keep the parameter names it binds."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -139,3 +142,19 @@ def test_cli_and_table1_load_no_concurrent_futures(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv")], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "0 False False"
+
+
+# the parameters that bench/tracer.py binds by name on each function it
+# tallies; a rename would fail every traced benchmark run, so it fails here
+TRACER_BINDS = {
+    "io.write_table_csv": ("header", "columns"),
+    "io.atomic_write_text": ("text",),
+    "advection.run_advection": ("cfg",),
+}
+
+
+@pytest.mark.parametrize("name, params", sorted(TRACER_BINDS.items()), ids=sorted(TRACER_BINDS))
+def test_traced_functions_keep_the_parameters_the_tracer_binds(name, params):
+    module, function = name.split(".")
+    signature = inspect.signature(getattr(importlib.import_module(f"csit.{module}"), function))
+    assert set(params) <= set(signature.parameters)

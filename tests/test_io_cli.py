@@ -4,7 +4,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -91,6 +95,50 @@ class TestWriteTableCsv:
                 ["a", "b"],
                 [np.array([1.0]), np.array([1.0, 2.0])],
             )
+
+    def test_streams_blocks_without_holding_the_text(self, tmp_path):
+        # the 3.7 MB text of a 65536 x 3 table goes out block by block;
+        # joined into one string first, it made a 9 MB tracemalloc peak
+        rng = np.random.default_rng(16)
+        columns = [rng.standard_normal(65536) * 10.0 ** rng.integers(-300, 300, 65536) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            write_table_csv(tmp_path / "t.csv", ["x", "input", "output"], columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        assert (tmp_path / "t.csv").stat().st_size > 3e6
+
+    def test_a_failing_block_leaves_the_previous_file_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"old\n")
+        cells = np.array(["r0", "r1", "r2", "r3", "a,b", "r5"], dtype=object)
+        with mock.patch.object(csit_io, "_BLOCK_ROWS", 2), pytest.raises(ValueError, match="separator"):
+            write_table_csv(path, ["x", "note"], [np.arange(6.0), cells])
+        assert path.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+    def test_writes_utf8_whatever_the_locale(self, tmp_path):
+        # under the C locale with coercion and UTF-8 mode off, text mode
+        # would encode ASCII and fail on the first non-ASCII character (the
+        # command itself stays ASCII, spelling the accents as escapes)
+        code = (
+            "import codecs, locale, sys; import numpy as np; from csit.io import atomic_write_text, write_table_csv; "
+            "print(codecs.lookup(locale.getpreferredencoding(False)).name); "
+            "write_table_csv(sys.argv[1], ['t\\u00e9mps', 'note'], "
+            "[np.array([1.0, 2.0]), np.array(['caf\\u00e9', 'x'], dtype=object)]); "
+            "atomic_write_text(sys.argv[2], 'na\\u00efve\\n')"
+        )
+        src = str(Path(csit.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv"), str(tmp_path / "n.txt")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() != "utf-8"
+        assert (tmp_path / "t.csv").read_bytes() == "témps,note\n1,café\n2,x\n".encode("utf-8")
+        assert (tmp_path / "n.txt").read_bytes() == "naïve\n".encode("utf-8")
 
 
 class TestReadSeriesCsv:

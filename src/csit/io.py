@@ -1,38 +1,38 @@
-"""CSV and JSON plumbing for the command-line tools.
+r"""CSV and JSON plumbing for the command-line tools.
 
 Conventions, fixed so that outputs are byte-reproducible:
 
 * CSV cells use the '.' decimal separator and 17 significant digits
   (enough to round-trip float64 exactly); lines end with a bare newline.
 * Non-finite values are written as empty cells; boolean flag columns are
-  written as 0/1.
+  written as 0/1.  Nothing is quoted, so a text cell or header name
+  holding ``,``, ``\n`` or ``\r`` is refused with a ValueError.
 * Output is UTF-8 whatever the locale, as the reader decodes it.
 * Files are written atomically: a temporary file in the target directory
   is populated, closed, and renamed over the destination, so a reader
   sees either the old file or the whole new one, never a partial file;
   a failure part way leaves the old file and removes the temporary one.
+  Every output file gets mode 0666 less the umask, as ``open`` gives.
   Nothing is fsync'd, so no durability against a crash or power loss is
   promised.
 * Every output CSV is accompanied by a JSON run manifest carrying the
   resolved parameters, enough to re-run the command exactly.
 
 :func:`format_cell` is the definition of a cell.  ``write_table_csv``
-works on whole columns, one block of 8192 rows at a time (of at most
-4096 cells for a table of float64 and bool columns only), and gives
-every cell the text ``format_cell`` gives.  Each block's bytes go into
-the temporary file as soon as they are formatted, so the text of a
-block or two, not the table's, is held at a time.  A block of float64 and bool
-columns only, of at least 160 cells, is formatted at array speed: each
-finite float's 17 significant digits come out as an exact integer (a
-Dekker product with a double-double power of ten, rounded half-even),
-are laid out as ``%.17g`` lays them out in a fixed-width byte matrix
-whose zero bytes stand for no byte, and one compaction gives the
-block's text.  A rounding within 2**-24 of a tie that the product does
-not give exactly goes to Python's ``%.17g``; non-finite floats become
-empty cells, and a bool enters as 0.0 or 1.0, whose text is 0 or 1.  Any
-other block is formatted one %-format per row, with float64 columns as
-``%.17g`` and bool columns as ``%d`` straight from ``tolist()``, and
-every other dtype through ``format_cell`` cell by cell.
+works on whole columns, one block of at most 4096 cells (at least one
+row) at a time, and gives every cell the text ``format_cell`` gives.
+Each block's bytes go into the temporary file as soon as they are
+formatted, so the text of a block or two, not the table's, is held at a
+time.  A table of 1-D float64 and bool columns only is formatted at
+array speed: each finite float's 17 significant digits come out as an
+exact integer (a Dekker product with a double-double power of ten,
+rounded half-even), are laid out as ``%.17g`` lays them out in a
+fixed-width byte matrix whose zero bytes stand for no byte, and one
+compaction gives the block's text.  A rounding within 2**-24 of a tie
+that the product does not give exactly goes to Python's ``%.17g``;
+non-finite floats become empty cells, and a bool enters as 0.0 or 1.0,
+whose text is 0 or 1.  Any other table is formatted one ``format_cell``
+per cell.
 
 ``read_series_csv`` first parses a plain file in one ``np.loadtxt``
 pass: printable ASCII and ``\n`` line breaks only, no ``#`` and no
@@ -50,7 +50,7 @@ from __future__ import annotations
 import io
 import json
 import os
-import tempfile
+import secrets
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -73,18 +73,11 @@ __all__ = [
 # declared nonuniform
 _JITTER_TOL = 1e-9
 
-# rows formatted per block by write_table_csv
-_BLOCK_ROWS = 8192
-
-# a block of float64 and bool columns has at most this many cells, so
-# that the arrays of the field path stay small: a 2250 x 9 ifreq table in
-# one block made 4.4 MB of temporaries, in blocks of 4096 cells 1.1 MB
+# a block of write_table_csv has at most this many cells (and at least
+# one row), so that the arrays of the field path stay small: a 2250 x 9
+# ifreq table in one block made 4.4 MB of temporaries, in blocks of 4096
+# cells 1.1 MB
 _FIELD_CELLS = 4096
-
-# blocks of fewer cells are formatted row by row: below about 160 cells
-# the fixed cost of the field path (about 40 us a block) outweighs its
-# saving per cell
-_MIN_FIELD_CELLS = 160
 
 # bytes of a file that the one-pass reader takes: printable ASCII but the
 # comment mark and the digit separator float() allows, and \n line breaks
@@ -101,6 +94,14 @@ class CsvFormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
+def _unbroken(text: str, what: str) -> str:
+    """``text`` as a cell or header name: the format has no quoting, so
+    a separator in it would break the row, and is a ValueError."""
+    if "," in text or "\n" in text or "\r" in text:
+        raise ValueError(f"{what} may not contain separators: {text!r}")
+    return str(text)
+
+
 def format_cell(value) -> str:
     """One CSV cell: 17-significant-digit floats, 0/1 booleans, empty
     for non-finite entries, text passed through unquoted."""
@@ -109,10 +110,7 @@ def format_cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (str, np.str_)):
-        # the format has no quoting, so cell text must not break rows
-        if "," in value or "\n" in value or "\r" in value:
-            raise ValueError(f"cell text may not contain separators: {value!r}")
-        return str(value)
+        return _unbroken(value, "cell text")
     x = float(value)
     if not np.isfinite(x):
         return ""
@@ -123,11 +121,11 @@ def _write_atomic(path, chunks) -> None:
     """Write the byte chunks of an iterable, in order, to ``path`` through
     a temp file in its directory plus rename (no fsync).  On any error,
     from the iterable or the file, the temp file goes and the destination
-    keeps its previous bytes."""
+    keeps its previous bytes.  The temp file, a new name opened with
+    O_EXCL, gets mode 0666 less the umask, which the rename keeps."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
@@ -146,31 +144,8 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def _block_rows(block: list[np.ndarray]) -> bytes:
-    """The CSV rows of one block of columns, as UTF-8 bytes; every cell
-    is the one ``format_cell`` gives for its entry.
-
-    Each row is one %-format: finite float64 columns enter as ``%.17g``
-    and bool columns as ``%d``, straight from ``tolist()``; any other
-    column, and a float64 block with a non-finite entry, enters as its
-    cell strings through ``%s``.
-    """
-    specs, values = [], []
-    for column in block:
-        flat = column.ndim == 1
-        if flat and column.dtype == np.bool_:
-            spec, cells = "%d", column.tolist()
-        elif flat and column.dtype == np.float64:
-            finite = np.isfinite(column)
-            spec, cells = "%.17g", column.tolist()
-            if not finite.all():
-                spec = "%s"
-                cells = ["%.17g" % v if ok else "" for v, ok in zip(cells, finite.tolist())]
-        else:
-            spec, cells = "%s", [format_cell(v) for v in column]
-        specs.append(spec)
-        values.append(cells)
-    template = ",".join(specs) + "\n"
-    return "".join(template % row for row in zip(*values)).encode("utf-8")
+    """The CSV rows of one block of columns as UTF-8 bytes, one ``format_cell`` per cell."""
+    return "".join(",".join(map(format_cell, row)) + "\n" for row in zip(*block)).encode("utf-8")
 
 
 # --- exact %.17g at array speed ----------------------------------------------
@@ -367,7 +342,7 @@ def _table_chunks(header: Sequence[str], columns: list[np.ndarray], n: int):
     block of rows, each formatted only once the chunk before it is taken,
     so that the text of two blocks at most is alive at a time."""
     fast = all(c.ndim == 1 and c.dtype in (np.float64, np.bool_) for c in columns)
-    rows = min(_BLOCK_ROWS, max(1, _FIELD_CELLS // len(columns))) if fast and columns else _BLOCK_ROWS
+    rows = max(1, _FIELD_CELLS // max(len(columns), 1))
     yield (",".join(header) + "\n").encode("utf-8")
     for start in range(0, n, rows):
         block = [c[start:start + rows] for c in columns]
@@ -376,10 +351,7 @@ def _table_chunks(header: Sequence[str], columns: list[np.ndarray], n: int):
         # glibc malloc from trimming them and faulting them back in for
         # every block (a 2250 x 9 table: about 170 minor faults a write,
         # not 1130)
-        if fast and len(block) * len(block[0]) >= _MIN_FIELD_CELLS:
-            chunk = _block_text(block)
-        else:
-            chunk = _block_rows(block)
+        chunk = _block_text(block) if fast else _block_rows(block)
         yield chunk
 
 
@@ -394,6 +366,8 @@ def write_table_csv(
     """
     if len(header) != len(columns):
         raise ValueError("header and column counts differ")
+    for name in header:
+        _unbroken(name, "header name")
     columns = [np.asarray(c) for c in columns]
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:

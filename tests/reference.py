@@ -273,6 +273,9 @@ def csv_table_text(header, columns) -> str:
     """The CSV text of named columns, one cell at a time."""
     columns = [np.asarray(c) for c in columns]
     n = len(columns[0]) if columns else 0
+    for name in header:
+        if "," in name or "\n" in name or "\r" in name:
+            raise ValueError(f"header name may not contain separators: {name!r}")
     lines = [",".join(header)]
     for i in range(n):
         lines.append(",".join(csv_cell(c[i]) for c in columns))

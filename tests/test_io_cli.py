@@ -114,10 +114,35 @@ class TestWriteTableCsv:
         path = tmp_path / "t.csv"
         path.write_bytes(b"old\n")
         cells = np.array(["r0", "r1", "r2", "r3", "a,b", "r5"], dtype=object)
-        with mock.patch.object(csit_io, "_BLOCK_ROWS", 2), pytest.raises(ValueError, match="separator"):
+        with mock.patch.object(csit_io, "_FIELD_CELLS", 2 * 2), pytest.raises(ValueError, match="separator"):
             write_table_csv(path, ["x", "note"], [np.arange(6.0), cells])
         assert path.read_bytes() == b"old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+    @pytest.mark.parametrize("name", ["t,x", "v\n", "v\r"], ids=["comma", "newline", "carriage_return"])
+    def test_header_name_with_a_separator_is_refused_before_writing(self, tmp_path, name):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"old\n")
+        with mock.patch.object(csit_io.os, "open", side_effect=AssertionError("temp file opened")), \
+                pytest.raises(ValueError, match="header name may not contain separators"):
+            write_table_csv(path, [name, "v"], [np.arange(3.0), np.arange(3.0)])
+        assert path.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_outputs_get_the_mode_the_umask_leaves(self, tmp_path, umask, mode):
+        code = (
+            "import sys; import numpy as np; from csit.io import RunManifest, write_table_csv; "
+            "write_table_csv(sys.argv[1], ['x'], [np.arange(3.0)]); "
+            "RunManifest(subcommand='symbol', parameters={}).write(sys.argv[2])"
+        )
+        src = str(Path(csit.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        paths = [tmp_path / "a.csv", tmp_path / "a.csv.manifest.json"]
+        proc = subprocess.run([sys.executable, "-c", code, *map(str, paths)],
+                              env=env, umask=umask, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert [p.stat().st_mode & 0o777 for p in paths] == [mode, mode]
 
     def test_writes_utf8_whatever_the_locale(self, tmp_path):
         # under the C locale with coercion and UTF-8 mode off, text mode
@@ -377,37 +402,26 @@ class TestCsvAgainstReference:
     @settings(max_examples=200, deadline=None)
     @given(table=tables(), block=st.integers(1, 5))
     def test_writer_matches_cell_by_cell_reference(self, table, block):
+        # blocks of 1-5 rows
         header, columns = table
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(csit_io, "_BLOCK_ROWS", block):
-            path = Path(tmp) / "t.csv"
-            write_table_csv(path, header, columns)
-            assert path.read_bytes() == csv_table_text(header, columns).encode()
-
-    @settings(max_examples=200, deadline=None)
-    @given(table=tables(), block=st.integers(1, 5))
-    def test_field_path_matches_cell_by_cell_reference(self, table, block):
-        # every float64 and bool block through the field path, however small
-        header, columns = table
-        with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(csit_io, "_BLOCK_ROWS", block), \
-                mock.patch.object(csit_io, "_MIN_FIELD_CELLS", 0):
+        cells = block * max(len(columns), 1)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(csit_io, "_FIELD_CELLS", cells):
             path = Path(tmp) / "t.csv"
             write_table_csv(path, header, columns)
             assert path.read_bytes() == csv_table_text(header, columns).encode()
 
     @pytest.mark.parametrize(
         "block, tie",
-        [(csit_io._BLOCK_ROWS, csit_io._TIE), (97, csit_io._TIE), (97, 0.0)],
+        [(csit_io._FIELD_CELLS // 6, csit_io._TIE), (97, csit_io._TIE), (97, 0.0)],
         ids=["default_block", "small_block", "small_block_python_fallback"],
     )
     def test_writer_matches_reference_on_many_random_cells(self, tmp_path, block, tie):
         # 20000 rows x 6 columns: random bit patterns (any finite or
         # non-finite double), log-uniform magnitudes 1e-30..1e20 of either
         # sign, the edge values, integers and short decimals, bools, and
-        # log-uniform values with NaN runs.  At 97 rows a block goes through
-        # the field path and the last one, 18 rows, through the row path;
-        # a tie margin of 0 sends every rounding that is not exact to
-        # Python's %.17g
+        # log-uniform values with NaN runs.  At 97 rows a block, the last
+        # block holds 18 rows; a tie margin of 0 sends every rounding that
+        # is not exact to Python's %.17g
         rng = np.random.default_rng(20261018)
         n = 20000
         bits = rng.integers(-2**63, 2**63, n, dtype=np.int64, endpoint=False).view(np.float64)
@@ -421,7 +435,8 @@ class TestCsvAgainstReference:
         gappy[(np.arange(n) // 7) % 5 == 0] = np.nan
         header = ["bits", "log_uniform", "edges", "decimals", "flags", "gappy"]
         columns = [bits, log_uniform, edges, decimals, flags, gappy]
-        with mock.patch.object(csit_io, "_BLOCK_ROWS", block), mock.patch.object(csit_io, "_TIE", tie):
+        with mock.patch.object(csit_io, "_FIELD_CELLS", block * len(columns)), \
+                mock.patch.object(csit_io, "_TIE", tie):
             write_table_csv(tmp_path / "t.csv", header, columns)
         assert (tmp_path / "t.csv").read_bytes() == csv_table_text(header, columns).encode()
 
@@ -433,7 +448,8 @@ class TestCsvAgainstReference:
         assert (tmp_path / "t.csv").read_bytes() == path.read_bytes()
 
     def test_writer_blocks_cover_every_row(self, tmp_path):
-        x = np.linspace(-1.0, 1.0, 3 * csit_io._BLOCK_ROWS + 5)
+        # three full blocks of 1365 rows and five rows more
+        x = np.linspace(-1.0, 1.0, 3 * (csit_io._FIELD_CELLS // 3) + 5)
         x[::7] = np.nan
         columns = [x, x > 0, np.arange(len(x))]
         write_table_csv(tmp_path / "t.csv", ["x", "b", "i"], columns)

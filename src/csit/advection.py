@@ -191,14 +191,16 @@ class WavefieldSnapshot:
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the field stops being finite.
+    """Raised when the field stops being finite, or before the first step
+    for a run that cannot stay bounded.
 
     Carries the last finite state so the caller can inspect how the
-    blow-up developed.
+    blow-up developed; a run refused before its first step has none, and
+    its ``message`` says why.
     """
 
-    def __init__(self, t: float, last_finite: WavefieldSnapshot):
-        super().__init__(f"simulation diverged at t={t:.6g} s")
+    def __init__(self, t: float, last_finite: WavefieldSnapshot | None, message: str | None = None):
+        super().__init__(message or f"simulation diverged at t={t:.6g} s")
         self.t = t
         self.last_finite = last_finite
 
@@ -291,18 +293,19 @@ def run_advection(
     else:
         u_prev = cfg.initial_field.copy()
 
-    collected: dict[int, WavefieldSnapshot] = {}
+    # steps arrive in order; Series copies the field
+    collected: list[WavefieldSnapshot] = []
 
     def record(step: int, u: np.ndarray) -> None:
         if step in wanted:
-            collected[step] = WavefieldSnapshot(t=step * dt, u=Series(grid, u.copy()))
+            collected.append(WavefieldSnapshot(t=step * dt, u=Series(grid, u)))
 
     def check_finite(step: int, u: np.ndarray, last: np.ndarray) -> None:
         # the magnitude gate fires well before float overflow so the next
         # derivative evaluation cannot turn the field into inf/nan first;
         # a NaN makes the maximum NaN, which fails the comparison too
         if not np.abs(u).max() <= _GATE:
-            snap = WavefieldSnapshot(t=(step - 1) * dt, u=Series(grid, last.copy()))
+            snap = WavefieldSnapshot(t=(step - 1) * dt, u=Series(grid, last))
             raise DivergenceError(step * dt, snap)
 
     record(0, u_prev)
@@ -318,7 +321,7 @@ def run_advection(
         u_prev, u_curr = u_curr, u_next
         record(step + 1, u_curr)
 
-    return [collected[s] for s in sorted(collected)]
+    return collected
 
 
 def dispersion_fd(k, c: float, dx: float):

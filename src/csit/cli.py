@@ -27,10 +27,14 @@ Every run writes its outputs plus a JSON manifest carrying the fully
 resolved parameters; reduction order is fixed in all code paths, so
 re-running a manifest reproduces output CSVs byte for byte.
 
+A rerun removes each output that the same-named old manifest in its
+directory lists and it did not write itself (plain file names only).
+
 Exit codes: 0 success (for ``table1``: all rows passed, otherwise 1),
 2 usage or parameter error (an allocation that fails included), 3
 unreadable or malformed input data (including a manifest whose
-parameters the step rejects), 4 numerical divergence.
+parameters the step rejects), 4 numerical divergence (including an
+``advect`` run whose leapfrog stability number is 1 or more).
 """
 
 from __future__ import annotations
@@ -81,6 +85,7 @@ from .operators import (
     _RULES,
     CsitParams,
     _check_extents,
+    _derivative,
     csit_quadrature,
     csit_spectral,
     csit_symbol,
@@ -259,9 +264,14 @@ def _path(value, key: str) -> str:
     return str(Path(value).resolve())
 
 
-def _out_name(value, key: str) -> str:
+def _plain(value) -> bool:
+    """Whether ``value`` names a file in the output directory, nothing above or below it."""
     plain = isinstance(value, str) and Path(value).name == value and "\0" not in value
-    if not plain or value in ("", ".", ".."):
+    return plain and value not in ("", ".", "..")
+
+
+def _out_name(value, key: str) -> str:
+    if not _plain(value):
         raise ValueError(f"{key} must be a plain file name, got {value!r}")
     return value
 
@@ -428,7 +438,13 @@ def _advect(raw: dict) -> _Step:
     if params["snapshots"] is None:
         duration = cfg.n_t * cfg.dt
         params["snapshots"] = [0.0, 0.5 * duration, duration]
-    # run_advection checks the snapshot times and the csit extents before its first step
+    # leapfrog on an imaginary symbol stays bounded only for c*dt*max|sigma(k)| < 1;
+    # above it the unstable mode may grow too slowly for run_advection's gate
+    nu = cfg.c * cfg.dt * _derivative(cfg.grid, cfg.scheme, cfg.csit).max_rate
+    if not nu < 1.0:
+        raise DivergenceError(0.0, None, f"{cfg.scheme} at cfl {cfg.cfl:g} is unstable for leapfrog: "
+                                         f"c*dt*max|sigma(k)| = {nu:.6g} must be below 1")
+    # run_advection checks the snapshot times before its first step
     snapshots = run_advection(cfg, src, params["snapshots"])
     outputs = {
         f"snapshot_{index:03d}.csv": (["x", "u"], [snap.u.grid.nodes, snap.u.values])
@@ -643,8 +659,9 @@ _COMMANDS = {
 
 
 def _execute(subcommand: str, raw: dict, out_dir: Path, manifest_path=None) -> int:
-    """Run the step of ``subcommand`` on ``raw``; only then create ``out_dir``
-    and write the outputs and the manifest.
+    """Run the step of ``subcommand`` on ``raw``; only then create ``out_dir``,
+    write the outputs and the manifest, and remove each output that the
+    old manifest of the same name lists and this run did not write.
 
     For a replay (``manifest_path`` given), unknown keys, parameters the
     step rejects and node counts too large to allocate are malformed input
@@ -660,6 +677,8 @@ def _execute(subcommand: str, raw: dict, out_dir: Path, manifest_path=None) -> i
         if manifest_path is None:
             raise
         raise CsvFormatError(manifest_path, f"bad parameters: {exc}") from None
+    manifest_name = "manifest.json" if subcommand == "advect" else params["out"] + ".manifest.json"
+    stale = _listed_outputs(out_dir / manifest_name) - {*outputs, manifest_name}
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, output in outputs.items():
         if isinstance(output, str):
@@ -672,9 +691,21 @@ def _execute(subcommand: str, raw: dict, out_dir: Path, manifest_path=None) -> i
         inputs=[params["input"]] if params.get("input") else [],
         outputs=list(outputs),
     )
-    name = "manifest.json" if subcommand == "advect" else params["out"] + ".manifest.json"
-    manifest.finalize(time.perf_counter() - started).write(out_dir / name)
+    manifest.finalize(time.perf_counter() - started).write(out_dir / manifest_name)
+    for name in sorted(stale):
+        if not (out_dir / name).is_dir():
+            (out_dir / name).unlink(missing_ok=True)
     return code
+
+
+def _listed_outputs(path: Path) -> set[str]:
+    """The plain file names that the manifest at ``path`` lists as outputs;
+    none if there is no manifest there or it cannot be read."""
+    try:
+        outputs = RunManifest.read(path).outputs
+    except CsvFormatError:
+        return set()
+    return {name for name in outputs if _plain(name)} if isinstance(outputs, list) else set()
 
 
 def _replay(path: str, out_dir: Path) -> int:

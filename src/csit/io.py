@@ -391,7 +391,7 @@ def _read_json_object(path, what: str) -> dict:
         data = json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:
         raise CsvFormatError(path, f"cannot read {what} ({exc})") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep to decode
         raise CsvFormatError(path, f"invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise CsvFormatError(path, f"{what} must be a JSON object")

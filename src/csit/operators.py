@@ -36,6 +36,13 @@ not to the field (the Im-extraction would amplify it by 1/(k*tau) at
 small tau).  Every k-diagonal route here -- m_q, the exact symbol, i*k and
 the Hilbert multiplier -- is odd and purely imaginary, with the even-grid
 Nyquist bin zeroed, so real input comes back real.
+
+Each route builds its symbol once and applies it through one private
+frozen type, ``_Operator(mult, dx=None)``.  ``_derivative(grid, scheme, p)``
+returns one for each derivative scheme; fd carries its symbol
+i*sin(k*dx)/dx but applies the centered stencil (``dx`` set), the others
+apply ``mult`` with one rfft/irfft pair.  ``max_rate`` = max|mult| bounds
+the operator's rate, so c*dt*max_rate < 1 is the leapfrog stability limit.
 """
 
 from __future__ import annotations
@@ -188,15 +195,32 @@ def _multiplier(grid: UniformGrid, symbol: Callable[[np.ndarray], np.ndarray]) -
     return mult
 
 
-def _apply(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """Apply a half-spectrum multiplier from :func:`_multiplier`.
+@dataclass(frozen=True, eq=False)
+class _Operator:
+    """The half-spectrum symbol ``mult`` of :func:`_multiplier` on raw samples
+    of its grid: the centered stencil of spacing ``dx`` if set, else one
+    rfft/irfft pair, part-wise for complex input (so linear over complex scalars)."""
 
-    Real input comes back real; complex input is handled part-wise, which
-    keeps the operator linear over complex scalars.
-    """
-    if np.iscomplexobj(values):
-        return _apply(values.real, mult) + 1j * _apply(values.imag, mult)
-    return np.fft.irfft(np.fft.rfft(values) * mult, len(values))
+    mult: np.ndarray
+    dx: float | None = None
+
+    @property
+    def max_rate(self) -> float:
+        """max|mult|: a leapfrog step of u_t = -c*op(u) is stable for c*dt*max_rate < 1."""
+        return float(np.max(np.abs(self.mult)))
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        if self.dx is not None:
+            # (v[j+1] - v[j-1]) / (2 dx) with periodic wrap, in one new array
+            out = np.empty_like(values)
+            np.subtract(values[2:], values[:-2], out=out[1:-1])
+            out[0] = values[1] - values[-1]
+            out[-1] = values[0] - values[-2]
+            out /= 2.0 * self.dx
+            return out
+        if np.iscomplexobj(values):
+            return self(values.real) + 1j * self(values.imag)
+        return np.fft.irfft(np.fft.rfft(values) * self.mult, len(values))
 
 
 # points per block of csit_quadrature_direct: a complex128 temporary of a
@@ -338,34 +362,20 @@ def csit_spectral(s: Series, eta_half_width: float, tau_max: float) -> Series:
     for extents that :func:`csit_symbol` rejects on this grid.
     """
     mult = _multiplier(s.grid, lambda k: csit_symbol(k, eta_half_width, tau_max))
-    return Series(s.grid, _apply(s.values, mult))
+    return Series(s.grid, _Operator(mult)(s.values))
 
 
-def _derivative(grid: UniformGrid, scheme: str,
-                p: CsitParams | None = None) -> Callable[[np.ndarray], np.ndarray]:
+def _derivative(grid: UniformGrid, scheme: str, p: CsitParams | None = None) -> _Operator:
     """The derivative of a scheme on raw sample arrays of ``grid``, built once:
-    ``"fd"`` the centered stencil, ``"pseudospectral"`` the i*k multiplier,
-    ``"csit"`` the quadrature multiplier m_q of ``p``."""
+    ``"fd"`` the centered stencil, of symbol i*sin(k*dx)/dx, ``"pseudospectral"``
+    the i*k multiplier, ``"csit"`` the quadrature multiplier m_q of ``p``."""
     if scheme == "fd":
-        two_dx = 2.0 * grid.dx
-
-        def centered(values: np.ndarray) -> np.ndarray:
-            # (v[j+1] - v[j-1]) / (2 dx) with periodic wrap, in one new array
-            out = np.empty_like(values)
-            np.subtract(values[2:], values[:-2], out=out[1:-1])
-            out[0] = values[1] - values[-1]
-            out[-1] = values[0] - values[-2]
-            out /= two_dx
-            return out
-
-        return centered
+        return _Operator(_multiplier(grid, lambda k: 1j * np.sin(k * grid.dx) / grid.dx), grid.dx)
     if scheme == "pseudospectral":
-        mult = _multiplier(grid, lambda k: 1j * k)
-    elif scheme == "csit":
-        mult = _quadrature_multiplier(grid, p)
-    else:
-        raise ValueError(f"unknown derivative scheme {scheme!r}")
-    return lambda values: _apply(values, mult)
+        return _Operator(_multiplier(grid, lambda k: 1j * k))
+    if scheme == "csit":
+        return _Operator(_quadrature_multiplier(grid, p))
+    raise ValueError(f"unknown derivative scheme {scheme!r}")
 
 
 def fd_centered(s: Series) -> Series:
@@ -400,7 +410,7 @@ def hilbert_fft(s: Series) -> Series:
     The mean (k = 0) and the even-grid Nyquist mode are annihilated;
     applying the transform twice negates a zero-mean series.
     """
-    return Series(s.grid, _apply(s.values, _multiplier(s.grid, lambda k: -1j * np.sign(k))))
+    return Series(s.grid, _Operator(_multiplier(s.grid, lambda k: -1j * np.sign(k)))(s.values))
 
 
 # --- closed-form verification table ---------------------------------------

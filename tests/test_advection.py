@@ -26,7 +26,7 @@ from csit.advection import (
     run_advection,
 )
 from csit.grid import Series, UniformGrid
-from csit.operators import CsitParams, csit_quadrature, fd_centered, pseudospectral_derivative
+from csit.operators import CsitParams, _derivative, csit_quadrature, fd_centered, pseudospectral_derivative
 from csit.special import shi
 
 
@@ -366,6 +366,21 @@ class TestStepLoopAgainstTextbook:
         with pytest.raises(DivergenceError) as info:
             run_advection(cfg, _Broken(f0=4.0), [20 * cfg.dt])
         assert info.value.last_finite.t == 7 * cfg.dt
+
+
+class TestStabilityNumber:
+    """c*dt*max_rate of each scheme's operator at the reference config,
+    whose cfl 0.25 scales to the limits 1, 0.31959 and 0.32453."""
+
+    @pytest.mark.parametrize("scheme, number", [("fd", 0.25), ("pseudospectral", 0.78226),
+                                                ("csit", 0.77034)])
+    def test_reference_config(self, scheme, number):
+        cfg = reference_config(scheme)
+        nu = cfg.c * cfg.dt * _derivative(cfg.grid, cfg.scheme, cfg.csit).max_rate
+        if scheme == "fd":
+            assert nu == number
+        else:
+            assert nu == pytest.approx(number, abs=1e-5)
 
 
 class TestDispersion:

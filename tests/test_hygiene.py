@@ -3,8 +3,9 @@ the applications take no private operator helper but ``_derivative``, the
 test oracles in ``reference.py`` import nothing from the package,
 importing the command line does not import scipy, neither the command line
 nor a ``table1`` run loads ``concurrent.futures``, in the command line
-only ``_execute`` creates a directory or writes a file, and the functions
-the benchmark tracer tallies keep the parameter names it binds."""
+only ``_execute`` creates a directory or writes or removes a file, only
+``operators.py`` calls the real FFT pair, and the functions the benchmark
+tracer tallies keep the parameter names it binds."""
 
 import ast
 import importlib
@@ -59,8 +60,8 @@ def test_applications_take_only_the_scheme_map_from_operators(name):
     assert private == ["_derivative"]
 
 
-# the calls that create a directory or write a file
-WRITERS = {"mkdir", "write", "write_table_csv", "atomic_write_text"}
+# the calls that create a directory or write or remove a file
+WRITERS = {"mkdir", "write", "write_table_csv", "atomic_write_text", "unlink"}
 
 
 def writing_functions(source: str) -> set[str]:
@@ -90,10 +91,35 @@ def test_checker_flags_each_writer():
     assert writing_functions(source) == {"a", "inner", "c", "<module>"}
 
 
+def test_checker_flags_unlink():
+    assert writing_functions("def d(p):\n    p.unlink(missing_ok=True)\n") == {"d"}
+
+
 def test_only_execute_writes_in_the_command_line():
     # each subcommand's step computes every output first; _execute alone
     # creates the directory and writes, so a failed step leaves nothing behind
     assert writing_functions((PACKAGE / "cli.py").read_text()) == {"_execute"}
+
+
+def real_fft_calls(source: str) -> list[str]:
+    """The names of each called ``rfft`` or ``irfft``, bare or as an attribute."""
+    return [
+        node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("rfft", "irfft")
+    ]
+
+
+def test_checker_flags_each_real_fft_call():
+    source = "np.fft.irfft(np.fft.rfft(v) * m, n)\nrfft(v)\nnp.fft.fft(v)\nf = np.fft.rfft\n"
+    assert sorted(real_fft_calls(source)) == ["irfft", "rfft", "rfft"]
+
+
+def test_only_operators_calls_the_real_fft_pair():
+    # every k-diagonal route applies its symbol through operators._Operator
+    callers = [path.name for path in sorted(PACKAGE.glob("*.py")) if real_fft_calls(path.read_text())]
+    assert callers == ["operators.py"]
 
 
 def test_reference_imports_no_package_code():

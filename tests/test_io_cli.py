@@ -711,6 +711,88 @@ class TestAdvectCommand:
         assert main(["replay", str(path), "--out-dir", str(out)]) == 4
         assert not out.exists()
 
+    # the reference grid, just below and at or above each scheme's limit
+    # c*dt*max_rate < 1 (fd reaches exactly 1 at cfl 1: n_x 500 is divisible by 4)
+    STABILITY_CASES = [("fd", 0.999, 0), ("fd", 1.0, 4), ("pseudospectral", 0.3195, 0),
+                       ("pseudospectral", 0.3197, 4), ("csit", 0.3245, 0), ("csit", 0.3246, 4)]
+
+    @staticmethod
+    def _assert_refused_or_run(code, expected, scheme, cfl, out, capsys):
+        err = capsys.readouterr().err.splitlines()
+        assert code == expected
+        if expected == 0:
+            assert err == [] and (out / "manifest.json").exists()
+        else:
+            assert len(err) == 1 and err[0].startswith(f"csit: error: {scheme} at cfl {cfl:g} ")
+            assert "c*dt*max|sigma(k)| = " in err[0]
+            assert not out.exists()
+
+    @pytest.mark.parametrize("scheme, cfl, expected", STABILITY_CASES)
+    def test_cfl_at_the_stability_limit(self, tmp_path, capsys, scheme, cfl, expected):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cfl": cfl, "n_t": 4}))
+        out = tmp_path / "adv"
+        code = main(["advect", "--scheme", scheme, "--config", str(cfg), "--out-dir", str(out)])
+        self._assert_refused_or_run(code, expected, scheme, cfl, out, capsys)
+
+    @pytest.mark.parametrize("scheme, cfl, expected", STABILITY_CASES)
+    def test_replay_at_the_stability_limit(self, tmp_path, capsys, scheme, cfl, expected):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_t": 4}))
+        run = tmp_path / "run"
+        assert main(["advect", "--scheme", scheme, "--config", str(cfg), "--out-dir", str(run)]) == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["parameters"]["cfl"] = cfl
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        out = tmp_path / "replay"
+        code = main(["replay", str(path), "--out-dir", str(out)])
+        self._assert_refused_or_run(code, expected, scheme, cfl, out, capsys)
+
+    def _rerun(self, cfg, out, snapshots):
+        return main(["advect", "--scheme", "fd", "--config", str(cfg), "--snapshots", snapshots,
+                     "--out-dir", str(out)])
+
+    def test_rerun_removes_the_outputs_it_no_longer_writes(self, tmp_path):
+        cfg, out = self._config(tmp_path), tmp_path / "adv"
+        assert self._rerun(cfg, out, "0,1,2") == 0
+        (out / "notes.txt").write_text("mine")
+        assert self._rerun(cfg, out, "0,2") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["snapshot_000.csv", "snapshot_001.csv", "summary.json"]
+        # only what the old manifest listed goes; a file no manifest names stays
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "notes.txt", "snapshot_000.csv", "snapshot_001.csv", "summary.json"]
+
+    def test_rerun_removes_only_plain_names_of_the_old_manifest(self, tmp_path):
+        cfg, out = self._config(tmp_path), tmp_path / "adv"
+        assert self._rerun(cfg, out, "0,1,2") == 0
+        (tmp_path / "x").write_text("outside")
+        (out / "sub").mkdir()
+        (out / "sub" / "y").write_text("below")
+        (out / "d").mkdir()
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["outputs"] += ["../x", "sub/y", str(tmp_path / "x"), "d", "..", "", 7, None]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert self._rerun(cfg, out, "0,2") == 0
+        assert (tmp_path / "x").read_text() == "outside"
+        assert (out / "sub" / "y").read_text() == "below"
+        assert (out / "d").is_dir()
+        assert not (out / "snapshot_002.csv").exists()
+
+    @pytest.mark.parametrize("text", ["{broken", "[]", '{"subcommand": "advect"}',
+                                      '{"subcommand": "advect", "parameters": {}, "outputs": "snapshot_002.csv"}',
+                                      "[" * 100000 + "]" * 100000],
+                             ids=["broken", "array", "no_parameters", "outputs_string", "too_deep"])
+    def test_rerun_over_a_malformed_manifest_removes_nothing(self, tmp_path, text):
+        cfg, out = self._config(tmp_path), tmp_path / "adv"
+        assert self._rerun(cfg, out, "0,1,2") == 0
+        (out / "manifest.json").write_text(text)
+        assert self._rerun(cfg, out, "0,2") == 0
+        assert (out / "snapshot_002.csv").exists()
+        assert json.loads((out / "manifest.json").read_text())["outputs"][-1] == "summary.json"
+
     def test_unknown_config_field_exits_2(self, tmp_path):
         cfg = self._config(tmp_path, zzz=1)
         assert main(["advect", "--config", str(cfg),
@@ -820,6 +902,17 @@ class TestReplayCommand:
         np.testing.assert_allclose(got["window"], ref["window"], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose([e["centroid"] for e in got["snapshots"]],
                                    [e["centroid"] for e in ref["snapshots"]], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("argv", [["replay", "{path}"], ["advect", "--config", "{path}"]],
+                             ids=["replay", "config"])
+    def test_json_nested_too_deep_exits_3(self, tmp_path, capsys, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        out = tmp_path / "o"
+        assert main([a.format(path=path) for a in argv] + ["--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("csit: error:") and "invalid JSON" in err[0]
+        assert not out.exists()
 
     def test_unknown_subcommand_in_manifest_exits_3(self, tmp_path):
         path = tmp_path / "m.json"
@@ -1713,7 +1806,8 @@ def replay_runs(draw, subcommand):
         if scheme == "csit" or draw(st.booleans()):
             dx = 10000.0 / n_x
             config["csit"] = {"eta_half_width": draw(st.floats(0.01, 2.0)) * dx,
-                              "tau_max": draw(st.floats(0.001, 0.5)) * dx,
+                              # c*dt*max_rate stays below 0.981, so no draw is refused
+                              "tau_max": draw(st.floats(0.001, 0.25)) * dx,
                               "n_eta": draw(st.integers(1, 4)), "n_tau": draw(st.integers(1, 4))}
         flags = ["--scheme", scheme, "--config", "cfg.json"]
         if draw(st.booleans()):

@@ -682,6 +682,26 @@ class TestDerivativeHelpers:
         np.testing.assert_allclose(twice.values, -vals, atol=1e-12)
 
 
+class TestOperator:
+    """Each scheme is one operator that applies the symbol it carries."""
+
+    @pytest.mark.parametrize("n", [15, 16])
+    @pytest.mark.parametrize("scheme", ["fd", "pseudospectral", "csit"])
+    def test_applies_its_symbol_to_an_impulse(self, scheme, n):
+        grid = UniformGrid(x0=0.0, length=2.0 * np.pi, n=n)
+        op = _derivative(grid, scheme, CsitParams(0.3 * grid.dx, 0.2 * grid.dx))
+        impulse = np.zeros(n)
+        impulse[0] = 1.0
+        response = np.fft.rfft(op(impulse))
+        assert op.max_rate == np.max(np.abs(op.mult)) > 0.0
+        assert np.max(np.abs(response - op.mult)) <= 1e-15 * op.max_rate
+
+    def test_frozen(self):
+        op = _derivative(UniformGrid(x0=0.0, length=1.0, n=16), "pseudospectral")
+        with pytest.raises(AttributeError):
+            op.dx = 1.0
+
+
 class TestVerificationTable:
     def test_quick_run_all_rows_pass(self):
         report = table1_verify(n_eta=64, n_tau=64, n_points=5, tolerance=1e-5)

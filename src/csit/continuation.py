@@ -3,8 +3,12 @@
 A band-limited periodic function sampled on a uniform grid extends off the
 real axis mode by mode: the coefficient of exp(i k x) becomes the
 coefficient of exp(i k (x + eta + i tau)) = exp(i k eta) * exp(-k tau).
-``continue_spectral`` applies that multiplier over the full signed
-spectrum with one FFT pair on the raw samples; ``continue_direct`` simply
+One private helper applies that multiplier over the full signed spectrum:
+it builds exp(i k eta - k tau) once for a row of shifts that share one eta
+and inverts each given spectrum at all of them with one batched inverse
+FFT.  ``continue_spectral`` is its one-shift call, one FFT pair on the raw
+samples; the complex-step frequency estimator takes one forward FFT per
+trace component and one call per eta row.  ``continue_direct`` simply
 evaluates a closed-form function at the shifted argument, and the two
 agree on band-limited data.  The multiplier is diagonal, so the phase
 that absolute coordinates attach to the coefficients of a grid with
@@ -53,15 +57,28 @@ class ComplexShift:
             raise ValueError("imaginary shift tau must be nonnegative")
 
 
-def _check_growth(k: np.ndarray, tau: float, name: str = "imaginary extent") -> None:
-    """Reject an imaginary extent tau with exp(|k|*tau) near overflow;
-    the message calls tau ``name``."""
+def _check_growth(k: np.ndarray, taus: float | np.ndarray, name: str = "imaginary extent") -> None:
+    """Reject the first imaginary extent of ``taus`` (one, or several in
+    node order) with exp(|k|*tau) near overflow; the message calls it ``name``."""
     k_max = float(np.max(np.abs(k), initial=0.0))
-    if tau * k_max > _EXP_ARG_LIMIT:
-        raise ValueError(
-            f"continuation step too large: {name} {tau:g} times "
-            f"wavenumber {k_max:.6g} exceeds {_EXP_ARG_LIMIT:g}"
-        )
+    for tau in np.atleast_1d(taus):
+        if tau * k_max > _EXP_ARG_LIMIT:
+            raise ValueError(
+                f"continuation step too large: {name} {tau:g} times "
+                f"wavenumber {k_max:.6g} exceeds {_EXP_ARG_LIMIT:g}"
+            )
+
+
+def _continue_rows(spectra, k: np.ndarray, eta: float, taus: np.ndarray) -> list[np.ndarray]:
+    """Each spectrum of ``spectra`` continued to ``x + eta + i*tau`` for every
+    tau of ``taus``, as a ``(len(taus), n)`` array.
+
+    The multiplier ``exp(i*k*eta - k*tau)`` is built once for all spectra,
+    and each spectrum takes one inverse FFT along the last axis.  The
+    caller checks the growth of ``taus``.
+    """
+    mult = np.exp(1j * k * eta - k * taus[:, None])
+    return [np.fft.ifft(coeffs * mult) for coeffs in spectra]
 
 
 def continue_spectral(s: Series, shift: ComplexShift) -> Series:
@@ -80,8 +97,9 @@ def continue_spectral(s: Series, shift: ComplexShift) -> Series:
     """
     k = wavenumbers(s.grid)
     _check_growth(k, shift.tau)
-    mult = np.exp(1j * k * shift.eta - k * shift.tau)
-    return Series(s.grid, np.fft.ifft(np.fft.fft(s.values) * mult))
+    taus = np.array([shift.tau], dtype=np.float64)
+    (rows,) = _continue_rows([np.fft.fft(s.values)], k, shift.eta, taus)
+    return Series(s.grid, rows[0])
 
 
 def continue_direct(f: AnalyticFunction, x: np.ndarray, shift: ComplexShift) -> np.ndarray:

@@ -27,8 +27,8 @@ from typing import Literal
 
 import numpy as np
 
-from .continuation import ComplexShift, continue_spectral
-from .grid import Series, UniformGrid
+from .continuation import _check_growth, _continue_rows
+from .grid import Series, UniformGrid, wavenumbers
 from .operators import CsitParams, _derivative, hilbert_fft
 
 __all__ = [
@@ -282,30 +282,36 @@ def if_csit(tr: AnalyticTrace, p: CsitParams) -> FrequencyEstimate:
 
     ``A`` and ``B`` are both trace components evaluated at the shifted
     time ``t + eta + i*tau`` through their spectra, for the quadrature
-    nodes of ``p`` (the rectangle of the transform itself).  Each node
-    contributes ``0.5*ln(|A - iB| / |A + iB|)/tau``, the imaginary-step
-    difference of ``ln|z|`` for the analytic signal ``z``, which stays
-    finite at amplitude zeros without any explicit damping term.
+    nodes of ``p`` (the rectangle of the transform itself): one forward
+    FFT per component, then per eta row one multiplier for every tau node
+    and one batched inverse FFT per component.  Each node contributes
+    ``0.5*ln(|A - iB| / |A + iB|)/tau``, the imaginary-step difference of
+    ``ln|z|`` for the analytic signal ``z``, which stays finite at
+    amplitude zeros without any explicit damping term.
 
     Nodes with ``|A + iB|*|A - iB| < 1e-14*|A|^2`` (arctangent branch
     points) borrow the value of the nearest clean node of the same
     sample (smallest tau distance first, then eta distance, lower index
     on ties); a sample with no clean node at all is reported as 0 Hz
-    and flagged invalid.  Raises ValueError, naming tau_min, when the
-    frequency of a valid sample is not finite (a tau_min so small that
-    the division by tau overflows).
+    and flagged invalid.  Raises ValueError naming the first tau node
+    whose continuation would overflow, when a continued trace is not
+    finite, and, naming tau_min, when the frequency of a valid sample is
+    not finite (a tau_min so small that the division by tau overflows).
     """
     etas, w_eta = p.eta_nodes_weights()
     taus, w_tau = p.tau_nodes_weights()
+    k = wavenumbers(tr.grid)
+    _check_growth(k, taus)
+    spectra = [np.fft.fft(tr.x.values), np.fft.fft(tr.y.values)]
     n = tr.grid.n
     integrand = np.empty((len(etas), len(taus), n))
     flagged = np.empty((len(etas), len(taus), n), dtype=bool)
     for ip, eta in enumerate(etas):
-        for im, tau in enumerate(taus):
-            shift = ComplexShift(eta=float(eta), tau=float(tau))
-            a = continue_spectral(tr.x, shift).values
-            b = continue_spectral(tr.y, shift).values
-            integrand[ip, im], flagged[ip, im] = _imag_arctan_ratio(a, b)
+        a, b = _continue_rows(spectra, k, eta, taus)
+        # a large trace continued far off the axis can overflow float64
+        if not (np.isfinite(a.view(np.float64)).all() and np.isfinite(b.view(np.float64)).all()):
+            raise ValueError("series values must all be finite")
+        integrand[ip], flagged[ip] = _imag_arctan_ratio(a, b)
     # a subnormal tau_min overflows the division; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         integrand /= taus[:, None]

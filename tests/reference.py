@@ -4,8 +4,9 @@ Everything here recomputes quantities from definitions, sharing no code
 with the package: power series and hand-written adaptive Simpson for the
 sine integrals, an O(n^2) summation DFT, a nested adaptive quadrature
 of the defining double integral of the transform, its fixed-node
-quadrature evaluated in one array, and the CSV format written one cell
-and read one line at a time.  Tolerances are absolute unless noted.
+quadrature evaluated in one array, the complex-step frequency estimator
+one node at a time, and the CSV format written one cell and read one
+line at a time.  Tolerances are absolute unless noted.
 """
 
 from __future__ import annotations
@@ -242,6 +243,41 @@ def patch_flagged_loop(integrand: np.ndarray, flagged: np.ndarray) -> np.ndarray
                             best_key, best = key, (jp, jm)
                 integrand[ip, im, j] = integrand[best[0], best[1], j]
     return valid
+
+
+def if_csit_loop(x, y, length: float, etas, w_eta, taus, w_tau, normalization: float,
+                 integrand=imag_arctan_two_branch):
+    """The complex-step frequency estimate of the analytic trace ``x + i*y``,
+    one quadrature node at a time.
+
+    For every node ``(eta, tau)`` each component is continued to
+    ``t + eta + i*tau`` with its own FFT pair, through the multiplier
+    ``exp(i*k*eta - k*tau)`` on the signed wavenumbers of a period
+    ``length``.  ``integrand(a, b)`` gives the node's ``Im[arctan(b/a)]`` and
+    branch-point flags, divided by tau; flagged nodes are patched by
+    :func:`patch_flagged_loop`, and the weighted node values are summed one
+    node at a time and divided by ``2*pi*normalization``.  Nodes, weights
+    and the normalization are taken as given.  Returns ``(frequency, valid)``.
+    """
+    n = len(x)
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
+    values = np.empty((len(etas), len(taus), n))
+    flags = np.empty((len(etas), len(taus), n), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ip, eta in enumerate(etas):
+            for im, tau in enumerate(taus):
+                mult = np.exp(1j * k * eta - k * tau)
+                a = np.fft.ifft(np.fft.fft(x) * mult)
+                b = np.fft.ifft(np.fft.fft(y) * mult)
+                value, flags[ip, im] = integrand(a, b)
+                values[ip, im] = value / tau
+        valid = patch_flagged_loop(values, flags)
+        total = w_eta[0] * w_tau[0] * values[0, 0]
+        for ip in range(len(etas)):
+            for im in range(len(taus)):
+                if ip or im:
+                    total = total + w_eta[ip] * w_tau[im] * values[ip, im]
+    return total / (2.0 * np.pi * normalization), valid
 
 
 class CsvError(ValueError):

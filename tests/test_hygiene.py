@@ -2,7 +2,7 @@
 the applications take no private operator helper but ``_derivative``, the
 test oracles in ``reference.py`` import nothing from the package,
 importing the command line does not import scipy, neither the command line
-nor a ``table1`` run loads ``concurrent.futures``, in the command line
+nor a ``table1`` or ``ifreq`` run loads ``concurrent.futures``, in the command line
 only ``_execute`` creates a directory or writes or removes a file, only
 ``operators.py`` calls the real FFT pair, and the functions the benchmark
 tracer tallies keep the parameter names it binds."""
@@ -154,20 +154,23 @@ def test_table1_loads_only_scipy_special(tmp_path):
 
 
 def test_cli_and_table1_load_no_concurrent_futures(tmp_path):
-    # the direct quadrature runs its blocks on plain threads, so start-up
-    # pays no cold import of concurrent.futures.  scipy.special loads it on
-    # its own (through numpy.testing), so the table1 run starts with
-    # scipy.special imported and the concurrent package dropped
+    # the direct quadrature runs its blocks on plain threads and if_csit runs
+    # its eta rows inline, so start-up pays no cold import of
+    # concurrent.futures.  scipy.special loads it on its own (through
+    # numpy.testing), so the table1 run starts with scipy.special imported
+    # and the concurrent package dropped; ifreq runs first, before scipy
     code = (
-        "import sys, csit.cli; cold = 'concurrent.futures' in sys.modules; import scipy.special; "
+        "import sys, csit.cli; cold = 'concurrent.futures' in sys.modules; "
+        "rc_ifreq = csit.cli.main(['ifreq', '--demo', 'chirp', '--out', sys.argv[2]]); "
+        "ifreq = 'concurrent.futures' in sys.modules; import scipy.special; "
         "[sys.modules.pop(m) for m in list(sys.modules) if m.split('.')[0] == 'concurrent']; "
         "rc = csit.cli.main(['table1', '--out', sys.argv[1]]); "
-        "print(rc, cold, 'concurrent.futures' in sys.modules)"
+        "print(rc_ifreq, rc, cold, ifreq, 'concurrent.futures' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv")], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "0 False False"
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv"), str(tmp_path / "f.csv")],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "0 0 False False False"
 
 
 # the parameters that bench/tracer.py binds by name on each function it

@@ -4,8 +4,9 @@ frequency estimators.
 Oracles: scipy's analytic-signal routine (independent of the package's
 transform convention), closed-form phase rates for tones and for the
 trace 1 - e^{2*pi*i*t} (constant 0.5 Hz with one exact amplitude zero),
-the principal-branch logarithm identity for Im[arctan], and the two-branch
-arctangent form of the complex-step integrand kept in reference.py.
+the principal-branch logarithm identity for Im[arctan], the two-branch
+arctangent form of the complex-step integrand, and the per-node loop of
+the complex-step estimator kept in reference.py.
 """
 
 import warnings
@@ -30,7 +31,7 @@ from csit.instfreq import (
 from csit.instfreq import _imag_arctan_ratio, _patch_flagged, _phase_rate_terms
 from csit.operators import CsitParams, fd_centered, pseudospectral_derivative
 
-from reference import enveloped_chirp_trace, imag_arctan_two_branch, patch_flagged_loop
+from reference import enveloped_chirp_trace, if_csit_loop, imag_arctan_two_branch, patch_flagged_loop
 
 TWO_PI = 2.0 * np.pi
 
@@ -352,6 +353,122 @@ class TestIfCsit:
         p = CsitParams(eta_half_width=0.1, tau_max=10.0)
         with pytest.raises(ValueError, match="too large"):
             if_csit(tr, p)
+
+    def test_growth_error_names_the_first_tau_node_over_the_limit(self):
+        # nodes 0.75, 1 and 1.25 against max|k| = 256*pi: the middle node is
+        # the first whose continuation would overflow, and the error names it
+        tr = tone_trace(3.0, n=256)
+        p = CsitParams(eta_half_width=0.1, tau_max=1.25, tau_min=0.75, n_tau=3)
+        with pytest.raises(ValueError) as err:
+            if_csit(tr, p)
+        assert str(err.value) == ("continuation step too large: imaginary extent 1 times "
+                                  "wavenumber 804.248 exceeds 700")
+
+    def test_overflowing_continuation_is_refused(self):
+        # within the growth limit, but exp(690) times a 1e100 trace overflows
+        grid = UniformGrid(0.0, 1.0, 256)
+        tr = analytic_signal(Series(grid, 1e100 * np.cos(TWO_PI * 3.0 * grid.nodes)))
+        p = CsitParams(eta_half_width=0.1, tau_max=690.0 / (256 * np.pi), n_tau=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="^series values must all be finite$"):
+                if_csit(tr, p)
+
+
+# quadrature node layouts (n_eta, n_tau, rule) of the oracle tests
+NODE_LAYOUTS = [(1, 1, "trapezoid"), (4, 4, "trapezoid"), (6, 5, "trapezoid"),
+                (4, 4, "midpoint"), (6, 5, "midpoint")]
+
+
+def oracle_trace(kind: str, n: int) -> AnalyticTrace:
+    """A trace with an exact amplitude zero (notch, enveloped chirp) or
+    without one (chirp), the chirps sweeping n/10 Hz from n/10 Hz."""
+    if kind == "notch":
+        return notch_trace(n)
+    grid = UniformGrid(0.0, 1.0, n)
+    if kind == "chirp":
+        return analytic_signal(chirp(0.1 * n, 0.1 * n, grid))
+    x, y = enveloped_chirp_trace(n, 0.1 * n, 0.1 * n)
+    return AnalyticTrace(Series(grid, x), Series(grid, y))
+
+
+def node_loop(tr: AnalyticTrace, p: CsitParams, integrand=_imag_arctan_ratio):
+    etas, w_eta = p.eta_nodes_weights()
+    taus, w_tau = p.tau_nodes_weights()
+    return if_csit_loop(tr.x.values, tr.y.values, tr.grid.length, etas, w_eta, taus, w_tau,
+                        p.normalization, integrand)
+
+
+class TestIfCsitAgainstNodeLoop:
+    """``if_csit`` continues a whole eta row of nodes per inverse FFT; the
+    reference continues one node at a time with its own FFT pair and
+    patches one sample at a time.  Given the package's integrand, the two
+    agree bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["notch", "enveloped", "chirp"]),
+        n=st.integers(8, 96),
+        layout=st.sampled_from(NODE_LAYOUTS),
+        h_dx=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+        log_z_dx=st.floats(-2.0, 2.25),
+        cut=st.floats(1e-3, 0.9),
+    )
+    @example(kind="enveloped", n=9, layout=(4, 4, "trapezoid"), h_dx=1.0, log_z_dx=1.5, cut=0.01)
+    @example(kind="enveloped", n=11, layout=(6, 5, "midpoint"), h_dx=1.0, log_z_dx=2.25, cut=0.25)
+    def test_matches_node_loop_bit_for_bit(self, kind, n, layout, h_dx, log_z_dx, cut):
+        # extents in samples: max|k|*Z reaches about 560 of the growth limit 700
+        tr = oracle_trace(kind, n)
+        n_eta, n_tau, rule = layout
+        z = 10.0**log_z_dx * tr.grid.dx
+        p = CsitParams(eta_half_width=h_dx * tr.grid.dx, tau_max=z, tau_min=cut * z,
+                       n_eta=n_eta, n_tau=n_tau, rule=rule)
+        est = if_csit(tr, p)
+        freq, valid = node_loop(tr, p)
+        assert np.array_equal(est.valid, valid)
+        assert np.array_equal(est.frequency, freq)
+
+    @pytest.mark.parametrize("z_dx, cut, patched", [(30.0, 0.01, True), (150.0, 0.25, False)],
+                             ids=["patched", "invalid"])
+    @pytest.mark.parametrize("layout", NODE_LAYOUTS, ids=lambda v: "x".join(map(str, v)))
+    def test_flagged_nodes_patched_as_in_the_loop(self, layout, z_dx, cut, patched):
+        # far from the real axis the continued enveloped chirp of odd
+        # length sits on arctangent branch points, one tau row at a time:
+        # the flagged rows borrow a clean row, or, with none left, every
+        # sample is invalid
+        tr = oracle_trace("enveloped", 9)
+        n_eta, n_tau, rule = layout
+        z = z_dx * tr.grid.dx
+        p = CsitParams(eta_half_width=tr.grid.dx, tau_max=z, tau_min=cut * z,
+                       n_eta=n_eta, n_tau=n_tau, rule=rule)
+        flags = []
+
+        def recording(a, b):
+            value, flag = _imag_arctan_ratio(a, b)
+            flags.append(flag)
+            return value, flag
+
+        freq, valid = node_loop(tr, p, recording)
+        assert np.any(flags)
+        if patched and n_eta * n_tau > 1:
+            assert valid.all()
+        else:
+            assert not valid.any()
+        est = if_csit(tr, p)
+        assert np.array_equal(est.valid, valid)
+        assert np.array_equal(est.frequency, freq)
+
+    @pytest.mark.parametrize("kind", ["notch", "enveloped", "chirp"])
+    def test_two_branch_integrand_agrees(self, kind):
+        # the loop on its own arctangent form of the integrand, off the
+        # branch points: equal masks, frequencies to rounding
+        tr = oracle_trace(kind, 257)
+        p = CsitParams(eta_half_width=tr.grid.dx, tau_max=tr.grid.dx, tau_min=0.01 * tr.grid.dx,
+                       n_eta=6, n_tau=5, rule="midpoint")
+        est = if_csit(tr, p)
+        freq, valid = node_loop(tr, p, imag_arctan_two_branch)
+        assert np.array_equal(est.valid, valid)
+        assert np.allclose(est.frequency, freq, rtol=1e-9, atol=1e-9 * np.max(np.abs(freq)))
 
 
 class TestImagArctan:

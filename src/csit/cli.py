@@ -65,13 +65,12 @@ from .advection import (
 )
 from .grid import Series, UniformGrid, wavenumbers
 from .instfreq import (
+    _classical_and_damped,
     analytic_signal,
     chirp,
     default_if_params,
     edge_mask,
-    if_classical,
     if_csit,
-    if_damped,
 )
 from .io import (
     CsvFormatError,
@@ -557,10 +556,9 @@ def _ifreq(raw: dict) -> _Step:
     keep = _keyed(edge_mask, s.grid.n, params["trim"], keys={"fraction": "trim"})
     if not keep.any():
         raise ValueError(f"trim {params['trim']:g} leaves none of the {s.grid.n} samples")
-    # if_damped first: it checks the damping before computing anything
-    damped = _keyed(if_damped, trace, params["damping"], backend=params["backend"],
-                    keys={"eps_damp": "damping"})
-    classical = if_classical(trace, backend=params["backend"])
+    # one pair of phase-rate terms for both ratios; the damping is checked first
+    classical, damped = _keyed(_classical_and_damped, trace, params["damping"],
+                               params["backend"], keys={"eps_damp": "damping"})
     csit_est = _keyed(if_csit, trace, p)
 
     header = [

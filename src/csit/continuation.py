@@ -3,15 +3,24 @@
 A band-limited periodic function sampled on a uniform grid extends off the
 real axis mode by mode: the coefficient of exp(i k x) becomes the
 coefficient of exp(i k (x + eta + i tau)) = exp(i k eta) * exp(-k tau).
-One private helper applies that multiplier over the full signed spectrum:
-it builds exp(i k eta - k tau) once for a row of shifts that share one eta
-and inverts each given spectrum at all of them with one batched inverse
-FFT.  ``continue_spectral`` is its one-shift call, one FFT pair on the raw
-samples; the complex-step frequency estimator takes one forward FFT per
-trace component and one call per eta row.  ``continue_direct`` simply
-evaluates a closed-form function at the shifted argument, and the two
-agree on band-limited data.  The multiplier is diagonal, so the phase
-that absolute coordinates attach to the coefficients of a grid with
+The multiplier is built from those two factors: a decay table
+exp(-k tau) with one row per tau, made once per call, and per eta one
+rotation exp(i k eta); each entry is one product of the two.  That
+product is bit for bit the complex exponential exp(i k eta - k tau) as
+long as the C library's complex exp (glibc's ``cexp``, which numpy's
+complex ``exp`` calls) returns exp(x)*cos(y) and exp(x)*sin(y), each
+rounded once, for |x| up to about 709; the growth limit keeps |k tau|
+within 700.  numpy's real ``np.exp`` is a different routine whose last
+bits differ, so the decay is the real part of a complex exp.  One
+private helper applies the multiplier over the full signed spectrum: for
+a row of shifts that share one eta it inverts each given spectrum at all
+of them with one batched inverse FFT.  ``continue_spectral`` is its
+one-shift call, one FFT pair on the raw samples; the complex-step
+frequency estimator takes one forward FFT per trace component, one decay
+table and one call per eta row.  ``continue_direct`` simply evaluates a
+closed-form function at the shifted argument, and the two agree on
+band-limited data.  The multiplier is diagonal, so the phase that
+absolute coordinates attach to the coefficients of a grid with
 ``x0 != 0`` cancels and is never applied, and complex input needs no
 splitting: the FFT is linear over complex scalars.
 
@@ -69,15 +78,38 @@ def _check_growth(k: np.ndarray, taus: float | np.ndarray, name: str = "imaginar
             )
 
 
-def _continue_rows(spectra, k: np.ndarray, eta: float, taus: np.ndarray) -> list[np.ndarray]:
-    """Each spectrum of ``spectra`` continued to ``x + eta + i*tau`` for every
-    tau of ``taus``, as a ``(len(taus), n)`` array.
+def _decay(k: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """The decay ``exp(-k*tau)`` as a contiguous float64 ``(len(taus), n)``
+    table, taken from the complex exp so that :func:`_multiplier` matches
+    ``exp(i*k*eta - k*tau)`` bit for bit; no complex array stays alive."""
+    return np.exp(-(k * taus[:, None]) + 0j).real.copy()
 
-    The multiplier ``exp(i*k*eta - k*tau)`` is built once for all spectra,
-    and each spectrum takes one inverse FFT along the last axis.  The
-    caller checks the growth of ``taus``.
+
+def _multiplier(k: np.ndarray, eta: float, decay: np.ndarray) -> np.ndarray:
+    """``exp(i*k*eta - k*tau)`` for every row of ``decay = _decay(k, taus)``.
+
+    One rotation ``exp(i*k*eta)`` per call; each part of the complex
+    result is one product ``decay * cos`` or ``decay * sin``, written
+    through the float64 views of one preallocated array.
     """
-    mult = np.exp(1j * k * eta - k * taus[:, None])
+    rotation = np.exp(1j * (k * eta))
+    mult = np.empty(decay.shape, dtype=np.complex128)
+    np.multiply(decay, rotation.real, out=mult.real)
+    np.multiply(decay, rotation.imag, out=mult.imag)
+    return mult
+
+
+def _continue_rows(spectra, k: np.ndarray, eta: float, decay: np.ndarray) -> list[np.ndarray]:
+    """Each spectrum of ``spectra`` continued to ``x + eta + i*tau`` for every
+    tau of ``decay = _decay(k, taus)``, as a ``(len(taus), n)`` array.
+
+    The multiplier is built once for all spectra, from the decay table and
+    one rotation ``exp(i*k*eta)``, and equals ``exp(i*k*eta - k*tau)`` bit
+    for bit where the complex exp returns ``exp(x)*cos(y)``,
+    ``exp(x)*sin(y)`` (module docstring).  Each spectrum takes one inverse
+    FFT along the last axis.  The caller checks the growth of ``taus``.
+    """
+    mult = _multiplier(k, eta, decay)
     return [np.fft.ifft(coeffs * mult) for coeffs in spectra]
 
 
@@ -97,8 +129,8 @@ def continue_spectral(s: Series, shift: ComplexShift) -> Series:
     """
     k = wavenumbers(s.grid)
     _check_growth(k, shift.tau)
-    taus = np.array([shift.tau], dtype=np.float64)
-    (rows,) = _continue_rows([np.fft.fft(s.values)], k, shift.eta, taus)
+    decay = _decay(k, np.array([shift.tau], dtype=np.float64))
+    (rows,) = _continue_rows([np.fft.fft(s.values)], k, shift.eta, decay)
     return Series(s.grid, rows[0])
 
 

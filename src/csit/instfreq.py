@@ -27,7 +27,7 @@ from typing import Literal
 
 import numpy as np
 
-from .continuation import _check_growth, _continue_rows
+from .continuation import _check_growth, _continue_rows, _decay
 from .grid import Series, UniformGrid, wavenumbers
 from .operators import CsitParams, _derivative, hilbert_fft
 
@@ -175,6 +175,14 @@ def _phase_rate_terms(tr: AnalyticTrace, backend: str) -> tuple[np.ndarray, np.n
     return numerator, square
 
 
+def _classical(grid: UniformGrid, num: np.ndarray, denom: np.ndarray) -> FrequencyEstimate:
+    """The ratio of :func:`if_classical` from its phase-rate terms."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = num / denom / _TWO_PI
+    valid = (denom >= _DENOM_FLOOR) & np.isfinite(ratio)
+    return FrequencyEstimate(grid, np.where(valid, ratio, np.nan), valid)
+
+
 def if_classical(
     tr: AnalyticTrace,
     backend: Literal["pseudospectral", "fd"] = "pseudospectral",
@@ -196,11 +204,7 @@ def if_classical(
         trigonometric interpolant, "fd" uses the second-order centered
         difference.
     """
-    num, denom = _phase_rate_terms(tr, backend)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = num / denom / _TWO_PI
-    valid = (denom >= _DENOM_FLOOR) & np.isfinite(ratio)
-    return FrequencyEstimate(tr.grid, np.where(valid, ratio, np.nan), valid)
+    return _classical(tr.grid, *_phase_rate_terms(tr, backend))
 
 
 def _check_damping(eps_damp: float) -> None:
@@ -208,6 +212,16 @@ def _check_damping(eps_damp: float) -> None:
         square = eps_damp * eps_damp
     if not (eps_damp > 0.0 and np.isfinite(square)):
         raise ValueError(f"eps_damp {eps_damp:g} must be positive with a finite square")
+
+
+def _damped(grid: UniformGrid, num: np.ndarray, square: np.ndarray,
+            eps_damp: float) -> FrequencyEstimate:
+    """The ratio of :func:`if_damped` from its phase-rate terms."""
+    denom = square + eps_damp**2
+    with np.errstate(over="ignore"):
+        ratio = num / denom / _TWO_PI
+    valid = np.isfinite(ratio)
+    return FrequencyEstimate(grid, np.where(valid, ratio, np.nan), valid)
 
 
 def if_damped(
@@ -225,12 +239,18 @@ def if_damped(
     then, as :func:`if_classical` does, for a trace too large for float64.
     """
     _check_damping(eps_damp)
+    return _damped(tr.grid, *_phase_rate_terms(tr, backend), eps_damp)
+
+
+def _classical_and_damped(
+    tr: AnalyticTrace, eps_damp: float, backend: str
+) -> tuple[FrequencyEstimate, FrequencyEstimate]:
+    """``if_classical(tr, backend)`` and ``if_damped(tr, eps_damp, backend)``
+    from one numerator and squared amplitude, with the errors of
+    :func:`if_damped` in its order: the damping is checked first."""
+    _check_damping(eps_damp)
     num, square = _phase_rate_terms(tr, backend)
-    denom = square + eps_damp**2
-    with np.errstate(over="ignore"):
-        ratio = num / denom / _TWO_PI
-    valid = np.isfinite(ratio)
-    return FrequencyEstimate(tr.grid, np.where(valid, ratio, np.nan), valid)
+    return _classical(tr.grid, num, square), _damped(tr.grid, num, square, eps_damp)
 
 
 def _imag_arctan_ratio(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +261,8 @@ def _imag_arctan_ratio(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     divided by ``|a|`` first so that the test cannot overflow.  Entries
     with ``a = b = 0`` exactly contribute zero unflagged.
     """
-    plus, minus, scale = np.abs(a + 1j * b), np.abs(a - 1j * b), np.abs(a)
+    ib = 1j * b
+    plus, minus, scale = np.abs(a + ib), np.abs(a - ib), np.abs(a)
     # branch-point hits give infinite values, flagged and replaced by the
     # caller; a = 0 gives infinite and a = b = 0 NaN ratios, never flagged
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -283,8 +304,10 @@ def if_csit(tr: AnalyticTrace, p: CsitParams) -> FrequencyEstimate:
     ``A`` and ``B`` are both trace components evaluated at the shifted
     time ``t + eta + i*tau`` through their spectra, for the quadrature
     nodes of ``p`` (the rectangle of the transform itself): one forward
-    FFT per component, then per eta row one multiplier for every tau node
-    and one batched inverse FFT per component.  Each node contributes
+    FFT per component and one table of the decays ``exp(-k*tau)``, then
+    per eta row one rotation ``exp(i*k*eta)``, whose products with the
+    table form the multiplier of every tau node, and one batched inverse
+    FFT per component.  Each node contributes
     ``0.5*ln(|A - iB| / |A + iB|)/tau``, the imaginary-step difference of
     ``ln|z|`` for the analytic signal ``z``, which stays finite at
     amplitude zeros without any explicit damping term.
@@ -306,8 +329,11 @@ def if_csit(tr: AnalyticTrace, p: CsitParams) -> FrequencyEstimate:
     n = tr.grid.n
     integrand = np.empty((len(etas), len(taus), n))
     flagged = np.empty((len(etas), len(taus), n), dtype=bool)
+    # after the integrand, the largest array, so that a node count too
+    # large for memory fails at its allocation first
+    decay = _decay(k, taus)
     for ip, eta in enumerate(etas):
-        a, b = _continue_rows(spectra, k, eta, taus)
+        a, b = _continue_rows(spectra, k, eta, decay)
         # a large trace continued far off the axis can overflow float64
         if not (np.isfinite(a.view(np.float64)).all() and np.isfinite(b.view(np.float64)).all()):
             raise ValueError("series values must all be finite")

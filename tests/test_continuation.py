@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csit.continuation import ComplexShift, continue_direct, continue_spectral
+from csit.continuation import (
+    _EXP_ARG_LIMIT,
+    ComplexShift,
+    _continue_rows,
+    _decay,
+    _multiplier,
+    continue_direct,
+    continue_spectral,
+)
 from csit.grid import UniformGrid, Series, wavenumbers
 
 
@@ -149,3 +157,67 @@ class TestGrowthGuard:
         series = Series(grid, np.sin(grid.nodes))
         out = continue_spectral(series, ComplexShift(eta=0.0, tau=1.0))
         assert np.all(np.isfinite(out.values))
+
+
+# why the factored multiplier can equal the complex exponential bit for bit
+CEXP_ASSUMPTION = (
+    "decay * cos and decay * sin differ from np.exp(1j*k*eta - k*tau): this "
+    "platform's complex exp does not return exp(x)*cos(y), exp(x)*sin(y) "
+    "rounded once each for |x| <= 700"
+)
+
+
+def _assert_factored_multiplier(k, eta, taus):
+    expected = np.exp(1j * k * eta - k * taus[:, None])
+    decay = _decay(k, taus)
+    assert decay.dtype == np.float64 and decay.flags.c_contiguous
+    got = _multiplier(k, eta, decay)
+    # compared as float64 parts, so the signs of zeros must match as well
+    assert np.array_equal(got.view(np.float64), expected.view(np.float64)), CEXP_ASSUMPTION
+    return got
+
+
+class TestFactoredMultiplier:
+    """The decay table times one rotation per eta equals the complex
+    exponential that defines the multiplier, bit for bit."""
+
+    @pytest.mark.parametrize("n", [8, 9, 2500, 4097])
+    @pytest.mark.parametrize("eta_samples", [-1.5, 0.0, 0.75])
+    def test_equals_the_complex_exponential(self, n, eta_samples):
+        grid = UniformGrid(x0=0.0, length=1.0, n=n)
+        k = wavenumbers(grid)
+        tau_limit = _EXP_ARG_LIMIT / np.max(np.abs(k))
+        rng = np.random.default_rng(n)
+        taus = np.concatenate([[0.0], np.sort(rng.uniform(0.0, tau_limit, 5)), [tau_limit]])
+        eta = eta_samples * grid.dx
+        mult = _assert_factored_multiplier(k, eta, taus)
+        # the k = 0 column is exactly one at every tau
+        assert k[0] == 0.0 and np.all(mult[:, 0] == 1.0)
+        # tau = 0 is the pure rotation and tau_limit reaches exp(+-700)
+        assert np.array_equal(mult[0], np.exp(1j * k * eta))
+        assert np.max(np.abs(mult[-1])) == pytest.approx(np.exp(_EXP_ARG_LIMIT))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 300),
+        length=st.floats(0.01, 100.0),
+        eta=st.floats(-3.0, 3.0),
+        reaches=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    )
+    def test_any_grid_and_shift(self, n, length, eta, reaches):
+        """Odd and even n, any eta in +-3 samples, taus up to the growth limit."""
+        grid = UniformGrid(x0=0.0, length=length, n=n)
+        k = wavenumbers(grid)
+        taus = np.array(reaches) * _EXP_ARG_LIMIT / np.max(np.abs(k))
+        _assert_factored_multiplier(k, eta * grid.dx, taus)
+
+    def test_rows_invert_the_multiplied_spectra(self):
+        grid = UniformGrid(x0=0.0, length=2.0 * np.pi, n=33)
+        k = wavenumbers(grid)
+        rng = np.random.default_rng(43)
+        spectra = [np.fft.fft(rng.standard_normal(33)) for _ in range(2)]
+        taus = np.array([0.0, 0.01, 0.2])
+        rows = _continue_rows(spectra, k, -0.3, _decay(k, taus))
+        mult = np.exp(1j * k * -0.3 - k * taus[:, None])
+        for got, coeffs in zip(rows, spectra):
+            assert np.array_equal(got, np.fft.ifft(coeffs * mult))

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import csit
-from csit import cli, operators
+from csit import cli, instfreq, operators
 from csit import io as csit_io
 from csit.advection import default_csit_params, reference_config
 from csit.cli import MAX_COUNT, main
@@ -657,6 +657,44 @@ class TestIfreqCommand:
         assert main(["ifreq", str(src), "--out", str(out)]) == 0
         m = json.loads((tmp_path / "f.csv.manifest.json").read_text())
         assert m["parameters"]["damping"] == pytest.approx(1e-3, rel=0.1)
+
+    def test_one_run_computes_the_phase_rate_terms_once(self, tmp_path, monkeypatch):
+        # the classical and the damped column share one numerator and x^2 + y^2
+        calls = []
+        terms = instfreq._phase_rate_terms
+
+        def counted(tr, backend):
+            calls.append(backend)
+            return terms(tr, backend)
+
+        monkeypatch.setattr(instfreq, "_phase_rate_terms", counted)
+        for backend in ("pseudospectral", "fd"):
+            assert main(["ifreq", "--demo", "chirp", "--n", "64", "--backend", backend,
+                         "--out", str(tmp_path / f"{backend}.csv")]) == 0
+        assert calls == ["pseudospectral", "fd"]
+
+    @pytest.mark.parametrize(
+        "damping, scale",
+        [("-1", 1.0), ("1e300", 1.0), ("0", 1e300)],
+        ids=["negative", "square-overflows", "before-the-trace-overflow"],
+    )
+    def test_bad_damping_names_damping(self, tmp_path, damping, scale):
+        # the damping is checked before the phase-rate terms, so a trace whose
+        # terms overflow still reports it: flags exit 2 and a replay 3, one line
+        src = tmp_path / "in.csv"
+        t, v = write_tone_csv(tmp_path / "tone.csv")
+        write_table_csv(src, ["t", "value"], [t, scale * v])
+        message = f"damping (eps_damp) {float(damping):g} must be positive with a finite square"
+        out = tmp_path / "o"
+        err = assert_rejected(["ifreq", src, "--damping", damping, "--out", out / "f.csv"], 2, out)
+        assert err == f"csit: error: {message}"
+        assert main(["ifreq", str(tmp_path / "tone.csv"), "--out", str(tmp_path / "f.csv")]) == 0
+        path = tmp_path / "f.csv.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["parameters"].update(input=str(src), damping=float(damping))
+        path.write_text(json.dumps(manifest))
+        err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
+        assert err == f"csit: error: {path}: bad parameters: {message}"
 
 
 class TestAdvectCommand:

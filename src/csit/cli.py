@@ -8,11 +8,13 @@ verification table, and ``replay`` re-executes any of them from a saved
 manifest.
 
 Each subcommand has one parameter table: for every key, in flag order,
-its kind, its static default and its help line.  ``build_parser`` makes
-every flag from the tables.  Each subcommand also has one step,
-``_<name>``.  It takes raw parameter values, from the command line or
-from a manifest's ``parameters``, checks each as the kind its table
-gives (floats finite and not bool, counts strict integers from 1 to
+its kind, its static default and its help line.  Each subcommand also
+has one step, ``_<name>``.  One table, ``_COMMANDS``, lists each
+subcommand with its step, help line, parameter table and manifest keys;
+``build_parser``, ``_execute`` and ``replay`` all read it.  A step takes
+raw parameter values, from the command line or from a manifest's
+``parameters``, checks each as the kind its table gives (floats finite
+and not bool, counts strict integers from 1 to
 ``MAX_COUNT``, choices among the allowed values), fills every
 data-dependent default, loads the input, and computes every output.  A
 check that the library makes before it computes anything is left to the
@@ -92,7 +94,6 @@ from .operators import (
     pseudospectral_derivative,
     table1_verify,
 )
-from .special import shi
 
 __all__ = ["main"]
 
@@ -606,15 +607,16 @@ def _symbol(raw: dict) -> _Step:
         raise ValueError("kmax must be positive and finite")
     if not abs(params["c"] / dx) <= sys.float_info.max:  # omega_fd would be inf * 0 at k = 0
         raise ValueError(f"c/dx overflows for c {params['c']!r} and dx {dx!r}")
-    _keyed(_check_extents, params["H"], params["Z"], params["kmax"])
     kmax, Z = params["kmax"], params["Z"]
+    k = np.linspace(0.0, kmax, params["samples"])
+    # csit_symbol checks the extents on k, whose last entry is kmax; an
+    # overflow of shi(k*Z)/Z, which grows with k, is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = _keyed(csit_symbol, k, params["H"], Z)
     if not kmax * dx <= sys.float_info.max:  # the sine argument of omega_fd
         raise ValueError(f"kmax*dx overflows for kmax {kmax!r} and dx {dx!r}")
-    if not shi(kmax * Z) / Z <= sys.float_info.max:  # the symbol's shi(k*Z)/Z
+    if not np.isfinite(sigma).all():
         raise ValueError(f"shi(kmax*Z)/Z overflows for kmax {kmax!r} and Z {Z!r}")
-
-    k = np.linspace(0.0, kmax, params["samples"])
-    sigma = csit_symbol(k, params["H"], Z)
     single = csit_symbol(k, 0.0, Z)
     omega_fd = dispersion_fd(k, params["c"], dx)
     table = (["k", "abs_sigma_csit", "abs_sigma_single", "abs_ik", "omega_fd"],
@@ -643,16 +645,19 @@ def _table1(raw: dict) -> _Step:
 
 # --- execution and replay --------------------------------------------------
 
-# step and the keys a manifest may carry; besides these, a manifest of an
-# earlier version may carry a thread count that nothing read
+# every subcommand, in the order of ``csit --help``: its step (None for
+# ``replay``), its help line and flag table, and the keys a manifest of it may
+# carry; besides these, a manifest of an earlier version may carry a thread
+# count that nothing read
 _COMMANDS = {
-    "transform": (_transform, _TRANSFORM),
-    "derive": (_derive, _DERIVE),
-    "advect": (_advect, _ADVECT_KEYS),
+    "transform": (_transform, "apply the transform to a sampled series", _TRANSFORM, _TRANSFORM),
+    "derive": (_derive, "compare derivative operators on a series", _DERIVE, _DERIVE),
+    "advect": (_advect, "run the forced advection experiment", _ADVECT, _ADVECT_KEYS),
     # _ifreq checks the estimator variant that earlier versions recorded
-    "ifreq": (_ifreq, (*_IFREQ, "variant")),
-    "symbol": (_symbol, _SYMBOL),
-    "table1": (_table1, _TABLE1),
+    "ifreq": (_ifreq, "instantaneous-frequency estimates for a trace", _IFREQ, (*_IFREQ, "variant")),
+    "symbol": (_symbol, "tabulate the operator symbol and dispersion curves", _SYMBOL, _SYMBOL),
+    "table1": (_table1, "closed-form verification table for the transform", _TABLE1, _TABLE1),
+    "replay": (None, "re-run a subcommand from its manifest", _REPLAY, ()),
 }
 
 
@@ -666,7 +671,7 @@ def _execute(subcommand: str, raw: dict, out_dir: Path, manifest_path=None) -> i
     of that manifest.
     """
     started = time.perf_counter()
-    step, keys = _COMMANDS[subcommand]
+    step, _, _, keys = _COMMANDS[subcommand]
     try:
         if manifest_path is not None:
             _known(raw, (*keys, "threads"), "parameter")
@@ -708,7 +713,8 @@ def _listed_outputs(path: Path) -> set[str]:
 
 def _replay(path: str, out_dir: Path) -> int:
     manifest = RunManifest.read(path)
-    if not (isinstance(manifest.subcommand, str) and manifest.subcommand in _COMMANDS):
+    # a manifest names a subcommand with a step, which replay has not
+    if not (isinstance(manifest.subcommand, str) and _COMMANDS.get(manifest.subcommand, (None,))[0]):
         raise CsvFormatError(path, f"unknown subcommand {manifest.subcommand!r}")
     if not isinstance(manifest.parameters, dict):
         raise CsvFormatError(path, "manifest parameters must be a JSON object")
@@ -725,23 +731,11 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-# subcommand, its help line and its flags, in the order of ``csit --help``
-_SUBCOMMANDS = (
-    ("transform", "apply the transform to a sampled series", _TRANSFORM),
-    ("derive", "compare derivative operators on a series", _DERIVE),
-    ("advect", "run the forced advection experiment", _ADVECT),
-    ("ifreq", "instantaneous-frequency estimates for a trace", _IFREQ),
-    ("symbol", "tabulate the operator symbol and dispersion curves", _SYMBOL),
-    ("table1", "closed-form verification table for the transform", _TABLE1),
-    ("replay", "re-run a subcommand from its manifest", _REPLAY),
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="csit", description="Complex-step integral transform tools")
     parser.add_argument("--version", action="version", version=f"csit {__version__}")
     commands = parser.add_subparsers(dest="subcommand", required=True)
-    for name, summary, table in _SUBCOMMANDS:
+    for name, (_, summary, table, _) in _COMMANDS.items():
         sub = commands.add_parser(name, help=summary)
         for key, (kind, default, text) in table.items():
             options = {"help": text, "type": {"real": float, "count": int}.get(kind)}

@@ -218,7 +218,7 @@ def _damped(grid: UniformGrid, num: np.ndarray, square: np.ndarray,
             eps_damp: float) -> FrequencyEstimate:
     """The ratio of :func:`if_damped` from its phase-rate terms."""
     denom = square + eps_damp**2
-    with np.errstate(over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = num / denom / _TWO_PI
     valid = np.isfinite(ratio)
     return FrequencyEstimate(grid, np.where(valid, ratio, np.nan), valid)
@@ -231,10 +231,12 @@ def if_damped(
 ) -> FrequencyEstimate:
     """Phase-rate ratio with an additive ``eps_damp**2`` damping term.
 
-    The damped denominator ``x^2 + y^2 + eps_damp^2`` never vanishes, so
-    amplitude zeros yield 0 Hz instead of an indeterminate value; where
-    the amplitude dominates the damping the estimate matches the
-    classical one to first order in ``eps_damp^2 / amplitude^2``.
+    The damped denominator ``x^2 + y^2 + eps_damp^2`` vanishes only where
+    ``eps_damp^2`` and the squared amplitude both underflow to 0, a
+    sample flagged invalid and reported NaN; so amplitude zeros yield 0 Hz
+    instead of an indeterminate value.  Where the amplitude dominates the
+    damping the estimate matches the classical one to first order in
+    ``eps_damp^2 / amplitude^2``.
     Raises ValueError for an ``eps_damp`` whose square is not finite and
     then, as :func:`if_classical` does, for a trace too large for float64.
     """

@@ -40,9 +40,10 @@ pass: printable ASCII and ``\n`` line breaks only, no ``#`` and no
 pass cannot take, or whatever fails a check there (parse, column count,
 finiteness, ordering), goes to the line-by-line loop, which is the
 definition of the format and the source of every error message and line
-number.  The loop decodes UTF-8 and drops a leading byte-order mark,
-which is outside the plain set.  Both paths give bit-identical arrays,
-and the one-pass path accepts no file that the loop rejects.
+number.  The file is read once, as bytes: the loop decodes those bytes
+as UTF-8 and drops a leading byte-order mark, which is outside the plain
+set.  Both paths give bit-identical arrays, and the one-pass path
+accepts no file that the loop rejects.
 """
 
 from __future__ import annotations
@@ -376,13 +377,6 @@ def write_table_csv(
     _write_atomic(path, _table_chunks(header, columns, n))
 
 
-def _read_file(path: Path, read):
-    try:
-        return read(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CsvFormatError(path, f"cannot read file ({exc})") from exc
-
-
 def _read_json_object(path, what: str) -> dict:
     """The JSON object in the file ``path``; any fault is a CsvFormatError
     naming the file, with ``what`` naming the document."""
@@ -488,9 +482,14 @@ def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
         1-based line number of a faulty row.
     """
     path = Path(path)
-    parsed = _parse_plain(_read_file(path, Path.read_bytes))
+    try:
+        raw = path.read_bytes()
+        parsed = _parse_plain(raw)
+        # the line loop decodes the bytes already read: the file is read once
+        text = raw.decode("utf-8-sig") if parsed is None else None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CsvFormatError(path, f"cannot read file ({exc})") from exc
     if parsed is None:
-        text = _read_file(path, lambda p: p.read_text(encoding="utf-8-sig"))
         t, v, lines = _parse_lines(path, text)
     else:
         # the one-pass path takes no comment or blank line

@@ -131,6 +131,17 @@ class TestRunAdvection:
                 run_advection(cfg, src, [0.0, 8 * cfg.dt])
             assert len(run_advection(cfg, src, [0.0])) == 1
 
+    def test_rejects_a_last_step_time_that_overflows(self):
+        # a huge domain at a huge cfl: dt = 6.25e303 s, and (n_t - 1)*dt overflows
+        cfg = AdvectionConfig(c=1.0, L=1e300, x_s=5e299, f0=1e-300, n_x=16, cfl=1e5, n_t=2**20,
+                              scheme="fd")
+        message = (r"the last step time \(n_t - 1\)\*dt overflows float64: n_t 1048576, "
+                   r"dt = cfl\*dx/c = 6\.25e\+303 s$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                run_advection(cfg, SourceTimeFunction(f0=1e-300), [0.0])
+
     def test_divergence_reported_with_last_state(self):
         # cfl = 2 puts the fd leapfrog far outside its stability interval
         cfg = AdvectionConfig(

@@ -1,7 +1,8 @@
 """Every module-level import in the package is used somewhere in its module,
 the applications take no private operator helper but ``_derivative``, the
 test oracles in ``reference.py`` import nothing from the package,
-importing the command line does not import scipy, neither the command line
+importing the command line does not import scipy, the command line
+imports nothing from ``special``, neither the command line
 nor a ``table1`` or ``ifreq`` run loads ``concurrent.futures``, in the command line
 only ``_execute`` creates a directory or writes or removes a file, only
 ``operators.py`` calls the real FFT pair, and the functions the benchmark
@@ -128,6 +129,16 @@ def test_reference_imports_no_package_code():
         alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
     ] + [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert [m for m in modules if m.split(".")[0] == "csit"] == []
+
+
+def test_cli_imports_nothing_from_special():
+    # symbol's overflow test is the finiteness of csit_symbol's own output,
+    # not a second evaluation of shi
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    modules = [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+    ] + [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [m for m in modules if m.split(".")[-1] == "special"] == []
 
 
 def test_cli_import_loads_no_scipy():

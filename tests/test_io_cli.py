@@ -1,10 +1,12 @@
 """CSV format, run manifests, and the command-line front end."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -227,6 +229,17 @@ class TestReadSeriesCsv:
         path.write_text("".join(f"{a:.17g},1\n" for a in t))
         with pytest.raises(CsvFormatError, match="spac"):
             read_series_csv(path)
+
+    def test_line_loop_decodes_the_bytes_already_read(self, tmp_path, monkeypatch):
+        # a comment line sends the file to the line loop, which reads nothing again
+        path = tmp_path / "c.csv"
+        path.write_text("# lead\nt,v\n0,1\n1,2\n2,3\n")
+        reads, read_bytes = [], Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
+        monkeypatch.setattr(Path, "read_text", mock.Mock(side_effect=OSError("read again")))
+        rt, rv = read_series_csv(path)
+        assert reads == [path]
+        assert np.array_equal(rt, [0.0, 1.0, 2.0]) and np.array_equal(rv, [1.0, 2.0, 3.0])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CsvFormatError):
@@ -674,6 +687,28 @@ class TestIfreqCommand:
         assert calls == ["pseudospectral", "fd"]
 
     @pytest.mark.parametrize(
+        "peak, flags, digest",
+        [(1e-170, [], "0d094a8283971bd26c4e61d29af1844f7141ada4b5f6bdf1bd36a4e67e753f7c"),
+         (1e-170, ["--backend", "fd"],
+          "0d094a8283971bd26c4e61d29af1844f7141ada4b5f6bdf1bd36a4e67e753f7c"),
+         (0.0, ["--damping", "1e-200"],
+          "5867fa93249d9d60885e7141e0fd0e7e4e52c83e7bffa6955a58f8e51d7ed250")],
+        ids=["tiny_tone", "tiny_tone_fd", "zeros_with_tiny_damping"],
+    )
+    def test_vanishing_trace_runs_without_a_warning(self, tmp_path, peak, flags, digest):
+        # x^2 + y^2 and the damping's square both underflow to 0, so the damped
+        # ratio is 0/0: every such sample is invalid, as in the classical column,
+        # and the run prints nothing; the digest pins the CSV, the bytes written
+        # before the warning was silenced
+        t, v = write_tone_csv(tmp_path / "tone.csv")
+        src = tmp_path / "in.csv"
+        write_table_csv(src, ["t", "value"], [t, peak * v if peak else np.zeros(len(t))])
+        out = tmp_path / "f.csv"
+        code, err, caught = run_cli(["ifreq", src, *flags, "--out", out])
+        assert (code, err, caught) == (0, [], [])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "damping, scale",
         [("-1", 1.0), ("1e300", 1.0), ("0", 1e300)],
         ids=["negative", "square-overflows", "before-the-trace-overflow"],
@@ -1041,6 +1076,21 @@ class TestUsageSurface:
         assert main(["symbol", "--samples", "2", "--out", str(tmp_path / "s.csv")]) == 0
         manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
         assert manifest["version"] == csit.__version__
+
+    def test_manifests_name_every_listed_subcommand_but_replay(self, tmp_path, capsys):
+        # one table lists the subcommands for the parser and for replay
+        assert main(["--help"]) == 0
+        listed = re.search(r"\{([a-z0-9,]+)\}", capsys.readouterr().out).group(1).split(",")
+        assert listed == list(cli._COMMANDS)
+        nameable = []
+        for name in listed:
+            path = write_manifest(tmp_path, name, {})
+            out = tmp_path / "o"
+            err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
+            if err != f"csit: error: {path}: unknown subcommand {name!r}":
+                assert err.startswith(f"csit: error: {path}: bad parameters: "), err
+                nameable.append(name)
+        assert nameable == [name for name in listed if name != "replay"]
 
     @pytest.mark.parametrize(
         "name", ["csit", "transform", "derive", "advect", "ifreq", "symbol", "table1", "replay"]
@@ -1416,6 +1466,28 @@ class TestParameterBoundary:
         assert err == f"csit: error: {message}"
         manifest = json.loads((run / "manifest.json").read_text())
         manifest["parameters"].update(L=1e307, snapshots=None, t_delay=None)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
+        assert err == f"csit: error: {path}: bad parameters: {message}"
+
+    def test_advect_last_step_time_that_overflows(self, tmp_path):
+        # L 2e307 at c 0.01 gives dt 3.125e307 s, so (n_t - 1)*dt overflows
+        # float64: --config exits 2 and a replay 3, one line, no directory
+        message = ("the last step time (n_t - 1)*dt overflows float64: n_t 10, "
+                   "dt = cfl*dx/c = 3.125e+307 s")
+        huge = {"c": 0.01, "L": 2e307, "x_s": 1e307, "n_x": 16, "n_t": 10, "f0": 1e-300}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_x": 16, "n_t": 10}))
+        run = tmp_path / "run"
+        assert main(["advect", "--config", str(cfg), "--out-dir", str(run)]) == 0
+        cfg.write_text(json.dumps(huge))
+        out = tmp_path / "o"
+        err = assert_rejected(["advect", "--scheme", "fd", "--config", cfg, "--snapshots", "0",
+                               "--out-dir", out], 2, out)
+        assert err == f"csit: error: {message}"
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["parameters"].update(huge, snapshots=[0.0], t_delay=None)
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(manifest))
         err = assert_rejected(["replay", path, "--out-dir", out], 3, out)

@@ -65,7 +65,7 @@ from .advection import (
     reference_config,
     run_advection,
 )
-from .grid import Series, UniformGrid, wavenumbers
+from .grid import Series, UniformGrid
 from .instfreq import (
     _classical_and_damped,
     analytic_signal,
@@ -85,7 +85,6 @@ from .io import (
 from .operators import (
     _RULES,
     CsitParams,
-    _check_extents,
     _derivative,
     csit_quadrature,
     csit_spectral,
@@ -340,12 +339,11 @@ def _keyed(call, *args, keys=_EXTENT_KEYS, **kwargs):
         raise ValueError(message) from None
 
 
-def _csit_params(params: dict, grid: UniformGrid) -> CsitParams:
-    """The rectangle of ``params``, within the growth limit of ``grid``;
-    ``params["eps"]`` becomes its resolved lower cutoff."""
+def _csit_params(params: dict) -> CsitParams:
+    """The rectangle of ``params``; ``params["eps"]`` becomes its resolved
+    lower cutoff.  The route that takes it checks it against the grid."""
     extents = {field: params[key] for field, key in _EXTENT_KEYS.items()}
     p = _keyed(CsitParams, **extents, **{key: params[key] for key in ("n_eta", "n_tau", "rule")})
-    _keyed(_check_extents, p.eta_half_width, p.tau_max, wavenumbers(grid))
     params["eps"] = p.tau_min
     return p
 
@@ -368,7 +366,7 @@ def _transform(raw: dict) -> _Step:
     params = _read(raw, _TRANSFORM, "input", "mode", *_RECTANGLE, "out")
     s = _load_series(params["input"])
     if params["mode"] == "quadrature":
-        out = csit_quadrature(s, _csit_params(params, s.grid))
+        out = _keyed(csit_quadrature, s, _csit_params(params))
     else:
         out = _keyed(csit_spectral, s, params["H"], params["Z"])
     table = (["x", "input", "csit_output"], [s.grid.nodes, s.values, out.values])
@@ -402,10 +400,10 @@ def _derive(raw: dict) -> _Step:
     else:
         s, analytic = _load_series(params["input"]), None
     params.update(_rectangle(raw, _DERIVE, s.grid.dx), **_read(raw, _DERIVE, "out"))
-    p = _csit_params(params, s.grid)
+    p = _csit_params(params)
     fd = fd_centered(s).values
     ps = pseudospectral_derivative(s).values
-    cs = csit_quadrature(s, p).values
+    cs = _keyed(csit_quadrature, s, p).values
 
     header = ["t", "f", "fd", "pseudospectral", "csit"]
     columns = [s.grid.nodes, s.values, fd, ps, cs]
@@ -553,7 +551,7 @@ def _ifreq(raw: dict) -> _Step:
     if params["damping"] is None:
         amplitude = np.max(np.abs(trace.amplitude))
         params["damping"] = 1e-3 * amplitude if amplitude > 0.0 else 1e-3
-    p = _csit_params(params, s.grid)
+    p = _csit_params(params)
     keep = _keyed(edge_mask, s.grid.n, params["trim"], keys={"fraction": "trim"})
     if not keep.any():
         raise ValueError(f"trim {params['trim']:g} leaves none of the {s.grid.n} samples")
@@ -562,26 +560,11 @@ def _ifreq(raw: dict) -> _Step:
                                params["backend"], keys={"eps_damp": "damping"})
     csit_est = _keyed(if_csit, trace, p)
 
-    header = [
-        "t",
-        "value",
-        "if_classical",
-        "if_damped",
-        "if_csit",
-        "valid_classical",
-        "valid_damped",
-        "valid_csit",
-    ]
-    columns = [
-        s.grid.nodes[keep],
-        s.values[keep],
-        classical.frequency[keep],
-        damped.frequency[keep],
-        csit_est.frequency[keep],
-        classical.valid[keep],
-        damped.valid[keep],
-        csit_est.valid[keep],
-    ]
+    estimates = (classical, damped, csit_est)
+    header = ["t", "value", "if_classical", "if_damped", "if_csit",
+              "valid_classical", "valid_damped", "valid_csit"]
+    columns = [s.grid.nodes[keep], s.values[keep], *(e.frequency[keep] for e in estimates),
+               *(e.valid[keep] for e in estimates)]
     if truth is not None:
         header.append("truth")
         columns.append(truth[keep])
@@ -607,17 +590,12 @@ def _symbol(raw: dict) -> _Step:
         raise ValueError("kmax must be positive and finite")
     if not abs(params["c"] / dx) <= sys.float_info.max:  # omega_fd would be inf * 0 at k = 0
         raise ValueError(f"c/dx overflows for c {params['c']!r} and dx {dx!r}")
-    kmax, Z = params["kmax"], params["Z"]
-    k = np.linspace(0.0, kmax, params["samples"])
-    # csit_symbol checks the extents on k, whose last entry is kmax; an
-    # overflow of shi(k*Z)/Z, which grows with k, is refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        sigma = _keyed(csit_symbol, k, params["H"], Z)
+    kmax = params["kmax"]
     if not kmax * dx <= sys.float_info.max:  # the sine argument of omega_fd
         raise ValueError(f"kmax*dx overflows for kmax {kmax!r} and dx {dx!r}")
-    if not np.isfinite(sigma).all():
-        raise ValueError(f"shi(kmax*Z)/Z overflows for kmax {kmax!r} and Z {Z!r}")
-    single = csit_symbol(k, 0.0, Z)
+    k = np.linspace(0.0, kmax, params["samples"])
+    sigma = _keyed(csit_symbol, k, params["H"], params["Z"])
+    single = csit_symbol(k, 0.0, params["Z"])
     omega_fd = dispersion_fd(k, params["c"], dx)
     table = (["k", "abs_sigma_csit", "abs_sigma_single", "abs_ik", "omega_fd"],
              [k, np.abs(sigma), np.abs(single), np.abs(k), omega_fd])

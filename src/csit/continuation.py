@@ -27,7 +27,9 @@ splitting: the FFT is linear over complex scalars.
 Negative wavenumbers carry exp(+|k| tau), which grows with tau.  That is
 the correct continuation of the negative-frequency half of a real signal,
 but it caps how far a given grid can be continued; shifts with
-max(-k)*tau > 700 would overflow and are rejected.
+max(-k)*tau > 700 would overflow and are rejected.  The transform's
+averaging rectangle has one range rule, ``_check_range``: that limit on
+tau_max, which bounds every tau node, and a finite max|k|*H.
 """
 
 from __future__ import annotations
@@ -66,16 +68,21 @@ class ComplexShift:
             raise ValueError("imaginary shift tau must be nonnegative")
 
 
-def _check_growth(k: np.ndarray, taus: float | np.ndarray, name: str = "imaginary extent") -> None:
-    """Reject the first imaginary extent of ``taus`` (one, or several in
-    node order) with exp(|k|*tau) near overflow; the message calls it ``name``."""
+def _check_growth(k_max: float, tau: float, name: str = "imaginary extent") -> None:
+    """Reject an imaginary extent ``tau`` with exp(k_max*tau) near overflow;
+    the message calls it ``name``."""
+    if tau * k_max > _EXP_ARG_LIMIT:
+        raise ValueError(f"continuation step too large: {name} {tau:g} times "
+                         f"wavenumber {k_max:.6g} exceeds {_EXP_ARG_LIMIT:g}")
+
+
+def _check_range(k: np.ndarray, eta_half_width: float, tau_max: float) -> None:
+    """The range rule of a rectangle on the wavenumbers ``k`` of the multiplier
+    a route builds: the growth limit of tau_max and a finite max|k|*H."""
     k_max = float(np.max(np.abs(k), initial=0.0))
-    for tau in np.atleast_1d(taus):
-        if tau * k_max > _EXP_ARG_LIMIT:
-            raise ValueError(
-                f"continuation step too large: {name} {tau:g} times "
-                f"wavenumber {k_max:.6g} exceeds {_EXP_ARG_LIMIT:g}"
-            )
+    _check_growth(k_max, tau_max, "tau_max")
+    if not np.isfinite(k_max * float(eta_half_width)):
+        raise ValueError(f"eta_half_width {eta_half_width:g} times wavenumber {k_max:.6g} overflows")
 
 
 def _decay(k: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -107,7 +114,7 @@ def _continue_rows(spectra, k: np.ndarray, eta: float, decay: np.ndarray) -> lis
     one rotation ``exp(i*k*eta)``, and equals ``exp(i*k*eta - k*tau)`` bit
     for bit where the complex exp returns ``exp(x)*cos(y)``,
     ``exp(x)*sin(y)`` (module docstring).  Each spectrum takes one inverse
-    FFT along the last axis.  The caller checks the growth of ``taus``.
+    FFT along the last axis.  The caller checks the growth of the largest tau.
     """
     mult = _multiplier(k, eta, decay)
     return [np.fft.ifft(coeffs * mult) for coeffs in spectra]
@@ -128,7 +135,7 @@ def continue_spectral(s: Series, shift: ComplexShift) -> Series:
         branch ("continuation step too large").
     """
     k = wavenumbers(s.grid)
-    _check_growth(k, shift.tau)
+    _check_growth(float(np.max(np.abs(k))), shift.tau)
     decay = _decay(k, np.array([shift.tau], dtype=np.float64))
     (rows,) = _continue_rows([np.fft.fft(s.values)], k, shift.eta, decay)
     return Series(s.grid, rows[0])

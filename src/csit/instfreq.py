@@ -27,7 +27,7 @@ from typing import Literal
 
 import numpy as np
 
-from .continuation import _check_growth, _continue_rows, _decay
+from .continuation import _check_range, _continue_rows, _decay
 from .grid import Series, UniformGrid, wavenumbers
 from .operators import CsitParams, _derivative, hilbert_fft
 
@@ -175,11 +175,14 @@ def _phase_rate_terms(tr: AnalyticTrace, backend: str) -> tuple[np.ndarray, np.n
     return numerator, square
 
 
-def _classical(grid: UniformGrid, num: np.ndarray, denom: np.ndarray) -> FrequencyEstimate:
-    """The ratio of :func:`if_classical` from its phase-rate terms."""
+def _ratio(grid: UniformGrid, num: np.ndarray, denom: np.ndarray,
+           floor: float = 0.0) -> FrequencyEstimate:
+    """``num / (2*pi*denom)``, NaN and invalid where ``denom`` is below
+    ``floor`` or the ratio is not finite: the estimate of :func:`if_classical`
+    (floor 1e-300) or :func:`if_damped` from its phase-rate terms."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = num / denom / _TWO_PI
-    valid = (denom >= _DENOM_FLOOR) & np.isfinite(ratio)
+    valid = (denom >= floor) & np.isfinite(ratio)
     return FrequencyEstimate(grid, np.where(valid, ratio, np.nan), valid)
 
 
@@ -204,7 +207,8 @@ def if_classical(
         trigonometric interpolant, "fd" uses the second-order centered
         difference.
     """
-    return _classical(tr.grid, *_phase_rate_terms(tr, backend))
+    num, square = _phase_rate_terms(tr, backend)
+    return _ratio(tr.grid, num, square, _DENOM_FLOOR)
 
 
 def _check_damping(eps_damp: float) -> None:
@@ -212,16 +216,6 @@ def _check_damping(eps_damp: float) -> None:
         square = eps_damp * eps_damp
     if not (eps_damp > 0.0 and np.isfinite(square)):
         raise ValueError(f"eps_damp {eps_damp:g} must be positive with a finite square")
-
-
-def _damped(grid: UniformGrid, num: np.ndarray, square: np.ndarray,
-            eps_damp: float) -> FrequencyEstimate:
-    """The ratio of :func:`if_damped` from its phase-rate terms."""
-    denom = square + eps_damp**2
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = num / denom / _TWO_PI
-    valid = np.isfinite(ratio)
-    return FrequencyEstimate(grid, np.where(valid, ratio, np.nan), valid)
 
 
 def if_damped(
@@ -241,7 +235,8 @@ def if_damped(
     then, as :func:`if_classical` does, for a trace too large for float64.
     """
     _check_damping(eps_damp)
-    return _damped(tr.grid, *_phase_rate_terms(tr, backend), eps_damp)
+    num, square = _phase_rate_terms(tr, backend)
+    return _ratio(tr.grid, num, square + eps_damp**2)
 
 
 def _classical_and_damped(
@@ -252,7 +247,7 @@ def _classical_and_damped(
     :func:`if_damped` in its order: the damping is checked first."""
     _check_damping(eps_damp)
     num, square = _phase_rate_terms(tr, backend)
-    return _classical(tr.grid, num, square), _damped(tr.grid, num, square, eps_damp)
+    return _ratio(tr.grid, num, square, _DENOM_FLOOR), _ratio(tr.grid, num, square + eps_damp**2)
 
 
 def _imag_arctan_ratio(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,15 +313,17 @@ def if_csit(tr: AnalyticTrace, p: CsitParams) -> FrequencyEstimate:
     points) borrow the value of the nearest clean node of the same
     sample (smallest tau distance first, then eta distance, lower index
     on ties); a sample with no clean node at all is reported as 0 Hz
-    and flagged invalid.  Raises ValueError naming the first tau node
-    whose continuation would overflow, when a continued trace is not
-    finite, and, naming tau_min, when the frequency of a valid sample is
-    not finite (a tau_min so small that the division by tau overflows).
+    and flagged invalid.  Raises ValueError for a rectangle outside the
+    range rule of the grid, the one rule of the transform: tau_max, which
+    bounds every tau node, within the growth limit, and a finite
+    max|k|*H.  Raises it too when a continued trace is not finite, and,
+    naming tau_min, when the frequency of a valid sample is not finite (a
+    tau_min so small that the division by tau overflows).
     """
     etas, w_eta = p.eta_nodes_weights()
     taus, w_tau = p.tau_nodes_weights()
     k = wavenumbers(tr.grid)
-    _check_growth(k, taus)
+    _check_range(k, p.eta_half_width, p.tau_max)
     spectra = [np.fft.fft(tr.x.values), np.fft.fft(tr.y.values)]
     n = tr.grid.n
     integrand = np.empty((len(etas), len(taus), n))
@@ -335,8 +332,9 @@ def if_csit(tr: AnalyticTrace, p: CsitParams) -> FrequencyEstimate:
     # large for memory fails at its allocation first
     decay = _decay(k, taus)
     for ip, eta in enumerate(etas):
-        a, b = _continue_rows(spectra, k, eta, decay)
         # a large trace continued far off the axis can overflow float64
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, b = _continue_rows(spectra, k, eta, decay)
         if not (np.isfinite(a.view(np.float64)).all() and np.isfinite(b.view(np.float64)).all()):
             raise ValueError("series values must all be finite")
         integrand[ip], flagged[ip] = _imag_arctan_ratio(a, b)

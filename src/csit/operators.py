@@ -43,6 +43,11 @@ returns one for each derivative scheme; fd carries its symbol
 i*sin(k*dx)/dx but applies the centered stencil (``dx`` set), the others
 apply ``mult`` with one rfft/irfft pair.  ``max_rate`` = max|mult| bounds
 the operator's rate, so c*dt*max_rate < 1 is the leapfrog stability limit.
+
+:class:`CsitParams` holds the range rules that need no grid; each csit
+route checks the one that does, ``continuation._check_range``, once.  A
+multiplier bin that is not finite is refused, unless it is the zeroed
+even-grid Nyquist bin, and so is a public route's overflowing output.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .continuation import AnalyticFunction, _check_growth
+from .continuation import AnalyticFunction, _check_range
 from .grid import Series, UniformGrid, wavenumbers
 from .special import shi, sinc_kernel
 
@@ -77,19 +82,12 @@ __all__ = [
 _RULES = ("trapezoid", "midpoint")
 
 
-def _check_extents(eta_half_width: float, tau_max: float, k=()) -> None:
-    """The H/Z rule of every route, and for wavenumbers ``k`` the growth
-    limit of tau_max and a finite max|k|*H."""
+def _check_extents(eta_half_width: float, tau_max: float) -> None:
+    """The H/Z rule of every route that needs no grid."""
     if not (eta_half_width >= 0.0 and np.isfinite(eta_half_width)):
         raise ValueError("eta_half_width must be finite and nonnegative")
     if not (tau_max > 0.0 and np.isfinite(tau_max)):
         raise ValueError("tau_max must be positive and finite")
-    _check_growth(k, tau_max, "tau_max")
-    k_max = float(np.max(np.abs(k), initial=0.0))
-    if not np.isfinite(k_max * float(eta_half_width)):
-        raise ValueError(
-            f"eta_half_width {eta_half_width:g} times wavenumber {k_max:.6g} overflows"
-        )
 
 
 @dataclass(frozen=True)
@@ -170,7 +168,6 @@ class CsitParams:
             d = (hi - lo) / m
             nodes = lo + (np.arange(m) + 0.5) * d
             weights = np.full(m, d)
-        weights = weights.copy()
         weights[0] += lo  # rectangle patch for the [0, tau_min) strip
         return nodes, weights
 
@@ -181,17 +178,24 @@ class CsitParams:
         return self.tau_max if H == 0.0 else 2.0 * H * self.tau_max
 
 
-def _multiplier(grid: UniformGrid, symbol: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+def _multiplier(grid: UniformGrid, symbol: Callable[[np.ndarray], np.ndarray],
+                tau_max: float | None = None) -> np.ndarray:
     """An odd, purely imaginary symbol on the half spectrum k >= 0.
 
     The Nyquist bin of even-length grids is zeroed: its sign is ambiguous
     on the grid and every odd symbol vanishes there in the symmetric
-    limit.
+    limit.  An overflow there goes with it; any other bin that is not
+    finite is refused, naming the ``tau_max`` of a csit symbol.
     """
     k = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.dx)
-    mult = np.asarray(symbol(k), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mult = np.asarray(symbol(k), dtype=np.complex128)
     if grid.n % 2 == 0:
         mult[-1] = 0.0
+    finite = np.isfinite(mult)
+    if not finite.all():
+        of = "" if tau_max is None else f" of tau_max {tau_max:g}"
+        raise ValueError(f"the multiplier{of} overflows float64 at wavenumber {k[~finite][0]:.6g}")
     return mult
 
 
@@ -208,6 +212,16 @@ class _Operator:
     def max_rate(self) -> float:
         """max|mult|: a leapfrog step of u_t = -c*op(u) is stable for c*dt*max_rate < 1."""
         return float(np.max(np.abs(self.mult)))
+
+    def apply(self, s: Series) -> Series:
+        """This operator on the samples of ``s``; an output that overflows
+        float64 is refused, without a numpy warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self(s.values)
+            if not np.isfinite(values).all():
+                raise ValueError(f"series too large (peak |value| {np.max(np.abs(s.values)):g}): "
+                                 "the operator's output overflows float64")
+        return Series(s.grid, values)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         if self.dx is not None:
@@ -281,10 +295,10 @@ def _run_blocks(block: Callable[[int], None], n_blocks: int) -> None:
 def _quadrature_multiplier(grid: UniformGrid, p: CsitParams) -> np.ndarray:
     """The quadrature's exact multiplier m_q (see the module docstring).
 
-    Raises ValueError when sinh(k*tau_max) or k*eta_half_width would
-    overflow on this grid.
+    Raises ValueError when the range rule of ``p`` fails on this grid or
+    m_q overflows below its Nyquist bin.
     """
-    _check_extents(p.eta_half_width, p.tau_max, wavenumbers(grid))
+    _check_range(wavenumbers(grid), p.eta_half_width, p.tau_max)
     etas, w_eta = p.eta_nodes_weights()
     taus, w_tau = p.tau_nodes_weights()
 
@@ -293,7 +307,7 @@ def _quadrature_multiplier(grid: UniformGrid, p: CsitParams) -> np.ndarray:
         tau_factor = sum(w * np.sinh(k * tau) / tau for tau, w in zip(taus, w_tau))
         return (1j / p.normalization) * eta_factor * tau_factor
 
-    return _multiplier(grid, symbol)
+    return _multiplier(grid, symbol, p.tau_max)
 
 
 def csit_quadrature(s: Series, p: CsitParams) -> Series:
@@ -301,9 +315,10 @@ def csit_quadrature(s: Series, p: CsitParams) -> Series:
 
     Real input gives a real series.  Complex input is handled as
     transform(Re) + i*transform(Im), which keeps the operator linear over
-    complex scalars.
+    complex scalars.  Raises ValueError for a rectangle outside the range
+    rule of this grid, and for a multiplier or an output that overflows.
     """
-    return Series(s.grid, _derivative(s.grid, "csit", p)(s.values))
+    return _derivative(s.grid, "csit", p).apply(s)
 
 
 def csit_quadrature_direct(
@@ -341,17 +356,28 @@ def csit_quadrature_direct(
     return np.einsum("p,m,pmn->n", w_eta, w_tau, quot) / p.normalization
 
 
+def _sigma(k: np.ndarray, eta_half_width: float, tau_max: float):
+    """i*(shi(k*Z)/Z)*sinc_kernel(k*H) for extents within the range rule on
+    ``k``; not finite where shi(k*Z)/Z overflows."""
+    _check_extents(eta_half_width, tau_max)
+    _check_range(k, eta_half_width, tau_max)
+    return 1j * (shi(k * tau_max) / tau_max) * sinc_kernel(k * eta_half_width)
+
+
 def csit_symbol(k, eta_half_width: float, tau_max: float):
     """Fourier symbol i*(shi(k*Z)/Z)*sinc_kernel(k*H), elementwise in k.
 
     Purely imaginary and odd; reduces to i*k as H, Z -> 0 with expansion
     sigma/(i k) = 1 - (kH)^2/6 + (kZ)^2/18 + O(k^4).  H and Z obey the
-    rule of :class:`CsitParams`, and max|k|*Z may not exceed 700 (the
-    growth limit of the quadrature route), so shi cannot overflow.
+    rule of :class:`CsitParams` and the range rule on ``k``, and
+    shi(k*Z)/Z, which grows with |k|, must be finite at max|k|.
     """
     k = np.asarray(k, dtype=np.float64)
-    _check_extents(eta_half_width, tau_max, k)
-    out = 1j * (shi(k * tau_max) / tau_max) * sinc_kernel(k * eta_half_width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _sigma(k, eta_half_width, tau_max)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"shi(kmax*Z)/Z overflows for kmax {float(np.max(np.abs(k)))!r} "
+                         f"and Z {float(tau_max)!r}")
     return out if np.ndim(out) else complex(out)
 
 
@@ -359,10 +385,11 @@ def csit_spectral(s: Series, eta_half_width: float, tau_max: float) -> Series:
     """Exact-symbol form of the transform (the quadrature's fine limit).
 
     The Nyquist mode of even-length grids is zeroed.  Raises ValueError
-    for extents that :func:`csit_symbol` rejects on this grid.
+    for extents that :func:`csit_symbol` rejects on this grid, and for a
+    multiplier below the Nyquist mode or an output that overflows.
     """
-    mult = _multiplier(s.grid, lambda k: csit_symbol(k, eta_half_width, tau_max))
-    return Series(s.grid, _Operator(mult)(s.values))
+    mult = _multiplier(s.grid, lambda k: _sigma(k, eta_half_width, tau_max), tau_max)
+    return _Operator(mult).apply(s)
 
 
 def _derivative(grid: UniformGrid, scheme: str, p: CsitParams | None = None) -> _Operator:
@@ -380,13 +407,13 @@ def _derivative(grid: UniformGrid, scheme: str, p: CsitParams | None = None) -> 
 
 def fd_centered(s: Series) -> Series:
     """Second-order centered difference with periodic wrap."""
-    return Series(s.grid, _derivative(s.grid, "fd")(s.values))
+    return _derivative(s.grid, "fd").apply(s)
 
 
 def pseudospectral_derivative(s: Series) -> Series:
     """Exact derivative of the trigonometric interpolant (i*k multiplier,
     Nyquist zeroed on even grids)."""
-    return Series(s.grid, _derivative(s.grid, "pseudospectral")(s.values))
+    return _derivative(s.grid, "pseudospectral").apply(s)
 
 
 def complex_step_derivative(f: AnalyticFunction, x, h: float = 0.0, v: float = 1e-200):
@@ -410,7 +437,7 @@ def hilbert_fft(s: Series) -> Series:
     The mean (k = 0) and the even-grid Nyquist mode are annihilated;
     applying the transform twice negates a zero-mean series.
     """
-    return Series(s.grid, _Operator(_multiplier(s.grid, lambda k: -1j * np.sign(k)))(s.values))
+    return _Operator(_multiplier(s.grid, lambda k: -1j * np.sign(k))).apply(s)
 
 
 # --- closed-form verification table ---------------------------------------
@@ -496,35 +523,23 @@ def table1_verify(
     scale = sinc_kernel(H) * shi(Z) / Z
 
     xs_circle = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-    xs_line = np.linspace(-1.0, 1.0, n_points)
-    xs_bump = np.linspace(-2.0, 2.0, n_points)
 
-    rows = []
+    def row(name, got, want, reference="closed form"):
+        return Table1Row(name, reference, float(np.max(np.abs(got - want))), tolerance)
+
+    def reference_row(name, f, xs):
+        return row(name, csit_quadrature_direct(f, xs, p), _bruteforce_reference(f, xs, H, Z),
+                   "double quadrature")
 
     got_sin = csit_quadrature_direct(np.sin, xs_circle, p)
-    rows.append(
-        Table1Row("sin", "closed form", float(np.max(np.abs(got_sin - scale * np.cos(xs_circle)))), tolerance)
-    )
-
     got_cos = csit_quadrature_direct(np.cos, xs_circle, p)
-    rows.append(
-        Table1Row("cos", "closed form", float(np.max(np.abs(got_cos + scale * np.sin(xs_circle)))), tolerance)
-    )
-
-    got = csit_quadrature_direct(np.exp, xs_line, p)
-    ref = _bruteforce_reference(np.exp, xs_line, H, Z)
-    rows.append(Table1Row("exp", "double quadrature", float(np.max(np.abs(got - ref))), tolerance))
-
-    gauss = lambda z: np.exp(-(z**2))
-    got = csit_quadrature_direct(gauss, xs_bump, p)
-    ref = _bruteforce_reference(gauss, xs_bump, H, Z)
-    rows.append(Table1Row("gaussian", "double quadrature", float(np.max(np.abs(got - ref))), tolerance))
-
-    # exp(i x) = cos x + i sin x, transformed part-wise from the rows above
-    got_c = got_cos + 1j * got_sin
-    ref_c = 1j * scale * np.exp(1j * xs_circle)
-    rows.append(
-        Table1Row("cexp", "closed form", float(np.max(np.abs(got_c - ref_c))), tolerance)
-    )
+    rows = [
+        row("sin", got_sin, scale * np.cos(xs_circle)),
+        row("cos", got_cos, -(scale * np.sin(xs_circle))),
+        reference_row("exp", np.exp, np.linspace(-1.0, 1.0, n_points)),
+        reference_row("gaussian", lambda z: np.exp(-(z**2)), np.linspace(-2.0, 2.0, n_points)),
+        # exp(i x) = cos x + i sin x, transformed part-wise from the rows above
+        row("cexp", got_cos + 1j * got_sin, 1j * scale * np.exp(1j * xs_circle)),
+    ]
 
     return Table1Report(tuple(rows), _NORMALIZATION_NOTE)

@@ -93,6 +93,21 @@ class TestAdvectionConfig:
                 c=1.0, L=1.0, x_s=0.5, f0=1.0, n_x=32, initial_field=np.zeros(31)
             )
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [({"L": 0.0}, "domain length must be positive"),
+         ({"L": -1.0}, "domain length must be positive"),
+         ({"f0": 0.0}, "source frequency must be positive"),
+         ({"f0": -1.0}, "source frequency must be positive"),
+         ({"n_t": 0}, "time-step count must be at least 1"),
+         ({"initial_field": np.where(np.arange(32) == 3, np.nan, 0.0)}, "initial field must be finite"),
+         ({"initial_field": np.full(32, np.inf)}, "initial field must be finite")],
+        ids=["L_zero", "L_negative", "f0_zero", "f0_negative", "n_t_zero", "field_nan", "field_inf"],
+    )
+    def test_each_field_check_names_its_rule(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            AdvectionConfig(**{"c": 1.0, "L": 1.0, "x_s": 0.5, "f0": 1.0, "n_x": 32, **fields})
+
 
 class TestRunAdvection:
     def test_zero_source_zero_field_stays_zero(self):

@@ -84,6 +84,11 @@ class TestSeries:
         with pytest.raises(ValueError):
             Series(g, [1.0, 2.0])
 
+    @pytest.mark.parametrize("values", [np.zeros((4, 1)), np.zeros((2, 2)), np.zeros((1, 4), complex)])
+    def test_rejects_values_that_are_not_one_dimensional(self, values):
+        with pytest.raises(ValueError, match="series values must be one-dimensional"):
+            Series(UniformGrid(x0=0.0, length=1.0, n=4), values)
+
 
 class TestTransformConvention:
     def test_matches_direct_summation(self):

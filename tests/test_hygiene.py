@@ -2,7 +2,7 @@
 the applications take no private operator helper but ``_derivative``, the
 test oracles in ``reference.py`` import nothing from the package,
 importing the command line does not import scipy, the command line
-imports nothing from ``special``, neither the command line
+imports no range check and nothing from ``special``, neither the command line
 nor a ``table1`` or ``ifreq`` run loads ``concurrent.futures``, in the command line
 only ``_execute`` creates a directory or writes or removes a file, only
 ``operators.py`` calls the real FFT pair, and the functions the benchmark
@@ -131,9 +131,17 @@ def test_reference_imports_no_package_code():
     assert [m for m in modules if m.split(".")[0] == "csit"] == []
 
 
+def test_cli_runs_no_range_check_of_its_own():
+    # the library checks each rectangle once, in the route that builds its
+    # multiplier; the command line only keys the library's error
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names]
+    assert [name for name in names if name.startswith("_check") or name == "wavenumbers"] == []
+
+
 def test_cli_imports_nothing_from_special():
-    # symbol's overflow test is the finiteness of csit_symbol's own output,
-    # not a second evaluation of shi
+    # symbol's overflow test is csit_symbol's own, not a second evaluation of shi
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     modules = [
         alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names

@@ -29,7 +29,7 @@ from csit.instfreq import (
     if_damped,
 )
 from csit.instfreq import _imag_arctan_ratio, _patch_flagged, _phase_rate_terms
-from csit.operators import CsitParams, fd_centered, pseudospectral_derivative
+from csit.operators import CsitParams, csit_quadrature, fd_centered, pseudospectral_derivative
 
 from reference import enveloped_chirp_trace, if_csit_loop, imag_arctan_two_branch, patch_flagged_loop
 
@@ -354,15 +354,19 @@ class TestIfCsit:
         with pytest.raises(ValueError, match="too large"):
             if_csit(tr, p)
 
-    def test_growth_error_names_the_first_tau_node_over_the_limit(self):
-        # nodes 0.75, 1 and 1.25 against max|k| = 256*pi: the middle node is
-        # the first whose continuation would overflow, and the error names it
+    def test_growth_limit_holds_tau_max_as_the_transform_does(self):
+        # midpoint nodes end at 0.90625*Z, so the largest node times max|k|
+        # is 640.7 while Z*max|k| is 707: the estimator refuses the
+        # rectangle with the transform's own error, not only past its nodes
         tr = tone_trace(3.0, n=256)
-        p = CsitParams(eta_half_width=0.1, tau_max=1.25, tau_min=0.75, n_tau=3)
-        with pytest.raises(ValueError) as err:
+        p = CsitParams(0.001, 1.01 * 700.0 / (256 * np.pi), n_tau=4, rule="midpoint")
+        assert np.max(p.tau_nodes_weights()[0]) * 256 * np.pi == pytest.approx(640.7, abs=0.05)
+        with pytest.raises(ValueError) as from_if_csit:
             if_csit(tr, p)
-        assert str(err.value) == ("continuation step too large: imaginary extent 1 times "
-                                  "wavenumber 804.248 exceeds 700")
+        with pytest.raises(ValueError) as from_transform:
+            csit_quadrature(tr.x, p)
+        assert str(from_if_csit.value) == str(from_transform.value) == (
+            "continuation step too large: tau_max 0.879082 times wavenumber 804.248 exceeds 700")
 
     def test_overflowing_continuation_is_refused(self):
         # within the growth limit, but exp(690) times a 1e100 trace overflows

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import csit
-from csit import cli, instfreq, operators
+from csit import cli, continuation, instfreq, operators
 from csit import io as csit_io
 from csit.advection import default_csit_params, reference_config
 from csit.cli import MAX_COUNT, main
@@ -621,12 +621,14 @@ class TestDeriveCommand:
         assert np.all(np.isnan(data["rel_err_csit"][-5:]))
         assert np.all(np.isfinite(data["rel_err_csit"][5:-5]))
 
-    def test_demo_and_input_are_mutually_exclusive(self, tmp_path):
+    @pytest.mark.parametrize("subcommand, demo", [("derive", "logistic"), ("ifreq", "chirp")])
+    def test_demo_and_input_are_mutually_exclusive(self, tmp_path, subcommand, demo):
         src = tmp_path / "tone.csv"
         write_tone_csv(src)
-        assert main(["derive", str(src), "--demo", "logistic",
-                     "--out", str(tmp_path / "o.csv")]) == 2
-        assert main(["derive", "--out", str(tmp_path / "o.csv")]) == 2
+        out = tmp_path / "o"
+        for argv in ([src, "--demo", demo], []):
+            err = assert_rejected([subcommand, *argv, "--out", out / "o.csv"], 2, out)
+            assert err == "csit: error: provide exactly one of an input CSV or --demo"
 
     def test_file_mode_tracks_tone_derivative(self, tmp_path):
         src = tmp_path / "tone.csv"
@@ -1265,6 +1267,8 @@ class TestParameterBoundary:
             (["--kmax", "0"], "kmax"),
             (["--samples", "1"], "samples"),
             (["--samples", str(MAX_COUNT + 1)], "samples"),
+            (["--dx", "0"], "dx must be positive"),
+            (["--dx", "-1"], "dx must be positive"),
         ],
     )
     def test_symbol_checks_extents(self, tmp_path, flags, match):
@@ -1312,6 +1316,82 @@ class TestParameterBoundary:
         # k*eta would overflow in the quadrature multiplier's cosines; 2*H is still finite
         assert_range_error_names_key(tmp_path, subcommand, "H", 1e307,
                                      "H (eta_half_width) 1e+307 times wavenumber 201.062 overflows")
+
+    @pytest.mark.parametrize("argv", [["transform", "--H", "0.02", "--Z", "0.01"], ["derive"],
+                                      ["ifreq"]], ids=["transform", "derive", "ifreq"])
+    def test_each_run_checks_the_range_rule_once(self, tmp_path, monkeypatch, argv):
+        # the route that builds the multiplier checks the rectangle against the
+        # grid; the command line and CsitParams do not check it again
+        calls = []
+        growth = continuation._check_growth
+
+        def counted(k_max, tau, name="imaginary extent"):
+            calls.append(name)
+            return growth(k_max, tau, name)
+
+        monkeypatch.setattr(continuation, "_check_growth", counted)
+        src = tmp_path / "tone.csv"
+        write_tone_csv(src)
+        assert main([argv[0], str(src), *argv[1:], "--out", str(tmp_path / "o.csv")]) == 0
+        assert calls == ["tau_max"]
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [(["transform", "--mode", "symbol", "--H", "0"],
+          "d83a048e525287b7bc5926900f414ab1d9d3145cd6508adbe451203ffbf7ca58"),
+         (["transform", "--H", "1e-15"], "d7acde186f98cdce74570154ae40828957ed9123b4254d4a7779317061ae86cf"),
+         (["derive", "--H", "1e-15"], "d3afc1e677a1747380e8313528426c8b9b3d7d8b910a318433e2a1a0e6de4d03")],
+        ids=["symbol", "quadrature", "derive"],
+    )
+    def test_multiplier_overflow_at_the_even_nyquist_bin_is_dropped(self, tmp_path, argv, digest):
+        # spacing 1e-14 and Z 2.2e-12: max|k|*Z is 691, within the growth limit,
+        # but the multiplier overflows at the Nyquist bin alone, which is zeroed;
+        # the run writes its earlier bytes, now without a numpy warning
+        src = tmp_path / "fine.csv"
+        j = np.arange(64)
+        write_table_csv(src, ["t", "value"], [j * 1e-14, np.sin(2.0 * np.pi * 3.0 * j / 64)])
+        out = tmp_path / "o.csv"
+        code, err, caught = run_cli([argv[0], src, *argv[1:], "--Z", "2.2e-12", "--out", out])
+        assert (code, err, caught) == (0, [], [])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("mode, H", [("symbol", "0"), ("quadrature", "1e-24")])
+    def test_multiplier_overflow_below_the_nyquist_bin_names_the_extent(self, tmp_path, mode, H):
+        # 65 rows at spacing 4.45e-23 and Z 1e-20: max|k|*Z is 695, and the
+        # multiplier overflows at the two highest kept wavenumbers
+        src = tmp_path / "fine.csv"
+        j = np.arange(65)
+        write_table_csv(src, ["t", "value"], [j * 4.45e-23, np.sin(2.0 * np.pi * 3.0 * j / 65)])
+        out = tmp_path / "o"
+        err = assert_rejected(["transform", src, "--mode", mode, "--H", H, "--Z", "1e-20",
+                               "--out", out / "q.csv"], 2, out)
+        assert err == ("csit: error: the multiplier of Z (tau_max) 1e-20 overflows float64 "
+                       "at wavenumber 6.73392e+22")
+
+    def test_overflowing_continuation_is_one_line(self, tmp_path):
+        # max|k|*Z = 690 is within the growth limit, but exp(690) times a
+        # 1e100 trace overflows in if_csit's continuation
+        src = tmp_path / "big.csv"
+        t, v = write_tone_csv(tmp_path / "tone.csv", n=256)
+        write_table_csv(src, ["t", "value"], [t, 1e100 * v])
+        out = tmp_path / "o"
+        err = assert_rejected(["ifreq", src, "--H", "0.1", "--Z", "0.858", "--n-tau", "3",
+                               "--damping", "1", "--out", out / "f.csv"], 2, out)
+        assert err == "csit: error: series values must all be finite"
+
+    @pytest.mark.parametrize("argv", [["transform", "--H", "0.01", "--Z", "0.01"],
+                                      ["transform", "--mode", "symbol", "--H", "0.01", "--Z", "0.01"],
+                                      ["derive"], ["ifreq"]],
+                             ids=["quadrature", "symbol", "derive", "ifreq"])
+    def test_near_maximum_values_name_the_overflow(self, tmp_path, argv):
+        # each route's output overflows float64: one line, no numpy warning
+        src = tmp_path / "huge.csv"
+        j = np.arange(64)
+        write_table_csv(src, ["t", "value"], [j / 64, np.where(j % 2 == 0, 1.7e308, -1.7e308)])
+        out = tmp_path / "o"
+        err = assert_rejected([argv[0], src, *argv[1:], "--out", out / "f.csv"], 2, out)
+        assert err == ("csit: error: series too large (peak |value| 1.7e+308): "
+                       "the operator's output overflows float64")
 
     @pytest.mark.parametrize(
         "flags, start",
@@ -1449,6 +1529,20 @@ class TestParameterBoundary:
         path.write_text(json.dumps(manifest))
         err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
         assert err.startswith(f"csit: error: {path}: bad parameters: {message}"), err
+
+    @pytest.mark.parametrize("key, value", [("snapshots", "0,1"), ("window", 5)])
+    def test_advect_manifest_list_that_is_not_a_list_exits_3(self, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_x": 32, "n_t": 8}))
+        run = tmp_path / "run"
+        assert main(["advect", "--config", str(cfg), "--out-dir", str(run)]) == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["parameters"][key] = value
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "o"
+        err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
+        assert err == f"csit: error: {path}: bad parameters: {key} must be a list of numbers, got {value!r}"
 
     def test_advect_snapshot_times_too_large_for_the_speed_fit(self, tmp_path):
         # L 1e307 puts the default snapshot times near 7e302, whose squares

@@ -629,6 +629,26 @@ class TestDerivativeHelpers:
         with pytest.raises(ValueError, match="unknown derivative scheme 'spectral'"):
             _derivative(UniformGrid(x0=0.0, length=1.0, n=16), "spectral")
 
+    @pytest.mark.parametrize("route", [
+        lambda s: csit_quadrature(s, CsitParams(0.01, 0.01)), lambda s: csit_spectral(s, 0.01, 0.01),
+        fd_centered, pseudospectral_derivative, hilbert_fft,
+    ], ids=["csit_quadrature", "csit_spectral", "fd_centered", "pseudospectral_derivative",
+            "hilbert_fft"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_public_routes_refuse_an_output_that_overflows(self, route, dtype):
+        # +-1.7e308 in pairs: the stencil or the FFT overflows float64; the
+        # route says so in one error, with no numpy warning (an error here)
+        grid = UniformGrid(x0=0.0, length=1.0, n=64)
+        s = Series(grid, np.where(np.arange(64) // 2 % 2 == 0, 1.7e308, -1.7e308).astype(dtype))
+        with pytest.raises(ValueError, match=r"^series too large \(peak \|value\| 1\.7e\+308\): "
+                                             "the operator's output overflows float64$"):
+            route(s)
+
+    def test_symbol_refuses_an_overflowing_value(self):
+        # max|k|*Z = 100 is within the growth limit, but shi(100)/1e-298 is not finite
+        with pytest.raises(ValueError, match=r"^shi\(kmax\*Z\)/Z overflows for kmax 1e\+300 and Z 1e-298$"):
+            csit_symbol(np.array([0.0, -1e300]), 0.0, 1e-298)
+
     def test_pseudospectral_exact_for_band_limited(self):
         grid = UniformGrid(x0=0.0, length=2.0 * np.pi, n=64)
         s = Series(grid, np.sin(5.0 * grid.nodes))

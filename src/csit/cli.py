@@ -548,16 +548,13 @@ def _ifreq(raw: dict) -> _Step:
     params.update(_rectangle(raw, _IFREQ, s.grid.dx))
     params["eps"] = _or(params["eps"], _UNIT_IF.tau_min * params["Z"])
     params.update(_read(raw, _IFREQ, "backend", "damping", "trim", "out"))
-    if params["damping"] is None:
-        amplitude = np.max(np.abs(trace.amplitude))
-        params["damping"] = 1e-3 * amplitude if amplitude > 0.0 else 1e-3
     p = _csit_params(params)
     keep = _keyed(edge_mask, s.grid.n, params["trim"], keys={"fraction": "trim"})
     if not keep.any():
         raise ValueError(f"trim {params['trim']:g} leaves none of the {s.grid.n} samples")
-    # one pair of phase-rate terms for both ratios; the damping is checked first
-    classical, damped = _keyed(_classical_and_damped, trace, params["damping"],
-                               params["backend"], keys={"eps_damp": "damping"})
+    # one pair of phase-rate terms for both ratios, which resolve the default damping
+    classical, damped, params["damping"] = _keyed(_classical_and_damped, trace, params["damping"],
+                                                  params["backend"], keys={"eps_damp": "damping"})
     csit_est = _keyed(if_csit, trace, p)
 
     estimates = (classical, damped, csit_est)

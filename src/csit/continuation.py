@@ -27,9 +27,9 @@ splitting: the FFT is linear over complex scalars.
 Negative wavenumbers carry exp(+|k| tau), which grows with tau.  That is
 the correct continuation of the negative-frequency half of a real signal,
 but it caps how far a given grid can be continued; shifts with
-max(-k)*tau > 700 would overflow and are rejected.  The transform's
-averaging rectangle has one range rule, ``_check_range``: that limit on
-tau_max, which bounds every tau node, and a finite max|k|*H.
+max(-k)*tau > 700 would overflow and are rejected.  Every kernel checks
+that limit on tau_max (a shift's tau) and a finite max|k|*H with one range
+rule, ``_check_range``; ``_continue_rows`` refuses a row that still overflows.
 """
 
 from __future__ import annotations
@@ -68,19 +68,13 @@ class ComplexShift:
             raise ValueError("imaginary shift tau must be nonnegative")
 
 
-def _check_growth(k_max: float, tau: float, name: str = "imaginary extent") -> None:
-    """Reject an imaginary extent ``tau`` with exp(k_max*tau) near overflow;
-    the message calls it ``name``."""
-    if tau * k_max > _EXP_ARG_LIMIT:
-        raise ValueError(f"continuation step too large: {name} {tau:g} times "
-                         f"wavenumber {k_max:.6g} exceeds {_EXP_ARG_LIMIT:g}")
-
-
 def _check_range(k: np.ndarray, eta_half_width: float, tau_max: float) -> None:
     """The range rule of a rectangle on the wavenumbers ``k`` of the multiplier
-    a route builds: the growth limit of tau_max and a finite max|k|*H."""
+    a kernel builds: the growth limit of tau_max and a finite max|k|*H."""
     k_max = float(np.max(np.abs(k), initial=0.0))
-    _check_growth(k_max, tau_max, "tau_max")
+    if float(tau_max) * k_max > _EXP_ARG_LIMIT:
+        raise ValueError(f"continuation step too large: tau_max {tau_max:g} times "
+                         f"wavenumber {k_max:.6g} exceeds {_EXP_ARG_LIMIT:g}")
     if not np.isfinite(k_max * float(eta_half_width)):
         raise ValueError(f"eta_half_width {eta_half_width:g} times wavenumber {k_max:.6g} overflows")
 
@@ -114,10 +108,17 @@ def _continue_rows(spectra, k: np.ndarray, eta: float, decay: np.ndarray) -> lis
     one rotation ``exp(i*k*eta)``, and equals ``exp(i*k*eta - k*tau)`` bit
     for bit where the complex exp returns ``exp(x)*cos(y)``,
     ``exp(x)*sin(y)`` (module docstring).  Each spectrum takes one inverse
-    FFT along the last axis.  The caller checks the growth of the largest tau.
+    FFT along the last axis.  The caller checks the range rule; a row that
+    overflows float64 is refused with one error naming the series' peak.
     """
     mult = _multiplier(k, eta, decay)
-    return [np.fft.ifft(coeffs * mult) for coeffs in spectra]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = [np.fft.ifft(coeffs * mult) for coeffs in spectra]
+        if not all(np.isfinite(row.view(np.float64)).all() for row in rows):
+            peak = max(np.max(np.abs(np.fft.ifft(coeffs))) for coeffs in spectra)
+            raise ValueError(f"series too large (peak |value| {peak:g}): "
+                             "its continuation off the real axis overflows float64")
+    return rows
 
 
 def continue_spectral(s: Series, shift: ComplexShift) -> Series:
@@ -131,11 +132,11 @@ def continue_spectral(s: Series, shift: ComplexShift) -> Series:
     Raises
     ------
     ValueError
-        If the imaginary shift would overflow the growing negative-k
-        branch ("continuation step too large").
+        If tau breaks the range rule of the grid ("continuation step too
+        large"), or the continued series overflows ("series too large").
     """
     k = wavenumbers(s.grid)
-    _check_growth(float(np.max(np.abs(k))), shift.tau)
+    _check_range(k, 0.0, shift.tau)
     decay = _decay(k, np.array([shift.tau], dtype=np.float64))
     (rows,) = _continue_rows([np.fft.fft(s.values)], k, shift.eta, decay)
     return Series(s.grid, rows[0])

@@ -55,10 +55,10 @@ class AnalyticTrace:
     """A real trace paired with its quadrature component.
 
     ``x + i*y`` must be one-sided in the Fourier domain: coefficients on
-    the strictly negative branch (Nyquist excluded) may not exceed
-    1e-10 of the largest coefficient.  :func:`analytic_signal` is the
-    usual constructor; building the pair by hand is allowed as long as
-    that invariant holds.
+    the strictly negative branch (Nyquist excluded) may not exceed 1e-10
+    of the largest coefficient or, if larger, ``n`` subnormal spacings.
+    :func:`analytic_signal` is the usual constructor; building the pair
+    by hand is allowed as long as that invariant holds.
     """
 
     x: Series
@@ -71,10 +71,9 @@ class AnalyticTrace:
             raise ValueError("trace components must share one grid")
         coeffs = np.fft.fft(self.x.values + 1j * self.y.values)
         tail = np.abs(coeffs[self.grid.n // 2 + 1 :])
-        if tail.size and tail.max() > 1e-10 * np.max(np.abs(coeffs)):
-            raise ValueError(
-                "quadrature component leaves negative-frequency content"
-            )
+        floor = self.grid.n * np.finfo(np.float64).smallest_subnormal  # above subnormal rounding
+        if tail.size and tail.max() > max(1e-10 * np.max(np.abs(coeffs)), floor):
+            raise ValueError("quadrature component leaves negative-frequency content")
 
     @property
     def grid(self) -> UniformGrid:
@@ -213,9 +212,8 @@ def if_classical(
 
 def _check_damping(eps_damp: float) -> None:
     with np.errstate(over="ignore"):
-        square = eps_damp * eps_damp
-    if not (eps_damp > 0.0 and np.isfinite(square)):
-        raise ValueError(f"eps_damp {eps_damp:g} must be positive with a finite square")
+        if not (eps_damp > 0.0 and np.isfinite(eps_damp * eps_damp)):
+            raise ValueError(f"eps_damp {eps_damp:g} must be positive with a finite square")
 
 
 def if_damped(
@@ -240,14 +238,19 @@ def if_damped(
 
 
 def _classical_and_damped(
-    tr: AnalyticTrace, eps_damp: float, backend: str
-) -> tuple[FrequencyEstimate, FrequencyEstimate]:
-    """``if_classical(tr, backend)`` and ``if_damped(tr, eps_damp, backend)``
-    from one numerator and squared amplitude, with the errors of
-    :func:`if_damped` in its order: the damping is checked first."""
-    _check_damping(eps_damp)
+    tr: AnalyticTrace, eps_damp: float | None, backend: str
+) -> tuple[FrequencyEstimate, FrequencyEstimate, float]:
+    """``if_classical``, ``if_damped`` and the damping used, from one set of
+    phase-rate terms.  A given damping is checked first, as :func:`if_damped`
+    does; ``None`` takes 1e-3 of the peak amplitude (1e-3 where that is 0)
+    after the terms, so an overflowing trace is the error reported."""
+    if eps_damp is not None:
+        _check_damping(eps_damp)
     num, square = _phase_rate_terms(tr, backend)
-    return _ratio(tr.grid, num, square, _DENOM_FLOOR), _ratio(tr.grid, num, square + eps_damp**2)
+    if eps_damp is None:
+        eps_damp = 1e-3 * np.max(tr.amplitude) or 1e-3
+    classical = _ratio(tr.grid, num, square, _DENOM_FLOOR)
+    return classical, _ratio(tr.grid, num, square + eps_damp**2), eps_damp
 
 
 def _imag_arctan_ratio(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +319,8 @@ def if_csit(tr: AnalyticTrace, p: CsitParams) -> FrequencyEstimate:
     and flagged invalid.  Raises ValueError for a rectangle outside the
     range rule of the grid, the one rule of the transform: tau_max, which
     bounds every tau node, within the growth limit, and a finite
-    max|k|*H.  Raises it too when a continued trace is not finite, and,
+    max|k|*H.  Raises it too, naming the peak of the trace, when a
+    continued trace overflows float64 ("series too large ..."), and,
     naming tau_min, when the frequency of a valid sample is not finite (a
     tau_min so small that the division by tau overflows).
     """
@@ -325,18 +329,13 @@ def if_csit(tr: AnalyticTrace, p: CsitParams) -> FrequencyEstimate:
     k = wavenumbers(tr.grid)
     _check_range(k, p.eta_half_width, p.tau_max)
     spectra = [np.fft.fft(tr.x.values), np.fft.fft(tr.y.values)]
-    n = tr.grid.n
-    integrand = np.empty((len(etas), len(taus), n))
-    flagged = np.empty((len(etas), len(taus), n), dtype=bool)
+    integrand = np.empty((len(etas), len(taus), tr.grid.n))
+    flagged = np.empty((len(etas), len(taus), tr.grid.n), dtype=bool)
     # after the integrand, the largest array, so that a node count too
     # large for memory fails at its allocation first
     decay = _decay(k, taus)
     for ip, eta in enumerate(etas):
-        # a large trace continued far off the axis can overflow float64
-        with np.errstate(over="ignore", invalid="ignore"):
-            a, b = _continue_rows(spectra, k, eta, decay)
-        if not (np.isfinite(a.view(np.float64)).all() and np.isfinite(b.view(np.float64)).all()):
-            raise ValueError("series values must all be finite")
+        a, b = _continue_rows(spectra, k, eta, decay)
         integrand[ip], flagged[ip] = _imag_arctan_ratio(a, b)
     # a subnormal tau_min overflows the division; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):

@@ -44,10 +44,10 @@ i*sin(k*dx)/dx but applies the centered stencil (``dx`` set), the others
 apply ``mult`` with one rfft/irfft pair.  ``max_rate`` = max|mult| bounds
 the operator's rate, so c*dt*max_rate < 1 is the leapfrog stability limit.
 
-:class:`CsitParams` holds the range rules that need no grid; each csit
-route checks the one that does, ``continuation._check_range``, once.  A
-multiplier bin that is not finite is refused, unless it is the zeroed
-even-grid Nyquist bin, and so is a public route's overflowing output.
+:class:`CsitParams` holds the range rules that need no grid; ``_multiplier``
+checks the one that does, ``continuation._check_range``, on the k of each
+csit multiplier.  A bin that is not finite is refused, unless it is the
+zeroed even-grid Nyquist bin, and so is a public route's overflowing output.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .continuation import AnalyticFunction, _check_range
-from .grid import Series, UniformGrid, wavenumbers
+from .grid import Series, UniformGrid
 from .special import shi, sinc_kernel
 
 __all__ = [
@@ -179,22 +179,25 @@ class CsitParams:
 
 
 def _multiplier(grid: UniformGrid, symbol: Callable[[np.ndarray], np.ndarray],
-                tau_max: float | None = None) -> np.ndarray:
+                extents: tuple[float, float] | None = None) -> np.ndarray:
     """An odd, purely imaginary symbol on the half spectrum k >= 0.
 
+    A csit symbol's ``extents`` (H, Z) are range-checked on these k first.
     The Nyquist bin of even-length grids is zeroed: its sign is ambiguous
     on the grid and every odd symbol vanishes there in the symmetric
     limit.  An overflow there goes with it; any other bin that is not
-    finite is refused, naming the ``tau_max`` of a csit symbol.
+    finite is refused, naming the tau_max of ``extents``.
     """
     k = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.dx)
+    if extents is not None:
+        _check_range(k, *extents)
     with np.errstate(over="ignore", invalid="ignore"):
         mult = np.asarray(symbol(k), dtype=np.complex128)
     if grid.n % 2 == 0:
         mult[-1] = 0.0
     finite = np.isfinite(mult)
     if not finite.all():
-        of = "" if tau_max is None else f" of tau_max {tau_max:g}"
+        of = "" if extents is None else f" of tau_max {extents[1]:g}"
         raise ValueError(f"the multiplier{of} overflows float64 at wavenumber {k[~finite][0]:.6g}")
     return mult
 
@@ -298,7 +301,6 @@ def _quadrature_multiplier(grid: UniformGrid, p: CsitParams) -> np.ndarray:
     Raises ValueError when the range rule of ``p`` fails on this grid or
     m_q overflows below its Nyquist bin.
     """
-    _check_range(wavenumbers(grid), p.eta_half_width, p.tau_max)
     etas, w_eta = p.eta_nodes_weights()
     taus, w_tau = p.tau_nodes_weights()
 
@@ -307,7 +309,7 @@ def _quadrature_multiplier(grid: UniformGrid, p: CsitParams) -> np.ndarray:
         tau_factor = sum(w * np.sinh(k * tau) / tau for tau, w in zip(taus, w_tau))
         return (1j / p.normalization) * eta_factor * tau_factor
 
-    return _multiplier(grid, symbol, p.tau_max)
+    return _multiplier(grid, symbol, (p.eta_half_width, p.tau_max))
 
 
 def csit_quadrature(s: Series, p: CsitParams) -> Series:
@@ -357,10 +359,7 @@ def csit_quadrature_direct(
 
 
 def _sigma(k: np.ndarray, eta_half_width: float, tau_max: float):
-    """i*(shi(k*Z)/Z)*sinc_kernel(k*H) for extents within the range rule on
-    ``k``; not finite where shi(k*Z)/Z overflows."""
-    _check_extents(eta_half_width, tau_max)
-    _check_range(k, eta_half_width, tau_max)
+    """i*(shi(k*Z)/Z)*sinc_kernel(k*H), unchecked: not finite where shi(k*Z)/Z overflows."""
     return 1j * (shi(k * tau_max) / tau_max) * sinc_kernel(k * eta_half_width)
 
 
@@ -373,6 +372,8 @@ def csit_symbol(k, eta_half_width: float, tau_max: float):
     shi(k*Z)/Z, which grows with |k|, must be finite at max|k|.
     """
     k = np.asarray(k, dtype=np.float64)
+    _check_extents(eta_half_width, tau_max)
+    _check_range(k, eta_half_width, tau_max)
     with np.errstate(over="ignore", invalid="ignore"):
         out = _sigma(k, eta_half_width, tau_max)
     if not np.all(np.isfinite(out)):
@@ -388,8 +389,9 @@ def csit_spectral(s: Series, eta_half_width: float, tau_max: float) -> Series:
     for extents that :func:`csit_symbol` rejects on this grid, and for a
     multiplier below the Nyquist mode or an output that overflows.
     """
-    mult = _multiplier(s.grid, lambda k: _sigma(k, eta_half_width, tau_max), tau_max)
-    return _Operator(mult).apply(s)
+    extents = (eta_half_width, tau_max)
+    _check_extents(*extents)
+    return _Operator(_multiplier(s.grid, lambda k: _sigma(k, *extents), extents)).apply(s)
 
 
 def _derivative(grid: UniformGrid, scheme: str, p: CsitParams | None = None) -> _Operator:

@@ -6,6 +6,8 @@ the multiplier route to rounding.  That cross-check is the backbone
 here; the rest guards validation and the overflow policy.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,9 +150,24 @@ class TestGrowthGuard:
     def test_large_tau_raises(self):
         grid = UniformGrid(x0=0.0, length=2.0 * np.pi, n=256)
         series = Series(grid, np.sin(grid.nodes))
-        # tau * k_max = 6 * 128 well past the exp argument limit
-        with pytest.raises(ValueError, match="continuation step"):
+        # tau * k_max = 6 * 128 well past the exp argument limit; the message
+        # is the range rule of every spectral kernel
+        with pytest.raises(ValueError) as refused:
             continue_spectral(series, ComplexShift(eta=0.0, tau=6.0))
+        assert str(refused.value) == ("continuation step too large: tau_max 6 times "
+                                      "wavenumber 128 exceeds 700")
+
+    def test_overflowing_continuation_is_one_error(self):
+        # max|k|*tau = 32*pi is within the limit, but exp(100.5) times a 1e300
+        # series overflows: one ValueError naming the peak, no numpy warning
+        grid = UniformGrid(x0=0.0, length=1.0, n=64)
+        series = Series(grid, 1e300 * np.sin(6.0 * np.pi * grid.nodes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as refused:
+                continue_spectral(series, ComplexShift(eta=0.0, tau=0.5))
+        assert str(refused.value) == ("series too large (peak |value| 1e+300): "
+                                      "its continuation off the real axis overflows float64")
 
     def test_moderate_tau_passes(self):
         grid = UniformGrid(x0=0.0, length=2.0 * np.pi, n=256)

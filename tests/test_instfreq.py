@@ -151,6 +151,28 @@ class TestAnalyticTrace:
         with pytest.raises(ValueError, match="negative-frequency"):
             AnalyticTrace(x, x)
 
+    @pytest.mark.parametrize("n", [8, 9, 64, 65, 256, 1000, 2500])
+    def test_accepts_subnormal_traces(self, n):
+        # 1e-10 of the largest coefficient underflows to 0, while the rounding
+        # tail of the trace's own Hilbert transform stays near 0.44*n
+        # subnormal spacings; the bound's floor of n spacings admits it
+        grid = UniformGrid(0.0, 1.0, n)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        steps = np.resize([-tiny, 0.0, tiny], n)
+        tone = 3.0 * tiny * np.sin(TWO_PI * 3.0 * grid.nodes)
+        for values in (steps, tone):
+            tr = analytic_signal(Series(grid, values))
+            assert np.array_equal(tr.x.values, values)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-318])
+    def test_rejects_real_pair_above_the_floor(self, scale):
+        # y = 0 leaves the negative branch as large as the positive one: at
+        # 1e-318 the tail is 3.2e-317, far above the floor of 64 spacings
+        grid = UniformGrid(0.0, 1.0, 64)
+        x = Series(grid, scale * np.cos(TWO_PI * 3.0 * grid.nodes))
+        with pytest.raises(ValueError, match="negative-frequency"):
+            AnalyticTrace(x, Series(grid, np.zeros(64)))
+
     def test_accepts_hand_built_one_sided_pair(self):
         tr = notch_trace(256)
         assert tr.amplitude[0] == 0.0
@@ -374,9 +396,11 @@ class TestIfCsit:
         tr = analytic_signal(Series(grid, 1e100 * np.cos(TWO_PI * 3.0 * grid.nodes)))
         p = CsitParams(eta_half_width=0.1, tau_max=690.0 / (256 * np.pi), n_tau=3)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(ValueError, match="^series values must all be finite$"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as refused:
                 if_csit(tr, p)
+        assert str(refused.value) == ("series too large (peak |value| 1e+100): "
+                                      "its continuation off the real axis overflows float64")
 
 
 # quadrature node layouts (n_eta, n_tau, rule) of the oracle tests

@@ -121,6 +121,26 @@ class TestWriteTableCsv:
         assert path.read_bytes() == b"old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
+    def test_a_temp_file_that_cannot_be_removed_keeps_the_chunks_error(self, tmp_path):
+        # the cleanup's own OSError is dropped: the caller sees the fault of
+        # the chunks, and the destination keeps its previous bytes
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"old\n")
+
+        class ChunkFault(Exception):
+            pass
+
+        def chunks():
+            yield b"new\n"
+            raise ChunkFault("raised by the chunks")
+
+        with mock.patch.object(csit_io.os, "unlink", side_effect=OSError("unlink refused")), \
+                pytest.raises(ChunkFault, match="raised by the chunks"):
+            csit_io._write_atomic(path, chunks())
+        assert path.read_bytes() == b"old\n"
+        (left,) = [p.name for p in tmp_path.iterdir() if p.name != "t.csv"]
+        assert left.startswith(".t.csv.") and left.endswith(".tmp")
+
     @pytest.mark.parametrize("name", ["t,x", "v\n", "v\r"], ids=["comma", "newline", "carriage_return"])
     def test_header_name_with_a_separator_is_refused_before_writing(self, tmp_path, name):
         path = tmp_path / "t.csv"
@@ -1320,20 +1340,20 @@ class TestParameterBoundary:
     @pytest.mark.parametrize("argv", [["transform", "--H", "0.02", "--Z", "0.01"], ["derive"],
                                       ["ifreq"]], ids=["transform", "derive", "ifreq"])
     def test_each_run_checks_the_range_rule_once(self, tmp_path, monkeypatch, argv):
-        # the route that builds the multiplier checks the rectangle against the
+        # the kernel that builds the multiplier checks the rectangle against the
         # grid; the command line and CsitParams do not check it again
         calls = []
-        growth = continuation._check_growth
+        check = continuation._check_range
+        for module in (continuation, operators, instfreq):
+            def counted(k, eta_half_width, tau_max, name=module.__name__):
+                calls.append(name)
+                return check(k, eta_half_width, tau_max)
 
-        def counted(k_max, tau, name="imaginary extent"):
-            calls.append(name)
-            return growth(k_max, tau, name)
-
-        monkeypatch.setattr(continuation, "_check_growth", counted)
+            monkeypatch.setattr(module, "_check_range", counted)
         src = tmp_path / "tone.csv"
         write_tone_csv(src)
         assert main([argv[0], str(src), *argv[1:], "--out", str(tmp_path / "o.csv")]) == 0
-        assert calls == ["tau_max"]
+        assert calls == ["csit.instfreq" if argv[0] == "ifreq" else "csit.operators"]
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -1372,12 +1392,23 @@ class TestParameterBoundary:
         # max|k|*Z = 690 is within the growth limit, but exp(690) times a
         # 1e100 trace overflows in if_csit's continuation
         src = tmp_path / "big.csv"
-        t, v = write_tone_csv(tmp_path / "tone.csv", n=256)
+        tone = tmp_path / "tone.csv"
+        t, v = write_tone_csv(tone, n=256)
         write_table_csv(src, ["t", "value"], [t, 1e100 * v])
+        flags = ["--H", "0.1", "--Z", "0.858", "--n-tau", "3", "--damping", "1"]
+        message = ("series too large (peak |value| 1e+100): "
+                   "its continuation off the real axis overflows float64")
         out = tmp_path / "o"
-        err = assert_rejected(["ifreq", src, "--H", "0.1", "--Z", "0.858", "--n-tau", "3",
-                               "--damping", "1", "--out", out / "f.csv"], 2, out)
-        assert err == "csit: error: series values must all be finite"
+        err = assert_rejected(["ifreq", src, *flags, "--out", out / "f.csv"], 2, out)
+        assert err == f"csit: error: {message}"
+        run = tmp_path / "run"
+        assert main(["ifreq", str(tone), *flags, "--out", str(run / "f.csv")]) == 0
+        manifest = json.loads((run / "f.csv.manifest.json").read_text())
+        manifest["parameters"]["input"] = str(src)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        err = assert_rejected(["replay", path, "--out-dir", out], 3, out)
+        assert err == f"csit: error: {path}: bad parameters: {message}"
 
     @pytest.mark.parametrize("argv", [["transform", "--H", "0.01", "--Z", "0.01"],
                                       ["transform", "--mode", "symbol", "--H", "0.01", "--Z", "0.01"],
@@ -1464,13 +1495,31 @@ class TestParameterBoundary:
         assert_rejected(["ifreq", "--demo", "chirp", "--n", "200", "--damping", "1e300",
                          "--out", out], 2, out.parent)
 
-    def test_default_damping_of_huge_data_names_damping(self, tmp_path):
-        # 1e-3 of a peak amplitude near 1e300 has no finite square: flags
-        # exit 2 and a replay 3, each one line naming damping, no warning
+    @pytest.mark.parametrize("shape", ["steps", "tone"])
+    def test_subnormal_trace_runs(self, tmp_path, shape):
+        # the analytic trace of subnormal samples passes its one-sided check,
+        # and the default damping, whose 1e-3 of the peak underflows, is 1e-3
+        tiny = np.finfo(np.float64).smallest_subnormal
+        t = np.arange(64) / 64
+        values = {"steps": np.resize([-tiny, 0.0, tiny], 64),
+                  "tone": 3.0 * tiny * np.sin(2.0 * np.pi * 3.0 * t)}[shape]
+        src = tmp_path / "tiny.csv"
+        write_table_csv(src, ["t", "value"], [t, values])
+        out = tmp_path / "f.csv"
+        code, err, caught = run_cli(["ifreq", src, "--out", out])
+        assert (code, err, caught) == (0, [], [])
+        manifest = json.loads((tmp_path / "f.csv.manifest.json").read_text())
+        assert manifest["parameters"]["damping"] == 1e-3
+
+    def test_default_damping_of_huge_data_names_the_trace(self, tmp_path):
+        # 1e-3 of a peak amplitude of 1e158 has no finite square, but the
+        # default is resolved after the phase-rate terms, whose overflow is
+        # the cause: flags exit 2 and a replay 3, each one line, no warning
         huge = tmp_path / "huge.csv"
         t, v = write_tone_csv(tmp_path / "tone.csv")
-        write_table_csv(huge, ["t", "value"], [t, 1e300 * v])
-        message = "damping (eps_damp) 1e+297 must be positive with a finite square"
+        write_table_csv(huge, ["t", "value"], [t, 1e158 * v])
+        message = ("trace too large (peak |x|, |y| 1e+158): "
+                   "x*dy/dt - y*dx/dt or x^2 + y^2 overflows float64")
         out = tmp_path / "o"
         err = assert_rejected(["ifreq", huge, "--out", out / "f.csv"], 2, out)
         assert err == f"csit: error: {message}"

@@ -451,6 +451,14 @@ class TestDirectQuadratureBlocks:
         assert {mine for mine, _ in seen} == {True, False}
         assert {over for _, over in seen} == {"raise"}
 
+    @pytest.mark.parametrize("count, cpus", [(None, 1), (3, 3)])
+    def test_cpu_count_without_an_affinity_call(self, monkeypatch, count, cpus):
+        # a platform with no sched_getaffinity falls back to os.cpu_count,
+        # which may not know the count
+        monkeypatch.delattr(operators.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(operators.os, "cpu_count", lambda: count)
+        assert operators._cpu_count() == cpus
+
 
 # --- invariants of every multiplier route -----------------------------------
 

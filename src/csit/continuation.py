@@ -29,7 +29,8 @@ the correct continuation of the negative-frequency half of a real signal,
 but it caps how far a given grid can be continued; shifts with
 max(-k)*tau > 700 would overflow and are rejected.  Every kernel checks
 that limit on tau_max (a shift's tau) and a finite max|k|*H with one range
-rule, ``_check_range``; ``_continue_rows`` refuses a row that still overflows.
+rule, ``_check_range``; ``_continue_rows`` refuses a row that still overflows,
+and ``continue_spectral`` a spectrum of its samples that does, with the same line.
 """
 
 from __future__ import annotations
@@ -115,10 +116,14 @@ def _continue_rows(spectra, k: np.ndarray, eta: float, decay: np.ndarray) -> lis
     with np.errstate(over="ignore", invalid="ignore"):
         rows = [np.fft.ifft(coeffs * mult) for coeffs in spectra]
         if not all(np.isfinite(row.view(np.float64)).all() for row in rows):
-            peak = max(np.max(np.abs(np.fft.ifft(coeffs))) for coeffs in spectra)
-            raise ValueError(f"series too large (peak |value| {peak:g}): "
-                             "its continuation off the real axis overflows float64")
+            raise _too_large(max(np.max(np.abs(np.fft.ifft(coeffs))) for coeffs in spectra))
     return rows
+
+
+def _too_large(peak: float) -> ValueError:
+    """The one refusal of a series whose continuation overflows float64."""
+    return ValueError(f"series too large (peak |value| {peak:g}): "
+                      "its continuation off the real axis overflows float64")
 
 
 def continue_spectral(s: Series, shift: ComplexShift) -> Series:
@@ -133,12 +138,18 @@ def continue_spectral(s: Series, shift: ComplexShift) -> Series:
     ------
     ValueError
         If tau breaks the range rule of the grid ("continuation step too
-        large"), or the continued series overflows ("series too large").
+        large"), or the series' spectrum or its continuation overflows
+        ("series too large").
     """
     k = wavenumbers(s.grid)
     _check_range(k, 0.0, shift.tau)
+    # a spectrum that overflows would leave the refusal a peak of nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.fft.fft(s.values)
+        if not np.isfinite(coeffs.view(np.float64)).all():
+            raise _too_large(np.max(np.abs(s.values)))
     decay = _decay(k, np.array([shift.tau], dtype=np.float64))
-    (rows,) = _continue_rows([np.fft.fft(s.values)], k, shift.eta, decay)
+    (rows,) = _continue_rows([coeffs], k, shift.eta, decay)
     return Series(s.grid, rows[0])
 
 

@@ -58,7 +58,8 @@ class AnalyticTrace:
     the strictly negative branch (Nyquist excluded) may not exceed 1e-10
     of the largest coefficient or, if larger, ``n`` subnormal spacings.
     :func:`analytic_signal` is the usual constructor; building the pair
-    by hand is allowed as long as that invariant holds.
+    by hand is allowed as long as that invariant holds.  A pair whose
+    spectrum overflows float64 is refused.
     """
 
     x: Series
@@ -69,10 +70,15 @@ class AnalyticTrace:
             raise ValueError("trace components must be real series")
         if self.x.grid != self.y.grid:
             raise ValueError("trace components must share one grid")
-        coeffs = np.fft.fft(self.x.values + 1j * self.y.values)
-        tail = np.abs(coeffs[self.grid.n // 2 + 1 :])
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = np.fft.fft(self.x.values + 1j * self.y.values)
+            if not np.isfinite(coeffs.view(np.float64)).all():
+                peak = max(np.max(np.abs(self.x.values)), np.max(np.abs(self.y.values)))
+                raise ValueError(f"trace too large (peak |value| {peak:g}): its spectrum overflows float64")
+            tail = np.abs(coeffs[self.grid.n // 2 + 1 :])
+            largest = np.max(np.abs(coeffs))
         floor = self.grid.n * np.finfo(np.float64).smallest_subnormal  # above subnormal rounding
-        if tail.size and tail.max() > max(1e-10 * np.max(np.abs(coeffs)), floor):
+        if tail.size and tail.max() > max(1e-10 * largest, floor):
             raise ValueError("quadrature component leaves negative-frequency content")
 
     @property

@@ -44,6 +44,15 @@ i*sin(k*dx)/dx but applies the centered stencil (``dx`` set), the others
 apply ``mult`` with one rfft/irfft pair.  ``max_rate`` = max|mult| bounds
 the operator's rate, so c*dt*max_rate < 1 is the leapfrog stability limit.
 
+The pair runs numpy's pocketfft kernels directly, the gufuncs
+``rfft_n_even``/``rfft_n_odd`` and ``irfft`` of the private
+``numpy.fft._pocketfft_umath`` (numpy >= 2.0).  ``np.fft.rfft`` and
+``np.fft.irfft`` call the same kernels with the same scale factors, 1 and
+1/n, after a few microseconds of argument handling that a 500-point
+advection step would otherwise spend twice; so the bits are the wrappers'
+bits.  Where that module does not import (numpy 1.x), ``_Operator`` calls
+the public wrappers instead.
+
 :class:`CsitParams` holds the range rules that need no grid; ``_multiplier``
 checks the one that does, ``continuation._check_range``, on the k of each
 csit multiplier.  A bin that is not finite is refused, unless it is the
@@ -59,6 +68,11 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
+
+try:  # the kernels behind np.fft.rfft and np.fft.irfft, private since numpy 2.0
+    from numpy.fft import _pocketfft_umath as _pocketfft
+except ImportError:  # numpy 1.x: _Operator calls the public wrappers
+    _pocketfft = None
 
 from .continuation import AnalyticFunction, _check_range
 from .grid import Series, UniformGrid
@@ -206,7 +220,13 @@ def _multiplier(grid: UniformGrid, symbol: Callable[[np.ndarray], np.ndarray],
 class _Operator:
     """The half-spectrum symbol ``mult`` of :func:`_multiplier` on raw samples
     of its grid: the centered stencil of spacing ``dx`` if set, else one
-    rfft/irfft pair, part-wise for complex input (so linear over complex scalars)."""
+    rfft/irfft pair, part-wise for complex input (so linear over complex scalars).
+
+    The pair is the pocketfft kernels behind ``np.fft.rfft``/``np.fft.irfft``
+    (module docstring), or those wrappers where the kernels do not import;
+    either way the result on float64 samples equals
+    ``np.fft.irfft(np.fft.rfft(v) * mult, n)`` bit for bit.  Several callers share one operator, so each call writes
+    into arrays of its own and the operator keeps no buffer."""
 
     mult: np.ndarray
     dx: float | None = None
@@ -237,7 +257,13 @@ class _Operator:
             return out
         if np.iscomplexobj(values):
             return self(values.real) + 1j * self(values.imag)
-        return np.fft.irfft(np.fft.rfft(values) * self.mult, len(values))
+        n = len(values)
+        if _pocketfft is None:
+            return np.fft.irfft(np.fft.rfft(values) * self.mult, n)
+        rfft = _pocketfft.rfft_n_odd if n % 2 else _pocketfft.rfft_n_even
+        spectrum = rfft(values, 1, out=np.empty(n // 2 + 1, dtype=np.complex128))
+        spectrum *= self.mult
+        return _pocketfft.irfft(spectrum, 1.0 / n, out=np.empty(n))
 
 
 # points per block of csit_quadrature_direct: a complex128 temporary of a

@@ -169,6 +169,19 @@ class TestGrowthGuard:
         assert str(refused.value) == ("series too large (peak |value| 1e+300): "
                                       "its continuation off the real axis overflows float64")
 
+    @pytest.mark.parametrize("pattern", [[1.0], [1.0, -1.0], [1.0 + 0j]], ids=["constant", "alternating", "complex"])
+    def test_overflowing_spectrum_names_the_samples_peak(self, pattern):
+        # the forward FFT of 64 samples of 1.7e308 overflows before any
+        # continuation: one ValueError naming their peak, no numpy warning
+        grid = UniformGrid(x0=0.0, length=1.0, n=64)
+        series = Series(grid, 1.7e308 * np.resize(pattern, 64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as refused:
+                continue_spectral(series, ComplexShift(eta=0.1, tau=0.1))
+        assert str(refused.value) == ("series too large (peak |value| 1.7e+308): "
+                                      "its continuation off the real axis overflows float64")
+
     def test_moderate_tau_passes(self):
         grid = UniformGrid(x0=0.0, length=2.0 * np.pi, n=256)
         series = Series(grid, np.sin(grid.nodes))

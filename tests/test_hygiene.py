@@ -5,8 +5,9 @@ importing the command line does not import scipy, the command line
 imports no range check and nothing from ``special``, neither the command line
 nor a ``table1`` or ``ifreq`` run loads ``concurrent.futures``, in the command line
 only ``_execute`` creates a directory or writes or removes a file, only
-``operators.py`` calls the real FFT pair, and the functions the benchmark
-tracer tallies keep the parameter names it binds."""
+``operators.py`` calls the real FFT pair or names numpy's private
+``_pocketfft_umath`` kernels, and the functions the benchmark tracer
+tallies keep the parameter names it binds."""
 
 import ast
 import importlib
@@ -120,6 +121,35 @@ def test_checker_flags_each_real_fft_call():
 def test_only_operators_calls_the_real_fft_pair():
     # every k-diagonal route applies its symbol through operators._Operator
     callers = [path.name for path in sorted(PACKAGE.glob("*.py")) if real_fft_calls(path.read_text())]
+    assert callers == ["operators.py"]
+
+
+def private_fft_names(source: str) -> list[str]:
+    """Each import of, or attribute access to, numpy's private
+    ``_pocketfft_umath`` module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if "_pocketfft_umath" in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+            found += [name for name in names if "_pocketfft_umath" in name.split(".")]
+        elif isinstance(node, ast.Attribute) and node.attr == "_pocketfft_umath":
+            found.append(node.attr)
+    return found
+
+
+def test_checker_flags_each_private_fft_name():
+    source = ("import numpy.fft._pocketfft_umath\nfrom numpy.fft import _pocketfft_umath as p\n"
+              "from numpy.fft._pocketfft_umath import irfft\nnp.fft._pocketfft_umath.irfft\n"
+              "from numpy.fft import _pocketfft\n")
+    assert private_fft_names(source) == ["numpy.fft._pocketfft_umath", "_pocketfft_umath",
+                                         "numpy.fft._pocketfft_umath", "_pocketfft_umath"]
+
+
+def test_only_operators_names_the_private_fft_kernels():
+    # numpy.fft._pocketfft_umath is private to numpy; one module takes it on
+    callers = [path.name for path in sorted(PACKAGE.glob("*.py")) if private_fft_names(path.read_text())]
     assert callers == ["operators.py"]
 
 

@@ -173,6 +173,15 @@ class TestAnalyticTrace:
         with pytest.raises(ValueError, match="negative-frequency"):
             AnalyticTrace(x, Series(grid, np.zeros(64)))
 
+    def test_rejects_a_trace_whose_spectrum_overflows(self):
+        # the one-sided check would compare nan and pass; one line instead, no warning
+        grid = UniformGrid(0.0, 1.0, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as refused:
+                AnalyticTrace(Series(grid, np.full(64, 1.7e308)), Series(grid, np.zeros(64)))
+        assert str(refused.value) == "trace too large (peak |value| 1.7e+308): its spectrum overflows float64"
+
     def test_accepts_hand_built_one_sided_pair(self):
         tr = notch_trace(256)
         assert tr.amplitude[0] == 0.0

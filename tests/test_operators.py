@@ -728,8 +728,71 @@ class TestDerivativeHelpers:
         np.testing.assert_allclose(twice.values, -vals, atol=1e-12)
 
 
+def _public_pair(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """The multiplier through numpy's public real FFT pair, part-wise for complex input."""
+    if np.iscomplexobj(values):
+        return _public_pair(values.real, mult) + 1j * _public_pair(values.imag, mult)
+    return np.fft.irfft(np.fft.rfft(values) * mult, len(values))
+
+
+@st.composite
+def operator_cases(draw):
+    """A spectral operator on a 2*pi-periodic grid of 2 to 600 nodes and
+    samples of peak near 10**e, e in [-300, 300]: contiguous, a strided
+    ``.real`` view of a complex array, or complex."""
+    n = draw(st.integers(2, 600))
+    grid = UniformGrid(x0=0.0, length=2.0 * np.pi, n=n)
+    route = draw(st.sampled_from(["pseudospectral", "csit", "hilbert"]))
+    if route == "hilbert":
+        op = operators._Operator(operators._multiplier(grid, lambda k: -1j * np.sign(k)))
+    else:
+        p = CsitParams(draw(st.just(0.0) | st.floats(0.01, 2.0)) * grid.dx, draw(st.floats(0.05, 2.0)) * grid.dx,
+                       n_eta=draw(st.integers(1, 4)), n_tau=draw(st.integers(1, 4)))
+        op = _derivative(grid, route, p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    values = scale * (rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n))
+    layout = draw(st.sampled_from(["contiguous", "strided", "complex"]))
+    if layout == "contiguous":
+        values = values.real.copy()
+    elif layout == "strided":
+        values = values.real
+    return op, values
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestOperator:
     """Each scheme is one operator that applies the symbol it carries."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=operator_cases())
+    def test_kernels_give_the_bits_of_the_public_pair(self, case):
+        # the pocketfft kernels and, with them taken away, the wrappers both
+        # equal np.fft.irfft(np.fft.rfft(v) * mult, n), bit for bit; at the
+        # large scales the outputs overflow alike, to the same inf and nan
+        op, values = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _public_pair(values, op.mult)
+            got = op(values)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(operators, "_pocketfft", None)
+                fallback = op(values)
+        assert _same_bits(got, want)
+        assert _same_bits(fallback, want)
+
+    def test_kernels_load_on_numpy_2(self):
+        assert (operators._pocketfft is None) == (np.lib.NumpyVersion(np.__version__) < "2.0.0")
+
+    def test_each_call_returns_a_new_array(self):
+        # callers share one operator and write into its output
+        op = _derivative(UniformGrid(x0=0.0, length=2.0 * np.pi, n=16), "pseudospectral")
+        values = np.sin(np.arange(16.0))
+        first = op(values)
+        first[:] = np.nan
+        assert _same_bits(op(values), _public_pair(values, op.mult))
 
     @pytest.mark.parametrize("n", [15, 16])
     @pytest.mark.parametrize("scheme", ["fd", "pseudospectral", "csit"])

@@ -4,20 +4,22 @@ A band-limited periodic function sampled on a uniform grid extends off the
 real axis mode by mode: the coefficient of exp(i k x) becomes the
 coefficient of exp(i k (x + eta + i tau)) = exp(i k eta) * exp(-k tau).
 The multiplier is built from those two factors: a decay table
-exp(-k tau) with one row per tau, made once per call, and per eta one
-rotation exp(i k eta); each entry is one product of the two.  That
+exp(-k tau) with one row per tau, and per eta one rotation exp(i k eta);
+each entry is one product of the two.  That
 product is bit for bit the complex exponential exp(i k eta - k tau) as
 long as the C library's complex exp (glibc's ``cexp``, which numpy's
 complex ``exp`` calls) returns exp(x)*cos(y) and exp(x)*sin(y), each
 rounded once, for |x| up to about 709; the growth limit keeps |k tau|
 within 700.  numpy's real ``np.exp`` is a different routine whose last
 bits differ, so the decay is the real part of a complex exp.  One
-private helper applies the multiplier over the full signed spectrum: for
+private helper applies a multiplier over the full signed spectrum: for
 a row of shifts that share one eta it inverts each given spectrum at all
-of them with one batched inverse FFT.  ``continue_spectral`` is its
-one-shift call, one FFT pair on the raw samples; the complex-step
-frequency estimator takes one forward FFT per trace component, one decay
-table and one call per eta row.  ``continue_direct`` simply evaluates a
+of them with one batched inverse FFT, into arrays of its own or into
+buffers the caller keeps.  ``continue_spectral`` is its one-shift call,
+one FFT pair on the raw samples; the complex-step frequency estimator
+keeps the decay table and the multiplier of every eta row for its last
+grid and rectangle, and takes one forward FFT per trace component and
+one call per eta row.  ``continue_direct`` simply evaluates a
 closed-form function at the shifted argument, and the two agree on
 band-limited data.  The multiplier is diagonal, so the phase that
 absolute coordinates attach to the coefficients of a grid with
@@ -53,6 +55,9 @@ __all__ = [
 AnalyticFunction = Callable[[np.ndarray], np.ndarray]
 
 _EXP_ARG_LIMIT = 700.0
+# np.fft.ifft writes into a given array from numpy 2.0 on; before, the
+# result is assigned into it
+_IFFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 
 
 @dataclass(frozen=True)
@@ -101,20 +106,28 @@ def _multiplier(k: np.ndarray, eta: float, decay: np.ndarray) -> np.ndarray:
     return mult
 
 
-def _continue_rows(spectra, k: np.ndarray, eta: float, decay: np.ndarray) -> list[np.ndarray]:
+def _continue_rows(spectra, mult: np.ndarray, out=None) -> list[np.ndarray]:
     """Each spectrum of ``spectra`` continued to ``x + eta + i*tau`` for every
-    tau of ``decay = _decay(k, taus)``, as a ``(len(taus), n)`` array.
+    row of ``mult = _multiplier(k, eta, _decay(k, taus))``, as an array the
+    shape of ``mult``.
 
-    The multiplier is built once for all spectra, from the decay table and
-    one rotation ``exp(i*k*eta)``, and equals ``exp(i*k*eta - k*tau)`` bit
-    for bit where the complex exp returns ``exp(x)*cos(y)``,
-    ``exp(x)*sin(y)`` (module docstring).  Each spectrum takes one inverse
-    FFT along the last axis.  The caller checks the range rule; a row that
-    overflows float64 is refused with one error naming the series' peak.
+    Each spectrum takes one product with ``mult`` and one inverse FFT along
+    the last axis.  ``out = (product, rows)`` gives the complex buffers they
+    write, ``mult``'s shape: one for the products and one row array per
+    spectrum, which is returned; by default the call makes its own.  The
+    caller checks the range rule; a row that overflows float64 is refused
+    with one error naming the series' peak.
     """
-    mult = _multiplier(k, eta, decay)
+    if out is None:
+        out = np.empty_like(mult), [np.empty_like(mult) for _ in spectra]
+    product, rows = out
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = [np.fft.ifft(coeffs * mult) for coeffs in spectra]
+        for coeffs, row in zip(spectra, rows):
+            np.multiply(coeffs, mult, out=product)
+            if _IFFT_OUT:
+                np.fft.ifft(product, out=row)
+            else:
+                row[...] = np.fft.ifft(product)
         if not all(np.isfinite(row.view(np.float64)).all() for row in rows):
             raise _too_large(max(np.max(np.abs(np.fft.ifft(coeffs))) for coeffs in spectra))
     return rows
@@ -149,7 +162,7 @@ def continue_spectral(s: Series, shift: ComplexShift) -> Series:
         if not np.isfinite(coeffs.view(np.float64)).all():
             raise _too_large(np.max(np.abs(s.values)))
     decay = _decay(k, np.array([shift.tau], dtype=np.float64))
-    (rows,) = _continue_rows([coeffs], k, shift.eta, decay)
+    (rows,) = _continue_rows([coeffs], _multiplier(k, shift.eta, decay))
     return Series(s.grid, rows[0])
 
 

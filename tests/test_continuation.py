@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csit import continuation
 from csit.continuation import (
     _EXP_ARG_LIMIT,
     ComplexShift,
@@ -247,7 +248,22 @@ class TestFactoredMultiplier:
         rng = np.random.default_rng(43)
         spectra = [np.fft.fft(rng.standard_normal(33)) for _ in range(2)]
         taus = np.array([0.0, 0.01, 0.2])
-        rows = _continue_rows(spectra, k, -0.3, _decay(k, taus))
+        rows = _continue_rows(spectra, _multiplier(k, -0.3, _decay(k, taus)))
         mult = np.exp(1j * k * -0.3 - k * taus[:, None])
         for got, coeffs in zip(rows, spectra):
             assert np.array_equal(got, np.fft.ifft(coeffs * mult))
+
+    @pytest.mark.parametrize("ifft_out", [True, False], ids=["ifft-out", "assigned"])
+    def test_rows_written_into_given_buffers(self, monkeypatch, ifft_out):
+        # numpy 1.x has no np.fft.ifft(..., out=); its fallback assigns the row
+        monkeypatch.setattr(continuation, "_IFFT_OUT", ifft_out)
+        grid = UniformGrid(x0=0.0, length=2.0 * np.pi, n=34)
+        k = wavenumbers(grid)
+        rng = np.random.default_rng(44)
+        spectra = [np.fft.fft(rng.standard_normal(34)) for _ in range(2)]
+        mult = _multiplier(k, 0.2, _decay(k, np.array([0.05, 0.3])))
+        out = np.empty_like(mult), [np.full_like(mult, np.nan) for _ in spectra]
+        rows = _continue_rows(spectra, mult, out)
+        assert all(got is buffer for got, buffer in zip(rows, out[1]))
+        for got, coeffs in zip(rows, spectra):
+            assert np.array_equal(got.view(np.float64), np.fft.ifft(coeffs * mult).view(np.float64))

@@ -4,22 +4,22 @@ A band-limited periodic function sampled on a uniform grid extends off the
 real axis mode by mode: the coefficient of exp(i k x) becomes the
 coefficient of exp(i k (x + eta + i tau)) = exp(i k eta) * exp(-k tau).
 The multiplier is built from those two factors: a decay table
-exp(-k tau) with one row per tau, and per eta one rotation exp(i k eta);
-each entry is one product of the two.  That
+exp(-k tau) with one row per tau, made once per call, and per eta one
+rotation exp(i k eta); each entry is one product of the two.  That
 product is bit for bit the complex exponential exp(i k eta - k tau) as
 long as the C library's complex exp (glibc's ``cexp``, which numpy's
 complex ``exp`` calls) returns exp(x)*cos(y) and exp(x)*sin(y), each
 rounded once, for |x| up to about 709; the growth limit keeps |k tau|
 within 700.  numpy's real ``np.exp`` is a different routine whose last
 bits differ, so the decay is the real part of a complex exp.  One
-private helper applies a multiplier over the full signed spectrum: for
+private helper applies the multiplier over the full signed spectrum: for
 a row of shifts that share one eta it inverts each given spectrum at all
 of them with one batched inverse FFT, into arrays of its own or into
-buffers the caller keeps.  ``continue_spectral`` is its one-shift call,
+arrays the caller gives.  ``continue_spectral`` is its one-shift call,
 one FFT pair on the raw samples; the complex-step frequency estimator
-keeps the decay table and the multiplier of every eta row for its last
-grid and rectangle, and takes one forward FFT per trace component and
-one call per eta row.  ``continue_direct`` simply evaluates a
+takes one forward FFT per trace component, one decay table and one call
+per eta row, each eta row into the same arrays.  ``continue_direct``
+simply evaluates a
 closed-form function at the shifted argument, and the two agree on
 band-limited data.  The multiplier is diagonal, so the phase that
 absolute coordinates attach to the coefficients of a grid with
@@ -92,15 +92,16 @@ def _decay(k: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return np.exp(-(k * taus[:, None]) + 0j).real.copy()
 
 
-def _multiplier(k: np.ndarray, eta: float, decay: np.ndarray) -> np.ndarray:
+def _multiplier(k: np.ndarray, eta: float, decay: np.ndarray, out=None) -> np.ndarray:
     """``exp(i*k*eta - k*tau)`` for every row of ``decay = _decay(k, taus)``.
 
     One rotation ``exp(i*k*eta)`` per call; each part of the complex
     result is one product ``decay * cos`` or ``decay * sin``, written
-    through the float64 views of one preallocated array.
+    through the float64 views of ``out``, a complex array of ``decay``'s
+    shape, which is returned; by default the call makes its own.
     """
     rotation = np.exp(1j * (k * eta))
-    mult = np.empty(decay.shape, dtype=np.complex128)
+    mult = np.empty(decay.shape, dtype=np.complex128) if out is None else out
     np.multiply(decay, rotation.real, out=mult.real)
     np.multiply(decay, rotation.imag, out=mult.imag)
     return mult
@@ -112,22 +113,20 @@ def _continue_rows(spectra, mult: np.ndarray, out=None) -> list[np.ndarray]:
     shape of ``mult``.
 
     Each spectrum takes one product with ``mult`` and one inverse FFT along
-    the last axis.  ``out = (product, rows)`` gives the complex buffers they
-    write, ``mult``'s shape: one for the products and one row array per
-    spectrum, which is returned; by default the call makes its own.  The
-    caller checks the range rule; a row that overflows float64 is refused
-    with one error naming the series' peak.
+    the last axis, both written into its row array.  ``out`` gives these,
+    one complex array of ``mult``'s shape per spectrum, which are returned;
+    by default the call makes its own.  The caller checks the range rule;
+    a row that overflows float64 is refused with one error naming the
+    series' peak.
     """
-    if out is None:
-        out = np.empty_like(mult), [np.empty_like(mult) for _ in spectra]
-    product, rows = out
+    rows = [np.empty_like(mult) for _ in spectra] if out is None else out
     with np.errstate(over="ignore", invalid="ignore"):
         for coeffs, row in zip(spectra, rows):
-            np.multiply(coeffs, mult, out=product)
+            np.multiply(coeffs, mult, out=row)
             if _IFFT_OUT:
-                np.fft.ifft(product, out=row)
+                np.fft.ifft(row, out=row)
             else:
-                row[...] = np.fft.ifft(product)
+                row[...] = np.fft.ifft(row)
         if not all(np.isfinite(row.view(np.float64)).all() for row in rows):
             raise _too_large(max(np.max(np.abs(np.fft.ifft(coeffs))) for coeffs in spectra))
     return rows

@@ -22,7 +22,7 @@ the classical ratio ever produces invalid (NaN) samples in practice.
 
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -49,10 +49,6 @@ _TWO_PI = 2.0 * np.pi
 _DENOM_FLOOR = 1e-300
 # |A + iB|*|A - iB| / |A|^2 = |1 + (B/A)^2| below this marks a branch point
 _BRANCH_TOL = 1e-14
-# the largest plan of if_csit, in bytes of its arrays, that a thread keeps
-_PLAN_BUDGET = 64 << 20
-# each thread's last if_csit plan, as ``_plans.last``
-_plans = threading.local()
 
 
 @dataclass(frozen=True)
@@ -264,12 +260,14 @@ def _classical_and_damped(
     return classical, _ratio(tr.grid, num, square + eps_damp**2), eps_damp
 
 
-def _arctan_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The arrays :func:`_imag_arctan_ratio` writes for inputs of ``shape``:
-    value and flag, ``a + i*b`` and ``a - i*b``, and their three moduli."""
-    return (np.empty(shape), np.empty(shape, dtype=bool),
-            np.empty(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128),
-            np.empty(shape), np.empty(shape), np.empty(shape))
+def _work_arrays(*specs: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
+    """Empty arrays of the given ``(shape, dtype)`` pairs, all views of one
+    allocation, each starting a multiple of 64 bytes into it."""
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
+    starts = np.cumsum([0] + [-(-size // 64) * 64 for size in sizes])
+    block = np.empty(int(starts[-1]), dtype=np.uint8)
+    return [block[start : start + size].view(dtype).reshape(shape)
+            for (shape, dtype), start, size in zip(specs, starts, sizes)]
 
 
 def _imag_arctan_ratio(a: np.ndarray, b: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
@@ -279,16 +277,21 @@ def _imag_arctan_ratio(a: np.ndarray, b: np.ndarray, out=None) -> tuple[np.ndarr
     ``|a + i*b|*|a - i*b| < _BRANCH_TOL*|a|^2`` are flagged, each modulus
     divided by ``|a|`` first so that the test cannot overflow.  Entries
     with ``a = b = 0`` exactly contribute zero unflagged.  ``out`` gives
-    the arrays of :func:`_arctan_buffers` to write, value and flag first,
-    which are returned; by default the call makes its own.
+    the arrays to write, each of ``a``'s shape: the value and the flag,
+    which are returned, a complex array for ``a +- i*b`` and three float64
+    arrays for ``|a + i*b|``, ``|a - i*b|`` and ``|a|``; by default the
+    call makes its own.
     """
-    value, flag, plus_z, minus_z, plus, minus, scale = out or _arctan_buffers(a.shape)
-    np.multiply(1j, b, out=minus_z)
-    np.add(a, minus_z, out=plus_z)
-    np.subtract(a, minus_z, out=minus_z)
-    np.abs(plus_z, out=plus)
-    np.abs(minus_z, out=minus)
+    shape = a.shape
+    value, flag, z, plus, minus, scale = out or _work_arrays(
+        (shape, np.float64), (shape, np.bool_), (shape, np.complex128), *[(shape, np.float64)] * 3)
     np.abs(a, out=scale)
+    np.multiply(1j, b, out=z)
+    np.add(a, z, out=z)
+    np.abs(z, out=plus)
+    np.multiply(1j, b, out=z)
+    np.subtract(a, z, out=z)
+    np.abs(z, out=minus)
     # branch-point hits give infinite values, flagged and replaced by the
     # caller; a = 0 gives infinite and a = b = 0 NaN ratios, never flagged
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -331,59 +334,6 @@ def _patch_flagged(integrand: np.ndarray, flagged: np.ndarray) -> np.ndarray:
     return valid
 
 
-class _Plan:
-    """What :func:`if_csit` builds for one grid and rectangle, ``key``.
-
-    The quadrature nodes and weights, the decay table ``exp(-k*tau)``, per
-    eta row the multiplier ``exp(i*k*eta - k*tau)`` of every tau node
-    (``continuation._multiplier``), and every array the eta loop writes:
-    the integrand and its flags, the spectrum products and continued rows
-    of ``continuation._continue_rows`` and the work arrays of
-    :func:`_imag_arctan_ratio`.  ``kept`` is False when these total more
-    than ``_PLAN_BUDGET`` bytes; such a plan holds no multipliers, and the
-    call builds each row's when it reaches the row.
-    """
-
-    def __init__(self, grid: UniformGrid, p: CsitParams, k: np.ndarray):
-        self.key = (grid, p)
-        self.etas, w_eta = p.eta_nodes_weights()
-        self.taus, w_tau = p.tau_nodes_weights()
-        self.scale = _TWO_PI * p.normalization
-        self.k = k
-        row = (len(self.taus), grid.n)
-        self.integrand = np.empty((len(self.etas), *row))
-        self.flagged = np.empty((len(self.etas), *row), dtype=bool)
-        # after the integrand, the largest array, so that a node count too
-        # large for memory fails at its allocation first
-        self.weights = np.outer(w_eta, w_tau)[:, :, None]
-        self.decay = _decay(k, self.taus)
-        self.continued = (np.empty(row, dtype=np.complex128),
-                          [np.empty(row, dtype=np.complex128) for _ in range(2)])
-        self.arctan = _arctan_buffers(row)[2:]  # value and flag go to the integrand
-        work = (self.integrand, self.flagged, self.decay, self.continued[0], *self.continued[1],
-                *self.arctan)
-        mults_nbytes = len(self.etas) * 2 * self.decay.nbytes  # complex, a decay table each
-        self.kept = sum(a.nbytes for a in work) + mults_nbytes <= _PLAN_BUDGET
-        self.mults = [_multiplier(k, eta, self.decay) for eta in self.etas] if self.kept else None
-
-    def multiplier(self, ip: int) -> np.ndarray:
-        """The multiplier of eta row ``ip``."""
-        return self.mults[ip] if self.kept else _multiplier(self.k, self.etas[ip], self.decay)
-
-
-def _plan(grid: UniformGrid, p: CsitParams, k: np.ndarray) -> _Plan:
-    """This thread's plan for ``grid`` and ``p``.  A miss drops the thread's
-    last plan, builds this one and keeps it if within budget."""
-    plan = getattr(_plans, "last", None)
-    if plan is not None and plan.key == (grid, p):
-        return plan
-    _plans.last = plan = None  # its arrays go before the new plan's are made
-    plan = _Plan(grid, p, k)
-    if plan.kept:
-        _plans.last = plan
-    return plan
-
-
 def if_csit(tr: AnalyticTrace, p: CsitParams) -> FrequencyEstimate:
     """Complex-step estimator: rectangle average of ``Im[arctan(B/A)]/tau``.
 
@@ -398,13 +348,12 @@ def if_csit(tr: AnalyticTrace, p: CsitParams) -> FrequencyEstimate:
     ``ln|z|`` for the analytic signal ``z``, which stays finite at
     amplitude zeros without any explicit damping term.
 
-    The decay table, the multipliers and every array of the eta loop form
-    a plan keyed by the grid and ``p``.  Each thread keeps the plan of its
-    last grid and rectangle, so another trace of the same sampling takes
-    only its FFTs and its integrand; no plan is shared between threads.  A
-    plan whose arrays total more than 64 MiB (``_PLAN_BUDGET``) is not
-    kept, and builds the multiplier of each eta row as it reaches it.  The
-    result copies what it returns and aliases no plan array.
+    Each eta row writes into work arrays made once per call: the
+    integrand, and, as views of one allocation, its flags, the row's
+    multiplier, the continued rows and the arrays of the arctangent.
+    glibc's malloc keeps one such block mapped between calls where a dozen
+    arrays were unmapped, so a call on a trace the size of the last faults
+    in no fresh pages.  The result aliases none of them.
 
     Nodes with ``|A + iB|*|A - iB| < 1e-14*|A|^2`` (arctangent branch
     points) borrow the value of the nearest clean node of the same
@@ -416,22 +365,30 @@ def if_csit(tr: AnalyticTrace, p: CsitParams) -> FrequencyEstimate:
     max|k|*H.  Raises it too, naming the peak of the trace, when a
     continued trace overflows float64 ("series too large ..."), and,
     naming tau_min, when the frequency of a valid sample is not finite (a
-    tau_min so small that the division by tau overflows).  Every call
-    checks all three, whether or not it builds the plan.
+    tau_min so small that the division by tau overflows).
     """
+    etas, w_eta = p.eta_nodes_weights()
+    taus, w_tau = p.tau_nodes_weights()
     k = wavenumbers(tr.grid)
     _check_range(k, p.eta_half_width, p.tau_max)
     spectra = [np.fft.fft(tr.x.values), np.fft.fft(tr.y.values)]
-    plan = _plan(tr.grid, p, k)
-    integrand, flagged = plan.integrand, plan.flagged
-    for ip in range(len(plan.etas)):
-        a, b = _continue_rows(spectra, plan.multiplier(ip), plan.continued)
-        _imag_arctan_ratio(a, b, (integrand[ip], flagged[ip], *plan.arctan))
+    row = (len(taus), tr.grid.n)
+    nodes = (len(etas), *row)
+    integrand = np.empty(nodes)
+    # after the integrand, the largest array, so that a node count too
+    # large for memory fails at its allocation first
+    decay = _decay(k, taus)
+    flagged, mult, *rows, z, plus, minus, scale = _work_arrays(
+        (nodes, np.bool_), *[(row, np.complex128)] * 4, *[(row, np.float64)] * 3)
+    for ip, eta in enumerate(etas):
+        a, b = _continue_rows(spectra, _multiplier(k, eta, decay, mult), rows)
+        _imag_arctan_ratio(a, b, (integrand[ip], flagged[ip], z, plus, minus, scale))
     # a subnormal tau_min overflows the division; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        integrand /= plan.taus[:, None]
+        integrand /= taus[:, None]
         valid = _patch_flagged(integrand, flagged)
-        freq = np.sum(np.multiply(plan.weights, integrand, out=integrand), axis=(0, 1)) / plan.scale
+        weights = np.outer(w_eta, w_tau)[:, :, None]
+        freq = np.sum(np.multiply(weights, integrand, out=integrand), axis=(0, 1)) / (_TWO_PI * p.normalization)
     if not np.all(np.isfinite(freq[valid])):
         raise ValueError(f"tau_min {p.tau_min:g} is too small: the frequency of a valid "
                          "sample is not finite")

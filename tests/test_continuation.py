@@ -261,9 +261,13 @@ class TestFactoredMultiplier:
         k = wavenumbers(grid)
         rng = np.random.default_rng(44)
         spectra = [np.fft.fft(rng.standard_normal(34)) for _ in range(2)]
-        mult = _multiplier(k, 0.2, _decay(k, np.array([0.05, 0.3])))
-        out = np.empty_like(mult), [np.full_like(mult, np.nan) for _ in spectra]
+        decay = _decay(k, np.array([0.05, 0.3]))
+        mult = _multiplier(k, 0.2, decay)
+        given = np.full_like(mult, np.nan)
+        assert _multiplier(k, 0.2, decay, given) is given
+        assert np.array_equal(given.view(np.float64), mult.view(np.float64))
+        out = [np.full_like(mult, np.nan) for _ in spectra]
         rows = _continue_rows(spectra, mult, out)
-        assert all(got is buffer for got, buffer in zip(rows, out[1]))
+        assert all(got is buffer for got, buffer in zip(rows, out))
         for got, coeffs in zip(rows, spectra):
             assert np.array_equal(got.view(np.float64), np.fft.ifft(coeffs * mult).view(np.float64))

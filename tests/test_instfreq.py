@@ -9,9 +9,8 @@ arctangent form of the complex-step integrand, and the per-node loop of
 the complex-step estimator kept in reference.py.
 """
 
+import platform
 import sys
-import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +18,7 @@ import pytest
 import scipy.signal
 from hypothesis import example, given, settings, strategies as st
 
-from csit import continuation, instfreq
+from csit import continuation
 from csit.grid import Series, UniformGrid
 from csit.instfreq import (
     AnalyticTrace,
@@ -32,7 +31,7 @@ from csit.instfreq import (
     if_csit,
     if_damped,
 )
-from csit.instfreq import _imag_arctan_ratio, _patch_flagged, _phase_rate_terms
+from csit.instfreq import _imag_arctan_ratio, _patch_flagged, _phase_rate_terms, _work_arrays
 from csit.operators import CsitParams, csit_quadrature, fd_centered, pseudospectral_derivative
 
 from reference import enveloped_chirp_trace, if_csit_loop, imag_arctan_two_branch, patch_flagged_loop
@@ -512,14 +511,6 @@ class TestIfCsitAgainstNodeLoop:
         assert np.allclose(est.frequency, freq, rtol=1e-9, atol=1e-9 * np.max(np.abs(freq)))
 
 
-@pytest.fixture
-def no_plan():
-    """No kept ``if_csit`` plan in this thread before or after the test."""
-    instfreq._plans.last = None
-    yield
-    instfreq._plans.last = None
-
-
 def far_rectangle(grid: UniformGrid) -> CsitParams:
     """4x4 nodes 30 samples off the real axis, where the enveloped chirp of
     9 samples flags and patches nodes."""
@@ -527,117 +518,47 @@ def far_rectangle(grid: UniformGrid) -> CsitParams:
     return CsitParams(eta_half_width=grid.dx, tau_max=z, tau_min=0.01 * z)
 
 
-def assert_same_bits(est, expected):
-    freq, valid = expected
-    assert np.array_equal(est.valid, valid)
-    assert est.frequency.tobytes() == np.asarray(freq).tobytes()
+class TestIfCsitWorkArrays:
+    """``if_csit`` writes every eta row into work arrays that are views of
+    one allocation per call."""
 
+    def test_work_arrays_are_disjoint_aligned_views(self):
+        specs = [((2, 3, 5), np.bool_), ((3, 5), np.complex128), ((3, 5), np.float64), ((7,), np.bool_)]
+        arrays = _work_arrays(*specs)
+        assert [(a.shape, a.dtype) for a in arrays] == [(shape, np.dtype(dt)) for shape, dt in specs]
+        assert all(a.flags.c_contiguous and a.flags.aligned for a in arrays)
+        assert all((a.ctypes.data - arrays[0].ctypes.data) % 64 == 0 for a in arrays)
+        for i, a in enumerate(arrays):
+            a.view(np.uint8)[...] = i
+        assert all((a.view(np.uint8) == i).all() for i, a in enumerate(arrays))
 
-class TestIfCsitPlan:
-    """``if_csit`` keeps, per thread, the multipliers and work arrays of its
-    last grid and rectangle; a call that reuses them gives the bits of the
-    per-node loop as a call that builds them does."""
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                        reason="counts the page faults of glibc's allocator on Linux")
+    def test_repeated_call_faults_in_no_fresh_pages(self):
+        # one block for the work arrays stays mapped between calls; a dozen
+        # arrays made per eta row took about 545 minor faults a call
+        import resource
 
-    @pytest.mark.parametrize("n, far", [(96, False), (9, True)], ids=["near", "patched"])
-    def test_reused_plan_matches_node_loop(self, no_plan, monkeypatch, n, far):
-        builds = []
-        monkeypatch.setattr(instfreq, "_decay", lambda k, taus: builds.append(taus) or continuation._decay(k, taus))
-        traces = [oracle_trace(kind, n) for kind in ("enveloped", "notch", "chirp")]
-        grid = traces[0].grid
-        p = far_rectangle(grid) if far else default_if_params(grid.dx)
-        estimates = [if_csit(tr, p) for tr in traces]
-        assert len(builds) == 1
-        for tr, est in zip(traces, estimates):
-            assert_same_bits(est, node_loop(tr, p))
-        assert not estimates[0].frequency.flags.writeable
-
-    def test_threads_keep_plans_of_their_own(self, no_plan):
-        # each thread runs blocks of calls on one grid and rectangle, two
-        # traces in turn; blocks of 4, 5 and 6 calls put the threads on the
-        # same and on different grids at the same time
-        cases = [(oracle_trace("chirp", 96), oracle_trace("notch", 96)),
-                 (oracle_trace("enveloped", 9), oracle_trace("notch", 9))]
-        params = [default_if_params(cases[0][0].grid.dx), far_rectangle(cases[1][0].grid)]
-        serial = [[node_loop(tr, p) for tr in pair] for pair, p in zip(cases, params)]
-        start, results = threading.Barrier(3), [[], [], []]
-
-        def run(j):
-            start.wait()
-            for i in range(60):
-                case = (i // (4 + j)) % 2
-                results[j].append((case, i % 2, if_csit(cases[case][i % 2], params[case])))
-
-        threads = [threading.Thread(target=run, args=(j,)) for j in range(3)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert [len(r) for r in results] == [60, 60, 60]
-        for case, i, est in results[0] + results[1] + results[2]:
-            assert_same_bits(est, serial[case][i])
-        # the threads' plans stay with the threads
-        assert instfreq._plans.last is None
-
-    @pytest.mark.parametrize("budget, builds", [(None, 1), (0, 3)], ids=["kept", "over-budget"])
-    def test_plan_over_budget_is_built_per_call(self, no_plan, monkeypatch, budget, builds):
-        if budget is not None:
-            monkeypatch.setattr(instfreq, "_PLAN_BUDGET", budget)
-        calls = []
-        monkeypatch.setattr(instfreq, "_decay", lambda k, taus: calls.append(taus) or continuation._decay(k, taus))
-        tr = oracle_trace("enveloped", 9)
-        p = far_rectangle(tr.grid)
-        expected = node_loop(tr, p)
-        for _ in range(3):
-            assert_same_bits(if_csit(tr, p), expected)
-        assert len(calls) == builds
-        assert (instfreq._plans.last is None) == (budget == 0)
-
-    def test_refusals_hold_on_a_reused_plan(self, no_plan):
-        # the rectangle of TestIfCsit's overflow refusal, first built by a clean trace
-        grid = UniformGrid(0.0, 1.0, 256)
-        tone = np.cos(TWO_PI * 3.0 * grid.nodes)
-        p = CsitParams(eta_half_width=0.1, tau_max=690.0 / (256 * np.pi), n_tau=3)
-        clean = analytic_signal(Series(grid, tone))
-        first = if_csit(clean, p)
-        plan = instfreq._plans.last
-        assert plan is not None and plan.key == (grid, p)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError) as refused:
-                if_csit(analytic_signal(Series(grid, 1e100 * tone)), p)
-        assert str(refused.value) == ("series too large (peak |value| 1e+100): "
-                                      "its continuation off the real axis overflows float64")
-        assert instfreq._plans.last is plan
-        assert_same_bits(if_csit(clean, p), (first.frequency, first.valid))
-
-    def test_repeated_call_allocates_no_node_arrays(self):
-        # the integrand alone is 4*4*2500 float64 = 312.5 KiB, and a call
-        # that builds its multipliers and work arrays peaks at about 1.5 MiB
         grid = UniformGrid(0.0, 1.0, 2500)
         tr = analytic_signal(chirp(20.0, 20.0, grid))
         p = default_if_params(grid.dx)
-        if_csit(tr, p)
-        tracemalloc.start()
-        try:
+        for _ in range(3):
             if_csit(tr, p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 512 * 1024
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        for _ in range(10):
+            if_csit(tr, p)
+        assert resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before < 10 * 50
 
-    def test_numpy_1_fallback_assigns_the_rows(self, no_plan, monkeypatch):
+    def test_numpy_1_fallback_assigns_the_rows(self, monkeypatch):
         # np.fft.ifft takes out= from numpy 2.0 on; the fallback assigns each row
         monkeypatch.setattr(continuation, "_IFFT_OUT", False)
-        traces = [oracle_trace("enveloped", 9), oracle_trace("notch", 9)]
-        p = far_rectangle(traces[0].grid)
-        for tr in traces:
-            assert_same_bits(if_csit(tr, p), node_loop(tr, p))
+        for kind in ("enveloped", "notch"):
+            tr = oracle_trace(kind, 9)
+            p = far_rectangle(tr.grid)
+            est = if_csit(tr, p)
+            freq, valid = node_loop(tr, p)
+            assert np.array_equal(est.valid, valid)
+            assert est.frequency.tobytes() == freq.tobytes()
 
 
 class TestImagArctan:

@@ -340,10 +340,10 @@ def if_csit(tr: AnalyticTrace, p: CsitParams) -> FrequencyEstimate:
     ``A`` and ``B`` are both trace components evaluated at the shifted
     time ``t + eta + i*tau`` through their spectra, for the quadrature
     nodes of ``p`` (the rectangle of the transform itself): one forward
-    FFT per component, then per eta row one batched inverse FFT per
-    component through the multiplier ``exp(i*k*eta - k*tau)`` of every tau
-    node, the product of one table of decays ``exp(-k*tau)`` and one
-    rotation ``exp(i*k*eta)``.  Each node contributes
+    FFT per component and one table of the decays ``exp(-k*tau)``, then
+    per eta row one rotation ``exp(i*k*eta)``, whose products with the
+    table form the multiplier of every tau node, and one batched inverse
+    FFT per component.  Each node contributes
     ``0.5*ln(|A - iB| / |A + iB|)/tau``, the imaginary-step difference of
     ``ln|z|`` for the analytic signal ``z``, which stays finite at
     amplitude zeros without any explicit damping term.

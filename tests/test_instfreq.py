@@ -536,7 +536,7 @@ class TestIfCsitWorkArrays:
                         reason="counts the page faults of glibc's allocator on Linux")
     def test_repeated_call_faults_in_no_fresh_pages(self):
         # one block for the work arrays stays mapped between calls; a dozen
-        # arrays made per eta row took about 545 minor faults a call
+        # arrays made per eta row took 545 to 661 minor faults a call
         import resource
 
         grid = UniformGrid(0.0, 1.0, 2500)

@@ -86,6 +86,7 @@ from .operators import (
     _RULES,
     CsitParams,
     _derivative,
+    _sigma,
     csit_quadrature,
     csit_spectral,
     csit_symbol,
@@ -592,7 +593,8 @@ def _symbol(raw: dict) -> _Step:
         raise ValueError(f"kmax*dx overflows for kmax {kmax!r} and dx {dx!r}")
     k = np.linspace(0.0, kmax, params["samples"])
     sigma = _keyed(csit_symbol, k, params["H"], params["Z"])
-    single = csit_symbol(k, 0.0, params["Z"])
+    # csit_symbol has checked this k and Z and found shi(k*Z)/Z finite
+    single = _sigma(k, 0.0, params["Z"])
     omega_fd = dispersion_fd(k, params["c"], dx)
     table = (["k", "abs_sigma_csit", "abs_sigma_single", "abs_ik", "omega_fd"],
              [k, np.abs(sigma), np.abs(single), np.abs(k), omega_fd])

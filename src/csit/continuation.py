@@ -55,9 +55,6 @@ __all__ = [
 AnalyticFunction = Callable[[np.ndarray], np.ndarray]
 
 _EXP_ARG_LIMIT = 700.0
-# np.fft.ifft writes into a given array from numpy 2.0 on; before, the
-# result is assigned into it
-_IFFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 
 
 @dataclass(frozen=True)
@@ -123,10 +120,7 @@ def _continue_rows(spectra, mult: np.ndarray, out=None) -> list[np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         for coeffs, row in zip(spectra, rows):
             np.multiply(coeffs, mult, out=row)
-            if _IFFT_OUT:
-                np.fft.ifft(row, out=row)
-            else:
-                row[...] = np.fft.ifft(row)
+            np.fft.ifft(row, out=row)
         if not all(np.isfinite(row.view(np.float64)).all() for row in rows):
             raise _too_large(max(np.max(np.abs(np.fft.ifft(coeffs))) for coeffs in spectra))
     return rows

@@ -46,12 +46,11 @@ the operator's rate, so c*dt*max_rate < 1 is the leapfrog stability limit.
 
 The pair runs numpy's pocketfft kernels directly, the gufuncs
 ``rfft_n_even``/``rfft_n_odd`` and ``irfft`` of the private
-``numpy.fft._pocketfft_umath`` (numpy >= 2.0).  ``np.fft.rfft`` and
-``np.fft.irfft`` call the same kernels with the same scale factors, 1 and
-1/n, after a few microseconds of argument handling that a 500-point
-advection step would otherwise spend twice; so the bits are the wrappers'
-bits.  Where that module does not import (numpy 1.x), ``_Operator`` calls
-the public wrappers instead.
+``numpy.fft._pocketfft_umath``.  ``np.fft.rfft`` and ``np.fft.irfft``
+call the same kernels with the same scale factors, 1 and 1/n, after a few
+microseconds of argument handling that a 500-point advection step would
+otherwise spend twice; so the bits are the wrappers' bits.  Where a numpy
+has no such module, ``_Operator`` calls the public wrappers instead.
 
 :class:`CsitParams` holds the range rules that need no grid; ``_multiplier``
 checks the one that does, ``continuation._check_range``, on the k of each
@@ -69,9 +68,9 @@ from typing import Callable, Literal
 
 import numpy as np
 
-try:  # the kernels behind np.fft.rfft and np.fft.irfft, private since numpy 2.0
+try:  # the kernels behind np.fft.rfft and np.fft.irfft, private to numpy
     from numpy.fft import _pocketfft_umath as _pocketfft
-except ImportError:  # numpy 1.x: _Operator calls the public wrappers
+except ImportError:  # a numpy that moved them: _Operator calls the public wrappers
     _pocketfft = None
 
 from .continuation import AnalyticFunction, _check_range
@@ -282,17 +281,13 @@ def _cpu_count() -> int:
 def _run_blocks(block: Callable[[int], None], n_blocks: int) -> None:
     """Call ``block(0)``, ..., ``block(n_blocks - 1)`` on every usable CPU.
 
-    The caller's thread takes blocks too, and a single block (or a single
-    CPU) runs inline with no thread.  Each worker runs in a copy of the
-    caller's context, which carries numpy's error state.  Once a block
-    raises, no new block starts; every thread is joined and the first
-    exception is re-raised.
+    The caller's thread takes blocks too, so a single block (or a single
+    CPU) starts no thread.  Each worker runs in a copy of the caller's
+    context, which carries numpy's error state.  Once a block raises, no
+    new block starts; every thread is joined and the first exception is
+    re-raised.
     """
     n_threads = min(n_blocks, _cpu_count())
-    if n_threads <= 1:
-        for index in range(n_blocks):
-            block(index)
-        return
     pending = iter(range(n_blocks))
     lock = threading.Lock()
     errors: list[BaseException] = []

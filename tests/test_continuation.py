@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csit import continuation
 from csit.continuation import (
     _EXP_ARG_LIMIT,
     ComplexShift,
@@ -253,10 +252,7 @@ class TestFactoredMultiplier:
         for got, coeffs in zip(rows, spectra):
             assert np.array_equal(got, np.fft.ifft(coeffs * mult))
 
-    @pytest.mark.parametrize("ifft_out", [True, False], ids=["ifft-out", "assigned"])
-    def test_rows_written_into_given_buffers(self, monkeypatch, ifft_out):
-        # numpy 1.x has no np.fft.ifft(..., out=); its fallback assigns the row
-        monkeypatch.setattr(continuation, "_IFFT_OUT", ifft_out)
+    def test_rows_written_into_given_buffers(self):
         grid = UniformGrid(x0=0.0, length=2.0 * np.pi, n=34)
         k = wavenumbers(grid)
         rng = np.random.default_rng(44)

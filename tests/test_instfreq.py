@@ -18,7 +18,6 @@ import pytest
 import scipy.signal
 from hypothesis import example, given, settings, strategies as st
 
-from csit import continuation
 from csit.grid import Series, UniformGrid
 from csit.instfreq import (
     AnalyticTrace,
@@ -185,6 +184,18 @@ class TestAnalyticTrace:
                 AnalyticTrace(Series(grid, np.full(64, 1.7e308)), Series(grid, np.zeros(64)))
         assert str(refused.value) == "trace too large (peak |value| 1.7e+308): its spectrum overflows float64"
 
+    @pytest.mark.parametrize("ratio, accepted", [(5e-10, False), (5e-11, True)])
+    def test_one_sided_bound_is_1e_10_of_the_largest_coefficient(self, ratio, accepted):
+        # x + i*y = e^{2*pi*i*3t} + ratio * e^{-2*pi*i*5t}, built by hand
+        grid = UniformGrid(0.0, 1.0, 64)
+        z = np.exp(TWO_PI * 3j * grid.nodes) + ratio * np.exp(-TWO_PI * 5j * grid.nodes)
+        x, y = Series(grid, z.real), Series(grid, z.imag)
+        if accepted:
+            AnalyticTrace(x, y)
+        else:
+            with pytest.raises(ValueError, match="negative-frequency"):
+                AnalyticTrace(x, y)
+
     def test_accepts_hand_built_one_sided_pair(self):
         tr = notch_trace(256)
         assert tr.amplitude[0] == 0.0
@@ -268,6 +279,14 @@ class TestIfClassical:
         assert not est.valid[0]
         assert np.isnan(est.frequency[0])
         assert est.valid[1:].all()
+
+    @pytest.mark.parametrize("scale, valid", [(1e-148, True), (1e-151, False)])
+    def test_squared_amplitudes_below_1e_300_are_zeros(self, scale, valid):
+        # x^2 + y^2 of the scaled tone is about 1e-296 or 1e-302, either
+        # side of the floor; every ratio itself is finite
+        grid = UniformGrid(0.0, 1.0, 256)
+        est = if_classical(analytic_signal(Series(grid, scale * np.cos(TWO_PI * 5.0 * grid.nodes))))
+        assert est.valid.tolist() == [valid] * 256
 
     def test_notch_phase_rate_is_half_hertz(self):
         est = if_classical(notch_trace(1024))
@@ -511,13 +530,6 @@ class TestIfCsitAgainstNodeLoop:
         assert np.allclose(est.frequency, freq, rtol=1e-9, atol=1e-9 * np.max(np.abs(freq)))
 
 
-def far_rectangle(grid: UniformGrid) -> CsitParams:
-    """4x4 nodes 30 samples off the real axis, where the enveloped chirp of
-    9 samples flags and patches nodes."""
-    z = 30.0 * grid.dx
-    return CsitParams(eta_half_width=grid.dx, tau_max=z, tau_min=0.01 * z)
-
-
 class TestIfCsitWorkArrays:
     """``if_csit`` writes every eta row into work arrays that are views of
     one allocation per call."""
@@ -548,17 +560,6 @@ class TestIfCsitWorkArrays:
         for _ in range(10):
             if_csit(tr, p)
         assert resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before < 10 * 50
-
-    def test_numpy_1_fallback_assigns_the_rows(self, monkeypatch):
-        # np.fft.ifft takes out= from numpy 2.0 on; the fallback assigns each row
-        monkeypatch.setattr(continuation, "_IFFT_OUT", False)
-        for kind in ("enveloped", "notch"):
-            tr = oracle_trace(kind, 9)
-            p = far_rectangle(tr.grid)
-            est = if_csit(tr, p)
-            freq, valid = node_loop(tr, p)
-            assert np.array_equal(est.valid, valid)
-            assert est.frequency.tobytes() == freq.tobytes()
 
 
 class TestImagArctan:
@@ -656,6 +657,16 @@ class TestImagArctan:
         # minimized first, keeping the 1/tau scale of the integrand
         _patch_flagged(integrand, flagged)
         assert integrand[1, 2, 0] == 2.0  # the value of node (0, 2)
+
+    def test_tie_goes_to_the_lower_tau_offset_first(self):
+        # from node (1, 1) every node one step off in tau or eta, and the
+        # diagonal (-1, -1), is flagged; (+1, -1) and (-1, +1) then tie on
+        # both distances, and the lower tau offset wins before the eta offset
+        integrand = np.arange(9, dtype=float).reshape(3, 3, 1)
+        flagged = np.zeros((3, 3, 1), dtype=bool)
+        flagged[1, :] = flagged[:, 1] = flagged[0, 0] = True
+        _patch_flagged(integrand, flagged)
+        assert integrand[1, 1, 0] == 6.0  # the value of node (2, 0)
 
     def test_all_flagged_sample_falls_back_to_zero(self):
         integrand = np.ones((2, 2, 3))

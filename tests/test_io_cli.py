@@ -1338,10 +1338,14 @@ class TestParameterBoundary:
                                      "H (eta_half_width) 1e+307 times wavenumber 201.062 overflows")
 
     @pytest.mark.parametrize("argv", [["transform", "--H", "0.02", "--Z", "0.01"], ["derive"],
-                                      ["ifreq"]], ids=["transform", "derive", "ifreq"])
+                                      ["ifreq"], ["symbol"], ["symbol", "--H", "0"],
+                                      ["symbol", "--kmax", "7e2", "--Z", "1"]],
+                             ids=["transform", "derive", "ifreq", "symbol", "symbol_H0",
+                                  "symbol_growth_limit"])
     def test_each_run_checks_the_range_rule_once(self, tmp_path, monkeypatch, argv):
         # the kernel that builds the multiplier checks the rectangle against the
-        # grid; the command line and CsitParams do not check it again
+        # grid; the command line and CsitParams do not check it again, and
+        # symbol's abs_sigma_single reuses the k and Z of its csit column
         calls = []
         check = continuation._check_range
         for module in (continuation, operators, instfreq):
@@ -1352,7 +1356,8 @@ class TestParameterBoundary:
             monkeypatch.setattr(module, "_check_range", counted)
         src = tmp_path / "tone.csv"
         write_tone_csv(src)
-        assert main([argv[0], str(src), *argv[1:], "--out", str(tmp_path / "o.csv")]) == 0
+        inputs = [] if argv[0] == "symbol" else [str(src)]
+        assert main([argv[0], *inputs, *argv[1:], "--out", str(tmp_path / "o.csv")]) == 0
         assert calls == ["csit.instfreq" if argv[0] == "ifreq" else "csit.operators"]
 
     @pytest.mark.parametrize(

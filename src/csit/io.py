@@ -24,14 +24,17 @@ row) at a time, and gives every cell the text ``format_cell`` gives.
 Each block's bytes go into the temporary file as soon as they are
 formatted, so the text of a block or two, not the table's, is held at a
 time.  A table of 1-D float64 and bool columns only is formatted at
-array speed: each finite float's 17 significant digits come out as an
-exact integer (a Dekker product with a double-double power of ten,
-rounded half-even), are laid out as ``%.17g`` lays them out in a
-fixed-width byte matrix whose zero bytes stand for no byte, and one
-compaction gives the block's text.  A rounding within 2**-24 of a tie
-that the product does not give exactly goes to Python's ``%.17g``;
-non-finite floats become empty cells, and a bool enters as 0.0 or 1.0,
-whose text is 0 or 1.  Any other table is formatted one ``format_cell``
+array speed, in work arrays made once per table: each finite float's 17
+significant digits come out as an exact integer (the binary exponent
+from ``np.frexp`` picks a double-double scale, and a Dekker product
+rounds half-even), are laid out as ``%.17g`` lays them out in a matrix
+of 8-byte words whose zero bytes stand for no byte, and one compaction
+gives the block's text.  A float cell takes six words, or five in a
+block where no float cell prints an exponent, and a bool cell one word,
+its digit and separator.  A rounding within 2**-24 of a tie that the
+product does not give exactly goes to Python's ``%.17g``, as does a
+value that rounds up to the power of ten above it; non-finite floats
+become empty cells.  Any other table is formatted one ``format_cell``
 per cell.
 
 ``read_series_csv`` first parses a plain file in one ``np.loadtxt``
@@ -60,6 +63,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
+from .instfreq import _work_arrays
 
 __all__ = [
     "CsvFormatError",
@@ -76,8 +80,9 @@ _JITTER_TOL = 1e-9
 
 # a block of write_table_csv has at most this many cells (and at least
 # one row), so that the arrays of the field path stay small: a 2250 x 9
-# ifreq table in one block made 4.4 MB of temporaries, in blocks of 4096
-# cells 1.1 MB
+# ifreq table in one block made 4.4 MB of temporaries; in blocks of 4096
+# cells, with the work arrays made once per table, a write of it peaks at
+# 0.95 MB of tracemalloc
 _FIELD_CELLS = 4096
 
 # bytes of a file that the one-pass reader takes: printable ASCII but the
@@ -151,25 +156,31 @@ def _block_rows(block: list[np.ndarray]) -> bytes:
 
 # --- exact %.17g at array speed ----------------------------------------------
 #
-# A finite nonzero |v| with decimal exponent D = floor(log10 |v|) has the
-# 17 significant digits N = round_half_even(|v| * 10**(16 - D)), an integer
-# in [1e16, 1e17).  With 10**(16 - D) = 2**E * (hi + lo), 1 <= hi < 2 and
-# hi + lo within 2**-106 of it, w = |v| * 2**E is exact (a power-of-two
-# scaling into [5e15, 1e17]), w * hi is exact as the Dekker product p + e,
-# and w * lo adds at most 3e-15 of error.  p is an even integer above
-# 2**53, so N = p + rint(e + w * lo), half-even on e being half-even on N.
-# Where 0 <= 16 - D <= 22, lo is 0 and N exact; elsewhere a rounding within
-# 2**-24 of a tie goes to Python's %.17g instead.
+# np.frexp gives a finite |v| as w * 2**(x - 53), w an integer in
+# [2**52, 2**53) and 0 for 0.  Within the binade x the decimal exponent
+# D = floor(log10 |v|) has one value, or two where a power of ten lies in
+# the binade, the higher from the integer w at which |v| reaches it; so x
+# and one comparison of w pick a row of tables that hold, per row, D and
+# F = 2**(x - 53) * 10**(16 - D) as hi + lo, with hi + lo within 2**-106
+# of it.  The 17 significant digits of |v| are N = round_half_even(w * F),
+# an integer in [1e16, 1e17].  F lies in [1.1, 22.3), so w * hi is an
+# exact Dekker product p + e with p an even integer above 2**53, and w * lo
+# adds at most 1e-14 of error: N = p + rint(e + w * lo), half-even on e
+# being half-even on N.  Where lo is 0, N is exact; elsewhere a rounding
+# within 2**-24 of a tie goes to Python's %.17g instead, as does N = 1e17,
+# which only a |v| just below a power of ten reaches.
 
-# 16 - D for D from -325 to 309: one beyond the floor(log10 |v|) of the
-# smallest subnormal and of the largest double, which the exponent
-# correction reaches
-_J_MIN, _J_MAX = 16 - 309, 16 + 325
+# 10**j for j from -323 (the smallest power above the smallest subnormal)
+# to 16 - D of the smallest subnormal
+_J_MIN, _J_MAX = -323, 16 + 324
+# frexp's binary exponent x of the finite doubles, 0 included
+_X_MIN, _X_MAX = -1073, 1024
 
 
-def _decimal_power(j: int) -> tuple[int, float, float]:
-    """``(E, hi, lo)``: 10**j = 2**E * (hi + lo), hi the double nearest
-    and lo the double nearest the rest, from exact integers."""
+def _decimal_power(j: int) -> tuple[int, float, float, int]:
+    """``(E, hi, lo, c)``: 10**j = 2**E * (hi + lo), hi the double nearest
+    and lo the double nearest the rest, and c = ceil(2**52 * 10**j / 2**E),
+    from exact integers."""
     if j >= 0:
         num = 10**j
         exp = num.bit_length() - 1
@@ -180,18 +191,41 @@ def _decimal_power(j: int) -> tuple[int, float, float]:
         num = 1 << -exp
     hi = num / den  # int true division rounds correctly
     scaled = int(hi * 2.0**52)
-    lo = (num * 2**52 - scaled * den) / (den * 2**52)
-    return exp, hi, lo
+    rest = num * 2**52 - scaled * den
+    return exp, hi, rest / (den * 2**52), scaled + (rest > 0)
 
 
-_POW_E, _POW_HI, _POW_LO = (
+def _words(table) -> np.ndarray:
+    return np.ascontiguousarray(table, dtype=np.uint8).view(np.uint64)[..., 0]
+
+
+_POW_E, _POW_HI, _POW_LO, _POW_CEIL = (
     np.array(c) for c in zip(*[_decimal_power(j) for j in range(_J_MIN, _J_MAX + 1)])
 )
-_POW_E = _POW_E.astype(np.int32)  # np.ldexp is slow with int64 exponents
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting factor
-_POW_HI_H = _POW_HI * _SPLIT - (_POW_HI * _SPLIT - _POW_HI)
-_POW_HI_L = _POW_HI - _POW_HI_H
+_SPLIT = np.float64(134217729.0)  # 2**27 + 1, Veltkamp's splitting factor
 _TIE = 0.5 - 2.0**-24
+
+# Rows 2i and 2i + 1 belong to the binade x = _X_MIN + i: w below and at
+# or above _THRESHOLD[2i] = _THRESHOLD[2i + 1], the w of the power of ten
+# in the binade.  A binade without one has the threshold 1, so that its
+# row 2i takes only w = 0: frexp gives x = 0 for 0, and the binade 0,
+# [0.5, 1), holds no power of ten.  Such a row is a zero row, D = 0.
+_binade = np.arange(_X_MIN, _X_MAX + 1)
+_power_binade = _POW_E[: 309 - _J_MIN] + 1  # of 10**-323 to 10**308, the powers among the doubles
+_above = np.searchsorted(_power_binade, _binade)  # how many lie in lower binades
+_has_power = _power_binade[np.minimum(_above, len(_power_binade) - 1)] == _binade
+_THRESHOLD = np.repeat(np.where(_has_power, _POW_CEIL[np.minimum(_above, len(_power_binade) - 1)], 1),
+                       2).astype(np.float64)
+_low = _above - 1 + _J_MIN  # D below the binade's power of ten
+_zero = np.stack([~_has_power, np.zeros_like(_has_power)], axis=1).reshape(-1)
+_d = np.where(_zero, 0, np.stack([_low, _low + _has_power], axis=1).reshape(-1))
+_j = 16 - _d - _J_MIN
+_e = np.repeat(_binade, 2) - 53 + _POW_E[_j]
+_ROW_HI = np.where(_zero, 0.0, np.ldexp(_POW_HI[_j], _e))
+_ROW_LO = np.where(_zero, 0.0, np.ldexp(_POW_LO[_j], _e))
+_ROW_HI_H = _ROW_HI * _SPLIT - (_ROW_HI * _SPLIT - _ROW_HI)
+_ROW_HI_L = _ROW_HI - _ROW_HI_H
+_ROW_INEXACT = (_ROW_LO != 0.0).astype(np.float64)  # 0 where N = p + rint(e) exactly
 
 
 # A float cell is laid out in six 8-byte words, a 0 byte meaning no byte:
@@ -199,14 +233,14 @@ _TIE = 0.5 - 2.0**-24
 #              the first digit and the slot for a point after it
 #   words 1-4  digits 1 to 16, four per word, each followed by a point slot
 #   word 5     "e", the exponent sign and digits, and the separator
-# Each table below holds words as rows of 8 bytes, so that a word reads
-# the same bytes on any byte order.
+# In a block where no float cell prints an exponent, a float cell is words
+# 0-4 only, the separator taking the slot after digit 16, where no point
+# goes.  A bool cell is one word: its digit and the separator.  The tables
+# hold words as rows of 8 bytes, so that a word reads the same bytes on
+# any byte order; the words of digits and of the lead fill every slot,
+# and a mask per word keeps the digits written, the one point and, in a
+# five-word cell, the separator.
 _FIELD_WORDS = 6
-
-
-def _words(table) -> np.ndarray:
-    return np.ascontiguousarray(table, dtype=np.uint8).view(np.uint64)[..., 0]
-
 
 _ZERO = ord("0")
 # every 4-digit group g = 100*hi + lo from the 100 2-digit ones, without
@@ -214,146 +248,245 @@ _ZERO = ord("0")
 _pairs = np.arange(100, dtype=np.uint8)
 _pair_digits = np.stack([_pairs // 10, _pairs % 10], axis=1)
 # digits up to the last nonzero one: 2, 1 for a multiple of 10, 0 for 00
-_pair_significant = (_pairs % 10 != 0).astype(np.int8) + (_pairs != 0)
-# the digits of every group, at the even bytes of a word
-_word = np.zeros((100, 100, 8), dtype=np.uint8)
+_pair_significant = (_pairs % 10 != 0).astype(np.int16) + (_pairs != 0)
+_word = np.full((100, 100, 8), ord("."), dtype=np.uint8)
 _word[:, :, 0:4:2] = _pair_digits[:, None, :] + _ZERO
 _word[:, :, 4:8:2] = _pair_digits[None, :, :] + _ZERO
 _DIGITS = _words(_word).reshape(10000)
-# per group index i (digits 4i+1 to 4i+4 of N) and group g: how many
-# digits of N run up to the last nonzero digit of g, 0 for g = 0
+# per group index i (digits 4i+1 to 4i+4 of N after the first) and group
+# g: 18 times the count of digits of N up to the last nonzero digit of g,
+# and 18 times 1, the first digit, for g = 0
 _significant = np.where(_pairs[None, :] != 0, 2 + _pair_significant[None, :],
                         _pair_significant[:, None]).reshape(10000)
-_TAIL = np.where(_significant > 0, 4 * np.arange(4, dtype=np.int8)[:, None] + 1 + _significant, 0)
-_TAIL_OFFSETS = 10000 * np.arange(4)[:, None]
-# per group index i and count L of digits written: the bytes of the
-# group's word among them
-_kept = np.clip(np.arange(18) - (4 * np.arange(4)[:, None] + 1), 0, 4)
-_KEEP = _words(np.where((np.arange(8) % 2 == 0) & (np.arange(8) // 2 < _kept[:, :, None]), 255, 0))
+_TAIL = (18 * np.where(_significant > 0, 4 * np.arange(4, dtype=np.int16)[:, None] + 1 + _significant, 1)
+         ).astype(np.int16)
+# per mask index 18 * s + c and word 0-4: the bytes written, s being the
+# count of significant digits and c the point code (0 below 1, otherwise
+# 1 + the index of the last integer digit)
+_s, _c = np.divmod(np.arange(18 * 18), 18)
+_written = np.maximum(_s, np.maximum(_c, 1))
+_point = np.where((_c >= 1) & (_s > _c), _c - 1, -1)  # the digit the point follows
+_digit = 4 * np.arange(-1, 4)[:, None] + np.arange(8) // 2 + 1  # of each byte of words 0-4
+_keep = np.where(np.arange(8) % 2 == 0, _digit < _written[:, None, None], _digit == _point[:, None, None])
+_keep[:, 0, :7] = True
+_KEEP = _words(np.where(_keep, 255, 0))
 # word 0 per sign (2), -D of a cell below 1 ("0." and -D-1 zeros before
-# the first digit; 0 for any other cell, 5) and first digit (10)
-_lead = np.zeros((2, 5, 10, 8), dtype=np.uint8)
+# the first digit; 0 for any other cell, 5) and first digit (11, the last
+# for the N = 1e17 that goes to Python)
+_lead = np.zeros((2, 5, 11, 8), dtype=np.uint8)
 _lead[1, ..., 0] = ord("-")
 _lead[:, 1:, :, 1] = _ZERO
 _lead[:, 1:, :, 2] = ord(".")
 _lead[..., 3:6] = np.where(np.arange(5)[:, None, None] - 1 > np.arange(3), _ZERO, 0)
-_lead[..., 6] = np.arange(10) + _ZERO
-_LEAD = _words(_lead.reshape(100, 8))
-# word 5 per exponent D + 331 for D in -330..330, 0 for a fixed cell
-_exp = np.abs(np.arange(-330, 331))
-_tail = np.zeros((662, 8), dtype=np.uint8)
-_tail[1:, 0] = ord("e")
-_tail[1:, 1] = np.where(np.arange(-330, 331) < 0, ord("-"), ord("+"))
-_tail[1:, 2] = np.where(_exp >= 100, _exp // 100 + _ZERO, 0)
-_tail[1:, 3] = _exp // 10 % 10 + _ZERO
-_tail[1:, 4] = _exp % 10 + _ZERO
+_lead[..., 6] = np.arange(11) % 10 + _ZERO
+_lead[..., 7] = ord(".")
+_LEAD = _words(_lead.reshape(110, 8))
+_NEGATIVE = np.intp(55)  # the lead index of a minus sign
+# word 5 per row: the exponent of an exponential cell, and the separator
+_exp = np.abs(_d)
+_tail = np.zeros((len(_d), 8), dtype=np.uint8)
+_fixed = (_d >= -4) & (_d < 17)
+_tail[~_fixed, 0] = ord("e")
+_tail[~_fixed, 1] = np.where(_d < 0, ord("-"), ord("+"))[~_fixed]
+_tail[~_fixed, 2] = np.where(_exp >= 100, _exp // 100 + _ZERO, 0)[~_fixed]
+_tail[~_fixed, 3] = (_exp // 10 % 10 + _ZERO)[~_fixed]
+_tail[~_fixed, 4] = (_exp % 10 + _ZERO)[~_fixed]
 _tail[:, 7] = ord(",")
-_EXPONENT = _words(_tail)
-del _pairs, _pair_digits, _pair_significant, _word, _significant, _kept, _lead, _exp, _tail
+_ROW_EXPONENT = _words(_tail)
+# per row: the point code, and 11 times -D of a cell below 1 (the lead index)
+_ROW_CODE = np.where(~_fixed, 1, np.where(_d < 0, 0, _d + 1)).astype(np.intp)
+_ROW_LEAD = np.where(_fixed & (_d < 0), -11 * _d, 0).astype(np.intp)
+_SEPARATOR = _words([0, 0, 0, 0, 0, 0, 0, ord(",")])
+_BOOL = _words([[_ZERO, 0, 0, 0, 0, 0, 0, ord(",")], [_ZERO + 1, 0, 0, 0, 0, 0, 0, ord(",")]])
+del (_binade, _power_binade, _above, _has_power, _low, _d, _zero, _j, _e, _pairs, _pair_digits,
+     _pair_significant, _word, _significant, _s, _c, _written, _point, _digit, _keep, _lead,
+     _exp, _tail, _fixed)
 
 
-def _scaled(a: np.ndarray, d: np.ndarray):
-    """``(p, e, exact)`` with ``p + e`` equal to ``a * 10**(16 - d)``
-    within 3e-15, and exactly where ``exact`` (0 <= 16 - d <= 22), for
-    positive finite ``a``."""
-    index = 16 - d - _J_MIN
-    w = np.ldexp(a, _POW_E.take(index))
-    p = w * _POW_HI.take(index)
-    c = w * _SPLIT
-    wh = c - (c - w)
-    wl = w - wh
-    hh, hl = _POW_HI_H.take(index), _POW_HI_L.take(index)
-    e = ((wh * hh - p) + wh * hl + wl * hh) + wl * hl
-    lo = _POW_LO.take(index)
-    e += w * lo
-    return p, e, lo == 0.0
+def _float_work(cells: int) -> list[tuple[tuple[int, ...], type]]:
+    """The ``(shape, dtype)`` of the work arrays of :func:`_float_fields`
+    for ``cells`` values."""
+    return [((8, cells), np.float64), ((4, cells), np.intp), ((cells,), np.int32), ((5, cells), np.int16),
+            ((cells,), np.uint64), ((cells, 5), np.uint64), ((3, cells), np.bool_)]
 
 
-def _off(p: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Where the exponent of ``p + e`` is off: outside [1e16 - 0.05, 1e17 - 0.5).
-    Just below 1e16, ``p + e`` rounds to the 1e16 that ten times it at the
-    exponent below would round to as 1e17; at or just below 1e17 - 0.5 it
-    would round to 1e17, the 1e16 of the exponent above."""
-    return ((p - 1e16) + e < -0.05) | ((p - 1e17) + e >= -0.5)
+# numpy scalars, which a ufunc takes without converting a Python number
+_INF, _TWO_53 = np.float64(np.inf), np.float64(2.0**53)
+_ROW_0, _E8, _E4, _NINE, _SIGN_BIT = (np.intp(i) for i in (2 * _X_MIN, 10**8, 10**4, 9, 63))
 
 
-def _float_fields(v: np.ndarray, out: np.ndarray) -> None:
+def _float_fields(v: np.ndarray, fields: np.ndarray, work: list[np.ndarray]) -> int:
     """Write the ``%.17g`` text of each entry of float64 ``v``, laid out
-    in words, to the rows of ``out`` (``(len(v), _FIELD_WORDS)`` uint64,
-    C-contiguous); a non-finite entry leaves only its separator."""
-    finite = np.isfinite(v)
-    zero = v == 0.0
-    a = np.where(finite & ~zero, np.abs(v), 1.0)
-    d = np.floor(np.log10(a)).astype(np.int64)
-    p, e, exact = _scaled(a, d)
-    off = np.flatnonzero(_off(p, e))
-    doubt = np.zeros(len(v), dtype=bool)
-    if off.size:
-        # log10 rounded across a power of ten: the exponent is one off
-        d[off] += np.where((p[off] - 1e16) + e[off] < 0.0, -1, 1)
-        p[off], e[off], exact[off] = _scaled(a[off], d[off])
-        doubt[off] = _off(p[off], e[off])
-    r = np.rint(e)
-    doubt |= ~exact & (np.abs(e - r) > _TIE)
-    n = p.astype(np.int64) + r.astype(np.int64)
-    n[zero] = 0
+    in words, to the rows of ``fields[:len(v) * width].reshape(-1, width)``
+    and return the width: 5 words a cell where no entry prints an exponent,
+    else ``_FIELD_WORDS``.  A non-finite entry leaves only its separator.
+    ``fields`` is flat uint64 of at least ``len(v) * _FIELD_WORDS``, and
+    ``work`` the arrays of :func:`_float_work` for ``len(v)`` cells."""
+    floats, (row, n, first, lead), x, (*tails, sig), digits, keep, (finite, up, doubt) = work
+    w, t, c, wh, wl, p, e, r = floats
+    # once N is formed, the float rows hold its digits as integers
+    spare = floats.view(np.intp)
+    quotients, rests, halves = spare[0:2], spare[2:4], spare[4:6]
+    groups = (quotients[0], rests[0], quotients[1], rests[1])  # digits 1-4, 5-8, 9-12, 13-16
 
-    first, rest = np.divmod(n, 10**16)
-    halves = np.empty((2, len(v)), dtype=np.int64)
-    np.divmod(rest, 10**8, out=(halves[0], halves[1]))
-    groups = np.empty((4, len(v)), dtype=np.int64)  # digits 1-4, 5-8, 9-12, 13-16
-    np.divmod(halves, 10**4, out=(groups[0::2], groups[1::2]))
-    tails = _TAIL.take(groups + _TAIL_OFFSETS)
-    significant = np.maximum(np.maximum(tails[0], tails[1]), np.maximum(tails[2], tails[3]))
-    significant = np.maximum(significant, 1).astype(np.int64)
-    fixed = (d >= -4) & (d < 17)
-    below_one = fixed & (d < 0)
-    whole = np.where(fixed & ~below_one, d, 0)  # index of the last integer digit
-    out[:, 0] = _LEAD.take((np.signbit(v) * 5 + np.where(below_one, -d, 0)) * 10 + first)
-    written = np.maximum(significant, whole + 1)  # trailing zeros of a fraction go
+    np.abs(v, w)
+    np.less(w, _INF, finite)
+    blank = not finite.all()
+    if blank:
+        w[~finite] = 0.0
+    np.frexp(w, w, x)
+    np.multiply(w, _TWO_53, w)
+    np.add(x, x, row)
+    np.subtract(row, _ROW_0, row)
+    _THRESHOLD.take(row, None, t, "wrap")
+    np.greater_equal(w, t, up)
+    np.add(row, up, row)
+
+    _ROW_HI.take(row, None, t, "wrap")
+    np.multiply(w, t, p)
+    np.multiply(w, _SPLIT, c)
+    np.subtract(c, w, wh)
+    np.subtract(c, wh, wh)
+    np.subtract(w, wh, wl)
+    # e = ((wh*hh - p) + wh*hl + wl*hh) + wl*hl + w*lo
+    _ROW_HI_H.take(row, None, t, "wrap")
+    np.multiply(wh, t, e)
+    np.subtract(e, p, e)
+    _ROW_HI_L.take(row, None, c, "wrap")
+    np.multiply(wh, c, wh)
+    np.add(e, wh, e)
+    np.multiply(wl, t, t)
+    np.add(e, t, e)
+    np.multiply(wl, c, wl)
+    np.add(e, wl, e)
+    _ROW_LO.take(row, None, t, "wrap")
+    np.multiply(w, t, t)
+    np.add(e, t, e)
+    np.rint(e, r)
+    np.subtract(e, r, e)
+    np.abs(e, e)
+    _ROW_INEXACT.take(row, None, t, "wrap")
+    np.multiply(e, t, e)
+    np.greater(e, _TIE, doubt)
+    n[...] = p  # N = p + r in int64
+    first[...] = r
+    np.add(n, first, n)
+
+    # N = first * 10**16 + halves[0] * 10**8 + halves[1], each half two
+    # groups of 4 digits; N = 1e17 goes to Python
+    np.floor_divide(n, _E8, lead)
+    np.multiply(lead, _E8, halves[1])
+    np.subtract(n, halves[1], halves[1])
+    np.floor_divide(lead, _E8, first)
+    np.multiply(first, _E8, halves[0])
+    np.subtract(lead, halves[0], halves[0])
+    np.floor_divide(halves, _E4, quotients)
+    np.multiply(quotients, _E4, rests)
+    np.subtract(halves, rests, rests)
+    np.greater(first, _NINE, up)
+    np.logical_or(doubt, up, doubt)
     for i in range(4):
-        np.bitwise_and(_DIGITS.take(groups[i]), _KEEP[i].take(written), out=out[:, 1 + i])
-    out[:, 5] = _EXPONENT.take(np.where(fixed, 0, d + 331))
-    point = np.flatnonzero(~below_one & (significant > whole + 1))
-    out.reshape(-1).view(np.uint8)[8 * _FIELD_WORDS * point + 7 + 2 * whole[point]] = ord(".")
+        _TAIL[i].take(groups[i], None, tails[i], "wrap")
+    np.maximum(tails[0], tails[1], out=sig)
+    np.maximum(sig, tails[2], out=sig)
+    np.maximum(sig, tails[3], out=sig)
+    _ROW_CODE.take(row, None, lead, "wrap")
+    np.add(lead, sig, n)  # the mask index 18 * s + c
+    _ROW_LEAD.take(row, None, lead, "wrap")
+    np.add(lead, first, lead)
+    np.right_shift(v.view(np.int64), _SIGN_BIT, first)  # -1 for a set sign bit, else 0
+    np.bitwise_and(first, _NEGATIVE, first)
+    np.add(lead, first, lead)
 
-    out[~finite, :5] = 0
-    slow = np.flatnonzero(doubt)
-    if slow.size:
-        out[slow, 3:5] = 0
-        out[slow, 5] = _EXPONENT[0]
+    _ROW_EXPONENT.take(row, None, digits, "wrap")
+    np.not_equal(digits, _SEPARATOR, up)
+    width = _FIELD_WORDS if up.any() else _FIELD_WORDS - 1
+    out = fields[:len(v) * width].reshape(-1, width)
+    if width == _FIELD_WORDS:
+        out[:, 5] = digits
+    _KEEP.take(n, 0, keep, "wrap")
+    _LEAD.take(lead, None, digits, "wrap")
+    np.bitwise_and(digits, keep[:, 0], out[:, 0])
+    for i in range(3):
+        _DIGITS.take(groups[i], None, digits, "wrap")
+        np.bitwise_and(digits, keep[:, 1 + i], out[:, 1 + i])
+    _DIGITS.take(groups[3], None, digits, "wrap")
+    if width == _FIELD_WORDS:
+        np.bitwise_and(digits, keep[:, 4], out[:, 4])
+    else:  # the separator in the slot after digit 16
+        np.bitwise_and(digits, keep[:, 4], digits)
+        np.bitwise_or(digits, _SEPARATOR, out[:, 4])
+
+    if blank:
+        out[~finite, :width - 1] = 0
+        out[~finite, width - 1] = _SEPARATOR
+    if doubt.any():
+        slow = np.flatnonzero(doubt)
+        out[slow, 3:width - 1] = 0
+        out[slow, width - 1] = _SEPARATOR
         text = np.array([b"%.17g" % x for x in v[slow].tolist()], dtype="S24")
         out[slow, :3] = text.view(np.uint64).reshape(-1, 3)
+    return width
 
 
-def _block_text(block: list[np.ndarray]) -> bytes:
-    """The CSV rows of one block of 1-D float64 and bool columns, as ASCII
-    bytes from one field matrix and one compaction.  A bool enters as 0.0
-    or 1.0, whose ``%.17g`` text is its 0 or 1."""
-    values = np.column_stack(block).astype(np.float64, copy=False)
-    fields = np.empty(values.shape + (_FIELD_WORDS,), dtype=np.uint64)
-    _float_fields(values.ravel(), fields.reshape(values.size, _FIELD_WORDS))
-    text = fields.view(np.uint8)
-    text[:, -1, -1] = ord("\n")
-    return text.tobytes().translate(None, b"\0")
+def _field_chunks(columns: list[np.ndarray], n: int, rows: int):
+    """The CSV rows of 1-D float64 and bool columns, as ASCII bytes, one
+    chunk per block of at most ``rows`` rows.  Each block fills one word
+    matrix, made once per table like every work array, and one compaction
+    gives its text.  The blocks differ by one row at most, and the float
+    cells of a shorter block are computed for a whole one, the rows
+    beyond the table holding zeros."""
+    rows = -(-n // -(-n // rows)) if n else rows
+    floats = [j for j, c in enumerate(columns) if c.dtype == np.float64]
+    bools = [j for j, c in enumerate(columns) if c.dtype == np.bool_]
+    # per float cell width, the first word of each column
+    starts = {width: np.cumsum([0] + [width if c.dtype == np.float64 else 1 for c in columns]).tolist()
+              for width in (_FIELD_WORDS - 1, _FIELD_WORDS)}
+    # runs of adjacent float columns: [first float index, count, first column]
+    runs = []
+    for i, j in enumerate(floats):
+        if runs and floats[i - 1] == j - 1:
+            runs[-1][1] += 1
+        else:
+            runs.append([i, 1, j])
+    cells = rows * len(floats)
+    mixed = len(floats) < len(columns)  # else the float cells are the rows
+    words, values, fields, *work = _work_arrays(
+        ((rows * starts[_FIELD_WORDS][-1],), np.uint64), ((rows, len(floats)), np.float64),
+        ((cells * _FIELD_WORDS if mixed else 0,), np.uint64), *_float_work(cells))
+    width = _FIELD_WORDS
+    for start in range(0, n, rows):
+        k = min(rows, n - start)
+        if floats:
+            for i, j in enumerate(floats):
+                values[:k, i] = columns[j][start:start + k]
+            values[k:] = 0.0
+            width = _float_fields(values.reshape(-1), fields if mixed else words, work)
+        start_word = starts[width]
+        text = words[:k * start_word[-1]].reshape(k, -1)
+        if mixed:
+            cell_words = fields[:cells * width].reshape(rows, -1)
+            for i, count, j in runs:
+                text[:, start_word[j]:start_word[j] + width * count] = (
+                    cell_words[:k, width * i:width * (i + count)])
+        for j in bools:
+            _BOOL.take(columns[j][start:start + k].view(np.uint8), None, text[:, start_word[j]], "clip")
+        text.view(np.uint8)[:, -1] = ord("\n")
+        yield text.tobytes().translate(None, b"\0")
 
 
 def _table_chunks(header: Sequence[str], columns: list[np.ndarray], n: int):
     """The UTF-8 bytes of a table: the header line, then one chunk per
     block of rows, each formatted only once the chunk before it is taken,
-    so that the text of two blocks at most is alive at a time."""
-    fast = all(c.ndim == 1 and c.dtype in (np.float64, np.bool_) for c in columns)
+    so that the text of two blocks at most is alive at a time.  A block
+    has at most ``_FIELD_CELLS`` cells and at least one row."""
     rows = max(1, _FIELD_CELLS // max(len(columns), 1))
     yield (",".join(header) + "\n").encode("utf-8")
-    for start in range(0, n, rows):
-        block = [c[start:start + rows] for c in columns]
-        # chunk keeps the block before alive until this block is formatted:
-        # lying above that block's freed temporaries in the heap, it keeps
-        # glibc malloc from trimming them and faulting them back in for
-        # every block (a 2250 x 9 table: about 170 minor faults a write,
-        # not 1130)
-        chunk = _block_text(block) if fast else _block_rows(block)
-        yield chunk
+    if all(c.ndim == 1 and c.dtype in (np.float64, np.bool_) for c in columns):
+        yield from _field_chunks(columns, n, rows)
+    else:
+        for start in range(0, n, rows):
+            yield _block_rows([c[start:start + rows] for c in columns])
 
 
 def write_table_csv(

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -111,6 +112,39 @@ class TestWriteTableCsv:
             tracemalloc.stop()
         assert peak < 2e6
         assert (tmp_path / "t.csv").stat().st_size > 3e6
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                        reason="counts the page faults of glibc's allocator on Linux")
+    def test_repeated_write_faults_in_no_fresh_pages(self, tmp_path):
+        # the work arrays of a table are one allocation, made once per table.
+        # Made afresh for every block, they took 0 to 425 minor faults a
+        # write of such a table in a fresh process, as glibc trimmed the heap
+        # between blocks or not, depending on what the process had allocated
+        # before.  A child process keeps the heap of other tests out of the
+        # count
+        code = (
+            "import resource, sys; import numpy as np; from csit.io import write_table_csv; "
+            "rng = np.random.default_rng(28); "
+            "cols = [*(rng.standard_normal(2250) * 30.0 for _ in range(5)), "
+            "*(rng.random(2250) < 0.5 for _ in range(3)), rng.standard_normal(2250)]; "
+            "names = [f'c{j}' for j in range(9)]; "
+            "[write_table_csv(sys.argv[1], names, cols) for _ in range(3)]; "
+            "before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt; "
+            "[write_table_csv(sys.argv[1], names, cols) for _ in range(10)]; "
+            "print(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before)"
+        )
+        src = str(Path(csit.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 10 * 20
+
+    def test_work_arrays_are_made_once_per_table(self, tmp_path):
+        columns = [np.linspace(0.0, 1.0, 2250), np.arange(2250) % 3 == 0, np.full(2250, np.nan)]
+        with mock.patch.object(csit_io, "_work_arrays", wraps=csit_io._work_arrays) as made:
+            write_table_csv(tmp_path / "t.csv", ["x", "b", "y"], columns)
+        assert made.call_count == 1
 
     def test_a_failing_block_leaves_the_previous_file_and_no_temp_file(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -487,6 +521,26 @@ class TestCsvAgainstReference:
         columns = [x, x > 0, np.arange(len(x))]
         write_table_csv(tmp_path / "t.csv", ["x", "b", "i"], columns)
         assert (tmp_path / "t.csv").read_bytes() == csv_table_text(["x", "b", "i"], columns).encode()
+
+    @pytest.mark.parametrize("block", ["default", "one_row"])
+    @pytest.mark.parametrize("rows", [0, 1, 1000])
+    @pytest.mark.parametrize("values", [
+        [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7e308, 0.0, 1e22, -0.1],
+        [math.nan, -math.inf, -0.0, 0.0, 1e-4, -0.25, 123456.75, 9999999999999998.0],
+    ], ids=["with_exponents", "fixed_only"])
+    @pytest.mark.parametrize("kinds", ["bb", "bff", "ffb", "fbfbbf"],
+                             ids=["bool_only", "bool_first", "bool_last", "interleaved"])
+    def test_bool_and_float_layouts_match_reference(self, tmp_path, kinds, values, rows, block):
+        # a bool cell is one word of the row and a float cell five or six,
+        # six where a cell of the block prints an exponent; every value
+        # that prints oddly sits next to bool cells somewhere
+        columns = [np.arange(rows) % (2 + j) == 0 if kind == "b"
+                   else np.resize(np.roll(values, j), rows) for j, kind in enumerate(kinds)]
+        header = [f"c{j}" for j in range(len(kinds))]
+        cells = csit_io._FIELD_CELLS if block == "default" else len(columns)
+        with mock.patch.object(csit_io, "_FIELD_CELLS", cells):
+            write_table_csv(tmp_path / "t.csv", header, columns)
+        assert (tmp_path / "t.csv").read_bytes() == csv_table_text(header, columns).encode()
 
     @settings(max_examples=500, deadline=None)
     @given(text=series_files())

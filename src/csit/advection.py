@@ -42,6 +42,10 @@ _SCHEMES = ("fd", "pseudospectral", "csit")
 # largest max|u| a step may leave before the run counts as diverged
 _GATE = 1e30
 
+# bytes of the new rows of one block of the step loop: with the gate's
+# |u| copy of them about 256 KiB, which stays in a core's L2 cache
+_BLOCK_BYTES = 1 << 17
+
 
 def default_csit_params(dx: float) -> CsitParams:
     """Transform extents used by the reference pulse experiment.
@@ -254,6 +258,12 @@ def run_advection(
     ``step * dt``, so it must act elementwise; a scalar result is
     broadcast to every step.
 
+    The steps run in blocks of B rows, B from a byte cap of the block
+    (one row per block on a large grid), written into one ring of B + 2
+    rows whose first two hold the history.  The divergence gate takes one
+    max|u| reduction per block and reports the first step of the block
+    that broke it; the steps after that one are discarded.
+
     Raises
     ------
     ValueError
@@ -262,64 +272,57 @@ def run_advection(
         divergence gate 1e30 on their own, or if the sum of the squared
         snapshot times (which :func:`pulse_speed` forms) overflows.
     DivergenceError
-        If the field develops non-finite values; the exception carries
-        the last finite snapshot.
+        At the first step whose field is not finite or exceeds 1e30 in
+        magnitude; the exception carries the field of the step before.
     """
     grid = cfg.grid
     dt = cfg.dt
     wanted = _snapshot_steps(cfg, snapshot_times)
-    deriv = _derivative(grid, cfg.scheme, cfg.csit)
+    deriv = _derivative(grid, cfg.scheme, cfg.csit).writer(cfg.n_x)
     j_src = int(round((cfg.x_s - grid.x0) / grid.dx)) % cfg.n_x
-    force = _forcing(cfg, src)
+    force = _forcing(cfg, src).tolist()
     # pulse_speed fits a line through the snapshot times, summing their squares
     times = [float(step) * float(dt) for step in wanted]
     if not math.isfinite(sum(t * t for t in times)):
         raise ValueError(f"snapshot times up to {max(times):g} s (n_t {cfg.n_t}, dt {dt:g} s) are "
                          "too large: the speed fit's sum of their squares overflows float64")
-    neg_c = -cfg.c
+    neg_c, two_dt = -cfg.c, 2.0 * dt
 
-    def advance(u: np.ndarray, base: np.ndarray, step: int, h: float) -> np.ndarray:
-        # base + h * (-c * u_x + forcing), built in place in the derivative's
-        # array with the operand order, and so the rounding, of that formula
-        out = deriv(u)
-        out *= neg_c
-        out[j_src] += force[step]
-        out *= h
-        out += base
-        return out
+    # row r of a block holds the field after its step r - 2, and rows 0
+    # and 1 the two fields before the block; before the first block both
+    # hold the initial field, from which step 0 takes a forward-Euler step
+    rows = max(1, _BLOCK_BYTES // (8 * cfg.n_x))
+    ring = np.empty((rows + 2, cfg.n_x))
+    ring[:2] = 0.0 if cfg.initial_field is None else cfg.initial_field
+    views = list(ring)
+    collected = [WavefieldSnapshot(t=0.0, u=Series(grid, ring[1]))] if 0 in wanted else []
 
-    if cfg.initial_field is None:
-        u_prev = np.zeros(cfg.n_x)
-    else:
-        u_prev = cfg.initial_field.copy()
-
-    # steps arrive in order; Series copies the field
-    collected: list[WavefieldSnapshot] = []
-
-    def record(step: int, u: np.ndarray) -> None:
-        if step in wanted:
-            collected.append(WavefieldSnapshot(t=step * dt, u=Series(grid, u)))
-
-    def check_finite(step: int, u: np.ndarray, last: np.ndarray) -> None:
-        # the magnitude gate fires well before float overflow so the next
-        # derivative evaluation cannot turn the field into inf/nan first;
-        # a NaN makes the maximum NaN, which fails the comparison too
-        if not np.abs(u).max() <= _GATE:
-            snap = WavefieldSnapshot(t=(step - 1) * dt, u=Series(grid, last))
-            raise DivergenceError(step * dt, snap)
-
-    record(0, u_prev)
-    # forward-Euler bootstrap supplies the second history level
-    u_curr = advance(u_prev, u_prev, 0, dt)
-    check_finite(1, u_curr, u_prev)
-    record(1, u_curr)
-
-    two_dt = 2.0 * dt
-    for step in range(1, cfg.n_t):
-        u_next = advance(u_curr, u_prev, step, two_dt)
-        check_finite(step + 1, u_next, u_curr)
-        u_prev, u_curr = u_curr, u_next
-        record(step + 1, u_curr)
+    for first in range(0, cfg.n_t, rows):
+        count = min(rows, cfg.n_t - first)
+        # a step past a diverged one may overflow; the gate discards it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r, step in enumerate(range(first, first + count), 2):
+                # (-c * u_x + forcing) * h + base, with the operand order,
+                # and so the rounding, of that formula
+                row = views[r]
+                deriv(views[r - 1], row)
+                row *= neg_c
+                row[j_src] += force[step]
+                row *= two_dt if step else dt
+                row += views[r - 2]
+        # the gate fires well before float overflow, so the derivative of a
+        # field that passed it stays finite; a NaN fails the comparison
+        failed = np.flatnonzero(~(np.abs(ring[2:count + 2]).max(axis=1) <= _GATE))
+        if failed.size:
+            r = int(failed[0]) + 2
+            before = WavefieldSnapshot(t=(first + r - 2) * dt, u=Series(grid, ring[r - 1]))
+            raise DivergenceError((first + r - 1) * dt, before)
+        # Series copies the field
+        collected += [WavefieldSnapshot(t=(first + r - 1) * dt, u=Series(grid, ring[r]))
+                      for r in range(2, count + 2) if first + r - 1 in wanted]
+        # row by row: with one row a block the two slices would overlap
+        ring[0] = ring[count]
+        ring[1] = ring[count + 1]
 
     return collected
 

@@ -54,7 +54,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import secrets
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -130,7 +129,7 @@ def _write_atomic(path, chunks) -> None:
     keeps its previous bytes.  The temp file, a new name opened with
     O_EXCL, gets mode 0666 less the umask, which the rename keeps."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:

@@ -224,8 +224,11 @@ class _Operator:
     The pair is the pocketfft kernels behind ``np.fft.rfft``/``np.fft.irfft``
     (module docstring), or those wrappers where the kernels do not import;
     either way the result on float64 samples equals
-    ``np.fft.irfft(np.fft.rfft(v) * mult, n)`` bit for bit.  Several callers share one operator, so each call writes
-    into arrays of its own and the operator keeps no buffer."""
+    ``np.fft.irfft(np.fft.rfft(v) * mult, n)`` bit for bit.  Several callers
+    share one operator, so each call writes into arrays of its own and the
+    operator keeps no buffer.  A loop that applies it to many rows takes a
+    :meth:`writer`, which writes the same bits into a row the loop owns,
+    with the kernel picked and a spectrum made once per writer."""
 
     mult: np.ndarray
     dx: float | None = None
@@ -263,6 +266,38 @@ class _Operator:
         spectrum = rfft(values, 1, out=np.empty(n // 2 + 1, dtype=np.complex128))
         spectrum *= self.mult
         return _pocketfft.irfft(spectrum, 1.0 / n, out=np.empty(n))
+
+    def writer(self, n: int) -> Callable[[np.ndarray, np.ndarray], None]:
+        """``write(values, out)``: this operator on ``n`` real float64 samples,
+        written into ``out``, a float64 array of ``n`` that does not overlap
+        ``values``; the bits of ``self(values)``.
+
+        The stencil or kernel is picked, and the spectrum allocated, here
+        and once, so a loop that applies the operator to row after row of
+        one array pays neither per row.  The spectrum belongs to this
+        writer: one writer per loop."""
+        if self.dx is not None:
+            two_dx = 2.0 * self.dx
+
+            def write(values, out):
+                np.subtract(values[2:], values[:-2], out=out[1:-1])
+                out[0] = values[1] - values[-1]
+                out[-1] = values[0] - values[-2]
+                out /= two_dx
+            return write
+        if _pocketfft is None:
+            def write(values, out):
+                out[...] = self(values)
+            return write
+        mult, spectrum = self.mult, np.empty(n // 2 + 1, dtype=np.complex128)
+        rfft = _pocketfft.rfft_n_odd if n % 2 else _pocketfft.rfft_n_even
+        irfft, scale = _pocketfft.irfft, 1.0 / n
+
+        def write(values, out):
+            rfft(values, 1, out=spectrum)
+            np.multiply(spectrum, mult, out=spectrum)
+            irfft(spectrum, scale, out=out)
+        return write
 
 
 # points per block of csit_quadrature_direct: a complex128 temporary of a

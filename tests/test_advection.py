@@ -5,12 +5,14 @@ The pulse-propagation runs here use the reference configuration (900 m/s,
 counts; measured thresholds follow the shipped calibration run.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from csit import advection
 from csit.advection import (
     AdvectionConfig,
     DivergenceError,
@@ -392,6 +394,102 @@ class TestStepLoopAgainstTextbook:
         with pytest.raises(DivergenceError) as info:
             run_advection(cfg, _Broken(f0=4.0), [20 * cfg.dt])
         assert info.value.last_finite.t == 7 * cfg.dt
+
+
+def _block_edges(rows):
+    """A step count whose run ends in a partial block (every block is full at
+    one row a block), and the fields at the block edges of that run: step 1
+    (the Euler bootstrap), the last step of the first block, the first step
+    of the second, and a step inside the last block."""
+    tail = max(1, (rows + 1) // 2)
+    return 2 * rows + tail, sorted({1, rows, rows + 1, 2 * rows + (tail + 1) // 2})
+
+
+def _gate_breaker(cfg, fail):
+    """An initial field and a source that carry max|u| past the gate 1e30 at
+    field ``fail`` and at no field before: two injections of 0.75e30 at the
+    source node, at steps fail - 3 and fail - 1, or the second of them on top
+    of an initial spike of 0.9e30 there where fail - 3 < 0.  At a small
+    Courant number the transport between the injections is too weak to
+    take the sum back under the gate."""
+    j_src = int(round(cfg.x_s / cfg.dx)) % cfg.n_x
+    u0 = np.zeros(cfg.n_x)
+    if fail <= 2:
+        u0[j_src] = 0.9e30
+    pulses = [step for step in (fail - 3, fail - 1) if step >= 0]
+    value = 0.375e30 * cfg.dx / cfg.dt  # 2*dt*value/dx = 0.75e30 a leapfrog step
+
+    def src(t):
+        return np.where(np.isin(np.round(np.asarray(t) / cfg.dt), pulses), value, 0.0)
+
+    return u0, src
+
+
+class TestBlockEdges:
+    """``run_advection`` against the textbook leapfrog with the steps of a
+    block patched to 1, 2 and 5 rows and at their default: divergence and a
+    non-finite source at each block edge, and the snapshots at steps 0, 1
+    and n_t of a run that ends in a partial block."""
+
+    BASE = {"c": 1.0, "L": 2.0, "x_s": 1.0, "f0": 4.0, "n_x": 32}
+
+    @pytest.fixture(params=[1, 2, 5, None], ids=["rows1", "rows2", "rows5", "default"])
+    def rows(self, request, monkeypatch):
+        if request.param is None:
+            return advection._BLOCK_BYTES // (8 * self.BASE["n_x"])
+        monkeypatch.setattr(advection, "_BLOCK_BYTES", request.param * 8 * self.BASE["n_x"])
+        return request.param
+
+    @pytest.mark.parametrize("scheme", ["fd", "csit"])
+    def test_snapshots_at_the_ends(self, rows, scheme):
+        n_t, _ = _block_edges(rows)
+        cfg = AdvectionConfig(**self.BASE, n_t=n_t, scheme=scheme)
+        TestStepLoopAgainstTextbook.assert_same_run(cfg, SourceTimeFunction(f0=4.0), [0, 1, n_t])
+
+    @pytest.mark.parametrize("scheme", ["fd", "csit"])
+    def test_gate_fires_at_each_block_edge(self, rows, scheme):
+        n_t, edges = _block_edges(rows)
+        for fail in edges:
+            # at cfl 0.02 the spike barely moves between the two injections
+            probe = AdvectionConfig(**self.BASE, cfl=0.02, n_t=n_t, scheme=scheme)
+            u0, src = _gate_breaker(probe, fail)
+            cfg = AdvectionConfig(**self.BASE, cfl=0.02, n_t=n_t, scheme=scheme, initial_field=u0)
+            with pytest.raises(DivergenceError) as info:
+                run_advection(cfg, src, [n_t * cfg.dt])
+            assert info.value.t == fail * cfg.dt
+            assert np.abs(info.value.last_finite.u.values).max() <= 1e30
+            TestStepLoopAgainstTextbook.assert_same_run(cfg, src, [n_t])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("scheme", ["fd", "csit"])
+    def test_non_finite_source_at_each_block_edge(self, rows, scheme, bad):
+        n_t, edges = _block_edges(rows)
+        cfg = AdvectionConfig(**self.BASE, n_t=n_t, scheme=scheme)
+        for fail in edges:
+            def src(t, fail=fail):
+                return np.where(np.asarray(t) >= (fail - 1) * cfg.dt, bad, 1.0)
+
+            with pytest.raises(DivergenceError) as info:
+                run_advection(cfg, src, [n_t * cfg.dt])
+            assert info.value.t == fail * cfg.dt
+            assert info.value.last_finite.t == (fail - 1) * cfg.dt
+            TestStepLoopAgainstTextbook.assert_same_run(cfg, src, [n_t])
+
+
+def test_ring_stays_within_its_byte_cap_on_a_large_grid():
+    # at 2**16 nodes a block is one step: the ring holds three fields, and
+    # the run's peak stays within a few fields, not a block of rows per field
+    n_x = 2**16
+    field = 8 * n_x
+    for scheme in ("fd", "pseudospectral", "csit"):
+        cfg = AdvectionConfig(c=900.0, L=10000.0, x_s=5000.0, f0=1.0, n_x=n_x, n_t=40, scheme=scheme)
+        tracemalloc.start()
+        try:
+            run_advection(cfg, SourceTimeFunction(f0=1.0), [0.0, 40 * cfg.dt])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * field, scheme
 
 
 class TestStabilityNumber:

@@ -1,7 +1,7 @@
 """Every module-level import in the package is used somewhere in its module,
 the applications take no private operator helper but ``_derivative``, the
 test oracles in ``reference.py`` import nothing from the package,
-importing the command line does not import scipy, the command line
+importing the command line does not import scipy or ``secrets``, the command line
 imports no range check and nothing from ``special``, neither the command line
 nor a ``table1`` or ``ifreq`` run loads ``concurrent.futures``, in the command line
 only ``_execute`` creates a directory or writes or removes a file, only
@@ -186,6 +186,15 @@ def test_cli_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_secrets():
+    # a temp file's random name comes from os.urandom; secrets would load
+    # hmac, base64 and the OpenSSL hash bindings on every cold start
+    code = "import sys, csit.cli; print('secrets' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_table1_loads_only_scipy_special(tmp_path):

@@ -783,6 +783,37 @@ class TestOperator:
         assert _same_bits(got, want)
         assert _same_bits(fallback, want)
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=operator_cases())
+    def test_writer_gives_the_bits_of_a_call(self, case):
+        # the advection step loop writes the derivative into a row of its
+        # ring through one writer, kernels or wrappers, that it calls again
+        # and again with one spectrum
+        op, values = case
+        values = values.real
+        n = len(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want, want_reversed = op(values), op(values[::-1])
+            for kernels in (operators._pocketfft, None):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(operators, "_pocketfft", kernels)
+                    write = op.writer(n)
+                rows = np.full((3, n), np.nan)
+                write(values, rows[1])
+                write(values[::-1], rows[2])
+                assert _same_bits(rows[1], want)
+                assert _same_bits(rows[2], want_reversed)
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_stencil_writer_gives_the_bits_of_a_call(self, n):
+        op = _derivative(UniformGrid(x0=0.0, length=3.0, n=n), "fd")
+        values = np.random.default_rng(n).uniform(-1.0, 1.0, (2, n))
+        rows = np.full((2, n), np.nan)
+        write = op.writer(n)
+        for row, v in zip(rows, values):
+            write(v, row)
+            assert _same_bits(row, op(v))
+
     def test_kernels_load_on_numpy_2(self):
         assert (operators._pocketfft is None) == (np.lib.NumpyVersion(np.__version__) < "2.0.0")
 

@@ -294,7 +294,7 @@ def run_advection(
     rows = max(1, _BLOCK_BYTES // (8 * cfg.n_x))
     ring = np.empty((rows + 2, cfg.n_x))
     ring[:2] = 0.0 if cfg.initial_field is None else cfg.initial_field
-    views = list(ring)
+    views = list(ring)  # the row views, made once and not per step
     collected = [WavefieldSnapshot(t=0.0, u=Series(grid, ring[1]))] if 0 in wanted else []
 
     for first in range(0, cfg.n_t, rows):

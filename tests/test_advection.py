@@ -5,6 +5,7 @@ The pulse-propagation runs here use the reference configuration (900 m/s,
 counts; measured thresholds follow the shipped calibration run.
 """
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -449,11 +450,11 @@ class TestBlockEdges:
     @pytest.mark.parametrize("scheme", ["fd", "csit"])
     def test_gate_fires_at_each_block_edge(self, rows, scheme):
         n_t, edges = _block_edges(rows)
+        # at cfl 0.02 the spike barely moves between the two injections
+        base = AdvectionConfig(**self.BASE, cfl=0.02, n_t=n_t, scheme=scheme)
         for fail in edges:
-            # at cfl 0.02 the spike barely moves between the two injections
-            probe = AdvectionConfig(**self.BASE, cfl=0.02, n_t=n_t, scheme=scheme)
-            u0, src = _gate_breaker(probe, fail)
-            cfg = AdvectionConfig(**self.BASE, cfl=0.02, n_t=n_t, scheme=scheme, initial_field=u0)
+            u0, src = _gate_breaker(base, fail)
+            cfg = dataclasses.replace(base, initial_field=u0)
             with pytest.raises(DivergenceError) as info:
                 run_advection(cfg, src, [n_t * cfg.dt])
             assert info.value.t == fail * cfg.dt
@@ -477,8 +478,8 @@ class TestBlockEdges:
 
 
 def test_ring_stays_within_its_byte_cap_on_a_large_grid():
-    # at 2**16 nodes a block is one step: the ring holds three fields, and
-    # the run's peak stays within a few fields, not a block of rows per field
+    # at 2**16 nodes a block is one step, so the ring holds three fields and
+    # the run peaks at a few; a ring of 32 rows would peak above 34
     n_x = 2**16
     field = 8 * n_x
     for scheme in ("fd", "pseudospectral", "csit"):

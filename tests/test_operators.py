@@ -795,12 +795,12 @@ class TestOperator:
         with np.errstate(over="ignore", invalid="ignore"):
             want, want_reversed = op(values), op(values[::-1])
             for kernels in (operators._pocketfft, None):
+                rows = np.full((3, n), np.nan)
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(operators, "_pocketfft", kernels)
                     write = op.writer(n)
-                rows = np.full((3, n), np.nan)
-                write(values, rows[1])
-                write(values[::-1], rows[2])
+                    write(values, rows[1])
+                    write(values[::-1], rows[2])
                 assert _same_bits(rows[1], want)
                 assert _same_bits(rows[2], want_reversed)
 

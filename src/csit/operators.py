@@ -304,6 +304,37 @@ class _Operator:
 # block is 512 KiB, which stays in a core's L2 cache
 _DIRECT_BLOCK_POINTS = 1 << 15
 
+# f -> (factor of x, factor of tau, sign, limit on |x|, limit on tau) for the
+# ufuncs whose Im f(x + i*tau) glibc's csin, ccos and cexp return as one
+# product of real factors while |x| and tau stay within the limits:
+#   Im sin = sinh(tau)*cos(x),  Im cos = -(sinh(tau)*sin(x)),  Im exp = exp(x)*sin(tau).
+# A limit of _FINITE admits every finite value.
+_FINITE = float(np.finfo(np.float64).max)
+_SEPARABLE = {
+    np.sin: (np.cos, np.sinh, 1.0, _FINITE, 700.0),
+    np.cos: (np.sin, np.sinh, -1.0, _FINITE, 700.0),
+    np.exp: (np.exp, np.sin, 1.0, 700.0, _FINITE),
+}
+
+
+def _separable_factors(f: AnalyticFunction, reals: np.ndarray, taus: np.ndarray):
+    """Im f at ``reals[:, None, :] + i*taus[:, None]`` as two real factors,
+    ``(of reals, of taus)``, or None where ``f`` is not a key of
+    ``_SEPARABLE`` or a point leaves its limits.
+
+    Each factor is the real part of the same complex ufunc at v + 0i, which
+    is glibc's real function; numpy's own real loops differ from it in the
+    last bit.  The cast keeps the sign of a zero v, which ``v + 0j`` would
+    drop.
+    """
+    if not isinstance(f, np.ufunc) or f not in _SEPARABLE:
+        return None
+    x_factor, tau_factor, sign, x_limit, tau_limit = _SEPARABLE[f]
+    if not (np.all(np.abs(reals) <= x_limit) and np.all(taus <= tau_limit)):
+        return None
+    return (x_factor(reals.astype(np.complex128)).real,
+            sign * tau_factor(taus.astype(np.complex128)).real)
+
 
 def _cpu_count() -> int:
     """The number of CPUs this process may run on."""
@@ -403,12 +434,16 @@ def csit_quadrature_direct(
     taus, w_tau = p.tau_nodes_weights()
     quot = np.empty((len(etas), len(taus), len(x)))
     rows = max(1, _DIRECT_BLOCK_POINTS // (len(taus) * max(len(x), 1)))
+    factors = _separable_factors(f, x + etas[:, None], taus)
 
     def block(index: int) -> None:
         sl = slice(index * rows, (index + 1) * rows)
-        shifts = etas[sl, None] + 1j * taus[None, :]
-        fz = np.asarray(f(x + shifts[:, :, None]), dtype=np.complex128)
-        np.divide(fz.imag, taus[:, None], out=quot[sl])
+        if factors is None:
+            shifts = etas[sl, None] + 1j * taus[None, :]
+            imag = np.asarray(f(x + shifts[:, :, None]), dtype=np.complex128).imag
+        else:
+            imag = np.multiply(factors[1][:, None], factors[0][sl, None, :], out=quot[sl])
+        np.divide(imag, taus[:, None], out=quot[sl])
 
     _run_blocks(block, -(-len(etas) // rows))
     return np.einsum("p,m,pmn->n", w_eta, w_tau, quot) / p.normalization

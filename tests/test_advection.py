@@ -318,7 +318,9 @@ def textbook_advection(cfg, src, steps):
 
 @st.composite
 def advection_cases(draw):
-    """Keyword sets for AdvectionConfig and SourceTimeFunction, and snapshot steps.
+    """Keyword sets for AdvectionConfig and SourceTimeFunction, snapshot
+    steps, and the steps of a block, 1 to n_t + 1, so that most runs cross
+    block edges.
 
     Courant numbers up to 8 put every scheme far outside its leapfrog
     stability interval, so a good share of the runs diverge.
@@ -343,11 +345,13 @@ def advection_cases(draw):
         "t_delay": draw(st.floats(0.0, 1.5)) * duration,
     }
     steps = draw(st.sets(st.integers(0, n_t), min_size=1, max_size=4))
-    return cfg, src, sorted(steps)
+    return cfg, src, sorted(steps), draw(st.integers(1, n_t + 1))
 
 
 _DIVERGING = {"c": 1.0, "L": 2.0, "n_x": 32, "n_t": 80, "cfl": 6.0, "f0": 4.0,
               "x_s": 1.0, "initial_field": None}
+# the steps of a block at _DIVERGING's n_x by default: its 80 steps are one block
+_DEFAULT_ROWS = advection._BLOCK_BYTES // (8 * _DIVERGING["n_x"])
 
 
 class TestStepLoopAgainstTextbook:
@@ -374,14 +378,16 @@ class TestStepLoopAgainstTextbook:
     @settings(max_examples=150, deadline=None)
     @given(case=advection_cases())
     @example(case=({**_DIVERGING, "scheme": "fd"},
-                   {"kind": "ricker", "f0": 4.0, "t_delay": 0.1}, [0, 40, 80]))
+                   {"kind": "ricker", "f0": 4.0, "t_delay": 0.1}, [0, 40, 80], _DEFAULT_ROWS))
     @example(case=({**_DIVERGING, "scheme": "csit"},
-                   {"kind": "gaussian_derivative", "f0": 4.0, "t_delay": 0.0}, [80]))
+                   {"kind": "gaussian_derivative", "f0": 4.0, "t_delay": 0.0}, [80], _DEFAULT_ROWS))
     @example(case=({**_DIVERGING, "scheme": "pseudospectral", "cfl": 0.25, "x_s": 1.999},
-                   {"kind": "ricker", "f0": 4.0, "t_delay": 0.3}, [0, 1, 80]))
+                   {"kind": "ricker", "f0": 4.0, "t_delay": 0.3}, [0, 1, 80], _DEFAULT_ROWS))
     def test_bit_identical_to_per_step_loop(self, case):
-        cfg_kwargs, src_kwargs, steps = case
-        self.assert_same_run(AdvectionConfig(**cfg_kwargs), SourceTimeFunction(**src_kwargs), steps)
+        cfg_kwargs, src_kwargs, steps, rows = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(advection, "_BLOCK_BYTES", rows * 8 * cfg_kwargs["n_x"])
+            self.assert_same_run(AdvectionConfig(**cfg_kwargs), SourceTimeFunction(**src_kwargs), steps)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("scheme", ["fd", "csit"])

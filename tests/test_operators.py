@@ -460,6 +460,94 @@ class TestDirectQuadratureBlocks:
         assert operators._cpu_count() == cpus
 
 
+# why csit_quadrature_direct may build its sin, cos and exp rows from real factors
+CSIN_ASSUMPTION = (
+    "sinh(tau)*cos(x), -(sinh(tau)*sin(x)) or exp(x)*sin(tau) differs from the "
+    "imaginary part of np.sin, np.cos or np.exp at x + i*tau: this platform's "
+    "csin, ccos and cexp do not return the product of the real factors, each "
+    "rounded once, for tau <= 700 (and |x| <= 700 for exp)"
+)
+
+
+def _real(u, v: np.ndarray) -> np.ndarray:
+    """The real function u at v as the complex ufunc takes it, at v + 0i
+    (built by a cast, which keeps the sign of a zero v)."""
+    return u(v.astype(np.complex128)).real
+
+
+def _complex_points(x: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """x + i*tau for every tau (rows) and x (columns), the sign of a zero x kept."""
+    z = np.empty((len(taus), len(x)), dtype=np.complex128)
+    z.real, z.imag = x, taus[:, None]
+    return z
+
+
+class TestSeparableRows:
+    """For np.sin, np.cos and np.exp, ``csit_quadrature_direct`` multiplies
+    real factors instead of calling f wherever glibc's complex function is
+    that product; elsewhere it calls f.  Either way the result is the
+    one-array formula bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30),
+        taus=st.lists(st.floats(0.0, 700.0, exclude_min=True), min_size=1, max_size=30),
+    )
+    def test_complex_ufuncs_are_factor_products(self, x, taus):
+        x, taus = np.array(x), np.array(taus)
+        x_exp = np.clip(x, -700.0, 700.0)
+        sinh_tau, sin_tau = _real(np.sinh, taus)[:, None], _real(np.sin, taus)[:, None]
+        for f, reals, product in [
+            (np.sin, x, sinh_tau * _real(np.cos, x)),
+            (np.cos, x, -(sinh_tau * _real(np.sin, x))),
+            (np.exp, x_exp, _real(np.exp, x_exp) * sin_tau),
+        ]:
+            got = f(_complex_points(reals, taus)).imag
+            # compared as bit patterns, so the signs of zeros must match as well
+            assert np.array_equal(got.view(np.uint64), product.view(np.uint64)), CSIN_ASSUMPTION
+
+    @pytest.mark.parametrize("name, Z, x, factored", [
+        ("sin", 700.0, [0.0, -0.0, 1.0, -2.5], True),
+        ("cos", 700.0, [0.0, -0.0, 1.0, -2.5], True),
+        ("sin", 720.0, [0.0, 1.0, -2.5], False),
+        ("cos", 720.0, [0.0, 1.0, -2.5], False),
+        ("exp", 0.2, [-699.9, 0.0, 699.9], True),
+        ("exp", 0.2, [704.9, 705.0], False),
+        ("exp", 0.2, [-705.0, 0.0], False),
+        *[(name, 0.2, [0.5, bad], False)
+          for name in ("sin", "cos", "exp") for bad in (np.nan, np.inf, -np.inf)],
+    ])
+    def test_both_sides_of_the_guard(self, monkeypatch, name, Z, x, factored):
+        monkeypatch.setattr(operators, "_DIRECT_BLOCK_POINTS", 8)
+        monkeypatch.setattr(operators, "_cpu_count", lambda: 2)
+        f = _DIRECT_FUNCTIONS[name]
+        p = CsitParams(0.1, Z, n_eta=4, n_tau=4)
+        x = np.array(x)
+        etas, _ = p.eta_nodes_weights()
+        taus, _ = p.tau_nodes_weights()
+        chosen = operators._separable_factors(f, x + etas[:, None], taus)
+        assert (chosen is not None) == factored
+        with np.errstate(all="ignore"):
+            got = csit_quadrature_direct(f, x, p)
+            assert got.tobytes() == _one_array(f, x, p).tobytes()
+
+    def test_a_wrapped_ufunc_is_called_on_every_block(self, monkeypatch):
+        # 12 eta rows of 5 tau nodes at 20 points, in blocks of 3 rows
+        monkeypatch.setattr(operators, "_DIRECT_BLOCK_POINTS", 300)
+        monkeypatch.setattr(operators, "_cpu_count", lambda: 2)
+        p = CsitParams(0.3, 0.2, n_eta=12, n_tau=5)
+        x = np.linspace(-1.0, 1.0, 20)
+        shapes = []
+
+        def f(z):
+            shapes.append(z.shape)
+            return np.sin(z)
+
+        got = csit_quadrature_direct(f, x, p)
+        assert shapes == [(3, 5, 20)] * 4
+        assert got.tobytes() == csit_quadrature_direct(np.sin, x, p).tobytes()
+
+
 # --- invariants of every multiplier route -----------------------------------
 
 

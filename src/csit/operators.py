@@ -25,6 +25,10 @@ tau = 0; the quotient itself is cancellation-free, so tiny cutoffs are
 safe.
 
 ``csit_quadrature_direct`` evaluates that weighted sum at complex points.
+For sin, cos and exp the quotient factors the same way, e.g.
+Im sin(x + eta + i*tau)/tau = cos(x + eta) * sinh(tau)/tau, so for those
+three ufuncs it multiplies real factors and does not call f (within the
+range where glibc's complex functions return exactly that product).
 On periodic samples the same sum is exactly one multiplier per mode,
 
     m_q(k) = (i/norm) * (sum_p w_p cos(k*eta_p)) * (sum_m w_m sinh(k*tau_m)/tau_m),
@@ -318,14 +322,13 @@ _SEPARABLE = {
 
 
 def _separable_factors(f: AnalyticFunction, reals: np.ndarray, taus: np.ndarray):
-    """Im f at ``reals[:, None, :] + i*taus[:, None]`` as two real factors,
-    ``(of reals, of taus)``, or None where ``f`` is not a key of
-    ``_SEPARABLE`` or a point leaves its limits.
+    """The real factors ``(of reals, of taus)`` of Im f at
+    ``reals[:, None, :] + i*taus[:, None]``, or None where ``f`` is not a
+    key of ``_SEPARABLE`` or a point leaves its limits.
 
-    Each factor is the real part of the same complex ufunc at v + 0i, which
-    is glibc's real function; numpy's own real loops differ from it in the
-    last bit.  The cast keeps the sign of a zero v, which ``v + 0j`` would
-    drop.
+    Each factor is the real part of the same complex ufunc at v + 0i (a
+    cast, which keeps the sign of a zero v): glibc's real function, which
+    numpy's own real loops miss in the last bit at some points.
     """
     if not isinstance(f, np.ufunc) or f not in _SEPARABLE:
         return None
@@ -428,12 +431,20 @@ def csit_quadrature_direct(
     the caller's context, so an ``np.errstate`` around the call holds
     inside ``f``, and the first exception raised by ``f`` is re-raised
     here.  Returns the array of transform values at ``x``.
+
+    For ``f`` exactly ``np.sin``, ``np.cos`` or ``np.exp``, ``f`` is not
+    called while every ``x + eta_p`` is finite, ``tau_m <= 700`` for sin
+    and cos, and ``|x + eta_p| <= 700`` for exp: each block is the product
+    of a factor of ``x + eta_p`` and one of ``tau_m`` (``_SEPARABLE``),
+    the bits glibc's csin, ccos or cexp return.  Outside that guard, and
+    for any other callable, ``f`` is called on every block.
     """
     x = np.asarray(x, dtype=np.float64)
     etas, w_eta = p.eta_nodes_weights()
     taus, w_tau = p.tau_nodes_weights()
     quot = np.empty((len(etas), len(taus), len(x)))
     rows = max(1, _DIRECT_BLOCK_POINTS // (len(taus) * max(len(x), 1)))
+    # x + eta: the real parts of the shifted points x + (eta + i*tau) below
     factors = _separable_factors(f, x + etas[:, None], taus)
 
     def block(index: int) -> None:

@@ -37,21 +37,26 @@ value that rounds up to the power of ten above it; non-finite floats
 become empty cells.  Any other table is formatted one ``format_cell``
 per cell.
 
-``read_series_csv`` first parses a plain file in one ``np.loadtxt``
-pass: printable ASCII and ``\n`` line breaks only, no ``#`` and no
-``_``, a one-line header at most, every line a data row.  Whatever that
-pass cannot take, or whatever fails a check there (parse, column count,
-finiteness, ordering), goes to the line-by-line loop, which is the
-definition of the format and the source of every error message and line
-number.  The file is read once, as bytes: the loop decodes those bytes
-as UTF-8 and drops a leading byte-order mark, which is outside the plain
-set.  Both paths give bit-identical arrays, and the one-pass path
-accepts no file that the loop rejects.
+``read_series_csv`` first reads a plain file at array speed: printable
+ASCII and ``\n`` line breaks only, no ``#`` and no ``_``, a one-line
+header at most, every line a data row of two cells.  It goes through the
+file's bytes in chunks of whole lines, without copying them, and turns
+each cell ``[-]digits[.digits][(e|E)[+-]d{1,3}]`` into the double that
+Python's ``float`` gives, exactly: Clinger's fast path where it holds,
+else a Dekker product with the writer's double-double powers of ten.  A
+cell of any other spelling, or one whose rounding lies too near a tie to
+tell, goes to ``float`` itself.  Whatever that reader cannot take, or
+whatever fails a check there (parse, column count, finiteness,
+ordering), goes to the line-by-line loop, which is the definition of the
+format and the source of every error message and line number.  The file
+is read once, as bytes: the loop decodes those bytes as UTF-8 and drops
+a leading byte-order mark, which is outside the plain set.  Both paths
+give bit-identical arrays, and the array-speed reader accepts no file
+that the loop rejects.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -524,38 +529,360 @@ def _read_json_object(path, what: str) -> dict:
     return data
 
 
+# --- exact decimal reading at array speed -------------------------------------
+#
+# A cell of a plain file is read here when it is [-]digits[.digits], the
+# point anywhere, with an optional (e|E)[+-] and 1-3 digits, and its
+# mantissa (digits and point) is at most 24 bytes.  The file goes in chunks
+# of whole lines of about _CHUNK_CELLS cells, so that every temporary stays
+# small, and its bytes are never copied.  One scan of a chunk finds the
+# bytes outside '-' to '9': the ',' and '\n' that must alternate, two cells
+# a line, the exponent letters, at most one a cell, and any other byte.  A
+# byte outside the plain set sends the file to the line loop; any other
+# sends its cell to Python's float(), unless it is a '+' after a letter.
+#
+# A mantissa is read as the three 8-byte words that end at its last byte,
+# little-endian on any machine, each joined from two aligned words of the
+# file (a word that reaches past either end of the file is made in Python).
+# Only the low nibbles of the mantissa's bytes are kept: a digit is its
+# value, the point 14, a '-' or '/' 13 or 15.  One test per byte for a
+# nibble above 9 finds the point, and the place of its byte gives the count
+# of fraction digits.  The bytes before the point move one place on, over
+# it, and each word gives its 8-digit integer by the multiply-and-shift of
+# Lemire's parse_eight_digits ("Number Parsing at a Gigabyte per Second",
+# 2021).  w = word2 * 1e16 + word1 * 1e8 + word0 fits uint64 while word2 is
+# at most 1843; a longer mantissa goes to float().
+#
+# The value is w * 10**q, q the exponent less the fraction digits.  For
+# w <= 2**53 and |q| <= 22 one product or quotient of exact doubles rounds
+# it correctly (Clinger, "How to Read Floating Point Numbers Accurately",
+# 1990).  Otherwise w = wh + wl, wh the double nearest, and the writer's
+# 10**q = 2**E * (hi + lo) give w * (hi + lo) = p + e, p = wh * hi and e its
+# exact Dekker error plus wh * lo + wl * hi, within about 2**-50 of an ulp
+# of p.  p + (e - b) and p + (e + b), b = 2**-80 * p, round to one double
+# unless a tie lies within about 2**-28 of an ulp of the product, and then
+# it is the correct rounding.  Where they differ, or the value leaves the
+# normal range, or q lies beyond the tables, float() reads the cell.
+
+# cells of a chunk, which holds whole lines: every temporary of a chunk
+# of 17-digit cells stays within about 1 MB
+_CHUNK_CELLS = 8192
+
+# a byte less '-' above 12 lies outside '-' to '9'
+_MINUS, _DIGIT_SPAN, _NINE_BYTE = np.uint8(ord("-")), np.uint8(ord("9") - ord("-")), np.uint8(ord("9"))
+_COMMA, _NEWLINE, _PLUS, _LETTER_E, _CASE = (np.uint8(ord(b)) for b in ",\n+e ")
+_OUTSIDE_PLAIN = np.ones(256, dtype=np.bool_)
+_OUTSIDE_PLAIN[list(_PLAIN)] = False
+
+_NIBBLES, _HIGH_NIBBLES = np.uint64(0x0F0F0F0F0F0F0F0F), np.uint64(0xF0F0F0F0F0F0F0F0)
+# a nibble plus 0x76 sets its byte's top bit when it is above 9
+_ABOVE_NINE, _BYTE_TOPS = np.uint64(0x7676767676767676), np.uint64(0x8080808080808080)
+_POINTS, _BYTE_SUM, _FIFTEEN = np.uint64(0x0E0E0E0E0E0E0E0E), np.uint64(0x0101010101010101), np.uint64(15)
+_SHIFT_7, _SHIFT_8, _SHIFT_16, _SHIFT_32, _SHIFT_56, _SHIFT_64 = (np.uint64(s) for s in (7, 8, 16, 32, 56, 64))
+# parse_eight_digits: digit pairs, then groups of four, then the eight
+_PAIRS, _QUADS = np.uint64(0x00FF00FF00FF00FF), np.uint64(0x0000FFFF0000FFFF)
+_TIMES_PAIR, _TIMES_QUAD, _TIMES_EIGHT = (np.uint64(10**k * 2**(8 * k) + 1) for k in (1, 2, 4))
+_WORD_1, _WORD_2, _LAST_WORD, _EXACT_W = np.uint64(10**8), np.uint64(10**16), np.uint64(1843), np.uint64(2**53)
+# per count v (0-8) of a word's last bytes: their low nibbles, and their
+# high nibbles as a digit has them
+_last = np.array([(1 << 64) - (1 << 64 - 8 * v) for v in range(9)], dtype=object)
+_TAIL_NIBBLES = (_last & 0x0F0F0F0F0F0F0F0F).astype(np.uint64)
+_TAIL_THREES = (_last & 0x3030303030303030).astype(np.uint64)
+_TAIL_SHIFT = np.array([64 - 8 * v for v in range(9)], dtype=np.uint64)
+# a point marked 1 in byte i of mantissa word k (word 0 the last) times
+# _POINT_PLACE[k] has g = 24 - f = 17 + i - 8k in its top byte, f being the
+# digits after the point; g = 0 without a point.  Per g: f, and per word
+# the bytes that move one place on, the point and those before it
+_POINT_PLACE = [np.uint64(sum(24 - i - 8 * k << 8 * i for i in range(8))) for k in range(3)]
+_FRACTION = np.array([0] + [24 - g for g in range(1, 25)], dtype=np.intp)
+_MOVED = [np.array([(1 << 8 * min(max(g + 8 * k - 16, 0), 8)) - 1 for g in range(25)], dtype=np.uint64)
+          for k in range(3)]
+# the fast path's 10**q, q + 22 from 0 to 44, as a factor and a divisor
+_FAST_TIMES = np.array([1.0] * 22 + [float(10**k) for k in range(23)])
+_FAST_OVER = np.array([float(10**(22 - i)) for i in range(22)] + [1.0] * 23)
+_FAST_Q, _POW_ROWS = np.uint64(44), np.uint64(len(_POW_E))
+# the Veltkamp halves of _POW_HI
+_POW_HI_H = _POW_HI * _SPLIT - (_POW_HI * _SPLIT - _POW_HI)
+_POW_HI_L = _POW_HI - _POW_HI_H
+_SLACK, _SMALLEST_NORMAL = np.float64(2.0**-80), np.float64(2.0**-1022)
+del _last
+
+
+def _eight_digits(words: np.ndarray) -> np.ndarray:
+    """In place: each word of 8 digit nibbles, the first digit in its
+    first byte, becomes the integer they spell."""
+    words *= _TIMES_PAIR
+    words >>= _SHIFT_8
+    words &= _PAIRS
+    words *= _TIMES_QUAD
+    words >>= _SHIFT_16
+    words &= _QUADS
+    words *= _TIMES_EIGHT
+    words >>= _SHIFT_32
+    return words
+
+
+def _words_at(raw: bytes, aligned: np.ndarray, pos: np.ndarray, count: int) -> list[np.ndarray]:
+    """The little-endian 8-byte words of ``raw`` at each of the increasing
+    positions ``pos``, then at ``pos - 8`` and so on, ``count`` in all.
+    Each joins two of the file's ``aligned`` words; one that reaches past
+    either end of the file is made in Python, with '0' bytes before the
+    file and zero bytes after it."""
+    at = pos >> 3
+    low = ((pos & 7) << 3).astype(np.uint64)
+    high = _SHIFT_64 - low
+    words, above = [], aligned.take(at + 1, mode="clip")
+    for k in range(count):
+        below = aligned.take(at - k, mode="clip")
+        above <<= high
+        word = below >> low
+        word |= above
+        words.append(word)
+        above = below
+    edges = [*range(np.searchsorted(at, count - 1)), *range(np.searchsorted(at, len(aligned) - 2, "right"), len(at))]
+    for cell in edges:
+        for k, word in enumerate(words):
+            p = int(pos[cell]) - 8 * k
+            piece = b"0" * min(max(-p, 0), 8) + raw[max(p, 0):max(p + 8, 0)]
+            word[cell] = int.from_bytes(piece.ljust(8, b"\0"), "little")
+    return words
+
+
+def _exponents(raw: bytes, buf: np.ndarray, aligned: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """``(value, bad)``: the integer of each exponent text ``raw[start:end]``,
+    an optional sign and 1-3 digits, and where a text is not one."""
+    sign = buf.take(start, mode="clip")
+    minus = sign == _MINUS
+    signed = minus | (sign == _PLUS)
+    start = start + signed
+    digits = end - start
+    (word,) = _words_at(raw, aligned, start, 1)
+    word <<= _TAIL_SHIFT.take(digits, mode="clip")  # the digits at the word's end
+    bad = (word & _HIGH_NIBBLES) != _TAIL_THREES.take(digits, mode="clip")
+    bad |= (digits < 1) | (digits > 3)
+    word &= _NIBBLES
+    bad |= ((word + _ABOVE_NINE) & _BYTE_TOPS) != 0
+    value = _eight_digits(word).view(np.int64)
+    np.negative(value, out=value, where=minus)
+    return value, bad
+
+
+def _mantissas(raw: bytes, aligned: np.ndarray, end: np.ndarray, length: np.ndarray, odd: np.ndarray):
+    """``(w, fraction)``: the digits of each mantissa ``raw[end - length:end]``
+    as an integer and the count of them after its point.  Sets ``odd``
+    where a mantissa is not digits with at most one point, has no digit,
+    or is longer than 24 bytes or than uint64 holds."""
+    count = max(1, -(-min(int(length.max()), 24) // 8))  # the words the longest mantissa reaches
+    words = _words_at(raw, aligned, end - 8, count)
+    for k, word in enumerate(words):
+        word &= _TAIL_NIBBLES.take(length - 8 * k, mode="clip")
+        mark = (word + _ABOVE_NINE) & _BYTE_TOPS
+        mark >>= _SHIFT_7  # 1 in each byte that is not a digit
+        flaw = word ^ _POINTS  # ... and is not a point
+        flaw &= mark * _FIFTEEN
+        place = mark * _POINT_PLACE[k]
+        place >>= _SHIFT_56
+        if k == 0:
+            marks, flaws, g = mark, flaw, place
+        else:
+            marks += mark
+            flaws |= flaw
+            g += place
+    points = (marks * _BYTE_SUM >> _SHIFT_56).view(np.int64)
+    odd |= (flaws != 0) | (points > 1) | (length <= points) | (length > 24)
+    g = g.view(np.int64)
+    for k, word in enumerate(words):
+        moved = word << _SHIFT_8
+        if k + 1 < count:
+            moved |= words[k + 1] >> _SHIFT_56
+        moved ^= word
+        moved &= _MOVED[k].take(g, mode="clip")
+        word ^= moved
+        _eight_digits(word)
+    w = words[0]
+    if count > 1:
+        w += words[1] * _WORD_1
+    if count > 2:
+        odd |= words[2] > _LAST_WORD
+        w += words[2] * _WORD_2
+    return w, _FRACTION.take(g, mode="clip")
+
+
+def _scaled(w: np.ndarray, q: np.ndarray, doubt: np.ndarray) -> np.ndarray:
+    """``w * 10**q`` as float64, correctly rounded where ``doubt`` is not
+    set; sets ``doubt`` where it cannot tell the rounding or the value
+    leaves the normal range."""
+    index = q + 22
+    values = w.astype(np.float64)
+    values *= _FAST_TIMES.take(index, mode="clip")
+    values /= _FAST_OVER.take(index, mode="clip")
+    slow = index.view(np.uint64) > _FAST_Q  # |q| > 22, a negative index wrapping round
+    slow |= w > _EXACT_W
+    slow &= ~doubt
+    slow = np.flatnonzero(slow)
+    if not len(slow):
+        return values
+    del index
+    w, row = w[slow], q[slow]
+    row -= _J_MIN
+    wh = w.astype(np.float64)
+    w -= wh.astype(np.uint64)
+    wl = w.view(np.int64).astype(np.float64)  # w - wh, exact
+    del w
+    hi = _POW_HI.take(row, mode="clip")
+    p = wh * hi
+    wl *= hi
+    del hi
+    # e = Dekker's exact error of p, from the Veltkamp halves of wh and hi
+    wh_h = wh * _SPLIT
+    wh_l = wh_h - wh
+    wh_h -= wh_l
+    np.subtract(wh, wh_h, out=wh_l)
+    half = _POW_HI_H.take(row, mode="clip")
+    e = wh_h * half
+    e -= p
+    half *= wh_l
+    e += half
+    _POW_HI_L.take(row, out=half, mode="clip")
+    wh_h *= half
+    e += wh_h
+    wh_l *= half
+    e += wh_l
+    del wh_h, wh_l, half
+    # ... plus wh * lo + wl * hi
+    wh *= _POW_LO.take(row, mode="clip")
+    e += wh
+    e += wl
+    del wh, wl
+    b = p * _SLACK
+    above = e + b
+    above += p
+    e -= b
+    e += p  # below
+    with np.errstate(over="ignore", under="ignore"):
+        exact = np.ldexp(e, _POW_E.take(row, mode="clip"))
+    values[slow] = exact
+    below = e != above
+    below |= row.view(np.uint64) >= _POW_ROWS  # q beyond the tables
+    size = np.abs(exact, out=exact)
+    below |= ~(size >= _SMALLEST_NORMAL)
+    below |= size == _INF
+    doubt[slow[below]] = True
+    return values
+
+
+def _float_cells(raw: bytes, a: int, ends: np.ndarray, values: np.ndarray, cells: np.ndarray) -> bool:
+    """Python's float() of each cell ``i`` in ``cells`` of the chunk at
+    ``a``, which ends at ``ends[i]``, into ``values``; False if one is not
+    a number."""
+    try:
+        for i in cells.tolist():
+            values[i] = float(raw[ends[i - 1] + 1 if i else a:ends[i]])
+    except ValueError:
+        return False
+    return True
+
+
+def _alternate(kinds: np.ndarray) -> bool:
+    """Whether the separator bytes ``kinds`` are ',' and '\\n' in turn."""
+    return len(kinds) % 2 == 0 and bool((kinds[0::2] == _COMMA).all() and (kinds[1::2] == _NEWLINE).all())
+
+
+def _chunk_values(raw: bytes, buf: np.ndarray, aligned: np.ndarray, a: int, b: int):
+    """The float64 values of the cells of the whole lines ``raw[a:b]``,
+    in order, or None: a line without two cells, a byte above '9' other
+    than one exponent letter a cell, or a cell that float() refuses."""
+    c = buf[a:b]
+    ends = np.flatnonzero(np.subtract(c, _MINUS) > _DIGIT_SPAN)
+    kinds = c.take(ends)
+    if b == len(raw) and raw[-1] != _NEWLINE:  # the break the last line lacks
+        ends = np.append(ends, b - a)
+        kinds = np.append(kinds, _NEWLINE)
+    if _OUTSIDE_PLAIN.take(kinds).any():
+        return None
+    ends += a
+    other = None
+    if not _alternate(kinds):
+        is_sep = (kinds == _COMMA) | (kinds == _NEWLINE)
+        at = np.flatnonzero(~is_sep)
+        other, other_kinds, other_cell = ends[at], kinds[at], at - np.arange(len(at))
+        ends, kinds = ends[is_sep], kinds[is_sep]
+        del is_sep, at
+        if not _alternate(kinds):
+            return None
+    del kinds
+    starts = np.empty_like(ends)
+    starts[0] = a
+    np.add(ends[:-1], 1, out=starts[1:])
+    negative = buf.take(starts, mode="clip") == _MINUS
+    mantissa_end, q, odd = ends, np.zeros(len(ends), np.intp), np.zeros(len(ends), np.bool_)
+    if other is not None:
+        letter = other_kinds > _NINE_BYTE
+        if letter.any():
+            at, cell = other[letter], other_cell[letter]
+            if ((other_kinds[letter] | _CASE) != _LETTER_E).any() or (cell[1:] == cell[:-1]).any():
+                return None
+            mantissa_end = ends.copy()
+            mantissa_end[cell] = at
+            q[cell], odd[cell] = _exponents(raw, buf, aligned, at + 1, ends[cell])
+        loose = ~letter
+        if loose.any():  # a '+' after a letter is the exponent's sign
+            at, cell = other[loose], other_cell[loose]
+            sign = (other_kinds[loose] == _PLUS) & ((buf.take(at - 1, mode="clip") | _CASE) == _LETTER_E)
+            odd[cell[~sign]] = True
+    length = mantissa_end - starts
+    length -= negative
+    del starts
+    w, fraction = _mantissas(raw, aligned, mantissa_end, length, odd)
+    del mantissa_end, length
+    q -= fraction
+    del fraction
+    values = _scaled(w, q, odd)
+    np.negative(values, out=values, where=negative)
+    if not _float_cells(raw, a, ends, values, np.flatnonzero(odd)):
+        return None
+    return values
+
+
 def _parse_plain(raw: bytes):
-    """``(coords, values, has_header)`` from one numpy pass, or None.
+    """``(coords, values, has_header)`` from the array-speed reader, or None.
 
     None leaves the decision to the line loop: a byte outside the plain
-    set, a first line without two cells, any line that is not a data row
-    (numpy skips blank ones), fewer than two rows, or a parse, finiteness
-    or ordering failure.
+    set, a first line without two cells, any line that is not a data row,
+    fewer than two rows, or a parse, finiteness or ordering failure.
     """
-    if not raw or raw.translate(None, _PLAIN):
-        return None
     end = raw.find(b"\n")
-    first = raw[:end if end >= 0 else len(raw)].split(b",")
-    if len(first) != 2:
+    line = raw[:end if end >= 0 else len(raw)]
+    first = line.split(b",")
+    if len(first) != 2 or line.translate(None, _PLAIN):
         return None
     try:
         float(first[0]), float(first[1])
-        header = 0
+        header = False
     except ValueError:
-        header = 1
-    rows = raw.count(b"\n") + (not raw.endswith(b"\n")) - header
-    if rows < 2:
+        header = True
+    start = 0 if not header else end + 1 if end >= 0 else len(raw)
+    buf = np.frombuffer(raw, np.uint8)
+    aligned = np.frombuffer(raw if len(raw) >= 8 else bytes(8), "<u8", max(len(raw) // 8, 1))
+    coords, values = [], []
+    size = 2 * _CHUNK_CELLS  # bytes; a cell takes two at least
+    while start < len(raw):
+        stop = raw.find(b"\n", start + size - 1) + 1 or len(raw)
+        cells = _chunk_values(raw, buf, aligned, start, stop)
+        if cells is None:
+            return None
+        coords.append(cells[0::2].copy())
+        values.append(cells[1::2].copy())
+        size = _CHUNK_CELLS * (stop - start) // len(cells) + 1
+        start = stop
+    if sum(map(len, coords)) < 2:
         return None
-    try:
-        table = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, skiprows=header, ndmin=2)
-    except ValueError:
+    t = np.concatenate(coords)
+    del coords
+    v = np.concatenate(values)
+    if not (np.isfinite(t).all() and np.isfinite(v).all() and (t[1:] > t[:-1]).all()):
         return None
-    if table.shape != (rows, 2) or not np.isfinite(table).all():
-        return None
-    t, v = table[:, 0].copy(), table[:, 1].copy()
-    if not (t[1:] > t[:-1]).all():
-        return None
-    return t, v, bool(header)
+    return t, v, header
 
 
 def _parse_lines(path: Path, text: str):

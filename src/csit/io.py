@@ -538,8 +538,9 @@ def _read_json_object(path, what: str) -> dict:
 # small, and its bytes are never copied.  One scan of a chunk finds the
 # bytes outside '-' to '9': the ',' and '\n' that must alternate, two cells
 # a line, the exponent letters, at most one a cell, and any other byte.  A
-# byte outside the plain set sends the file to the line loop; any other
-# sends its cell to Python's float(), unless it is a '+' after a letter.
+# byte outside the plain set, a letter but e or E, or a second letter in a
+# cell sends the file to the line loop; any other byte sends its cell to
+# Python's float(), unless it is a '+' after a letter.
 #
 # A mantissa is read as the three 8-byte words that end at its last byte,
 # little-endian on any machine, each joined from two aligned words of the
@@ -559,10 +560,11 @@ def _read_json_object(path, what: str) -> dict:
 # 1990).  Otherwise w = wh + wl, wh the double nearest, and the writer's
 # 10**q = 2**E * (hi + lo) give w * (hi + lo) = p + e, p = wh * hi and e its
 # exact Dekker error plus wh * lo + wl * hi, within about 2**-50 of an ulp
-# of p.  p + (e - b) and p + (e + b), b = 2**-80 * p, round to one double
-# unless a tie lies within about 2**-28 of an ulp of the product, and then
-# it is the correct rounding.  Where they differ, or the value leaves the
-# normal range, or q lies beyond the tables, float() reads the cell.
+# of p.  Unless a rounding tie lies within about 2**-28 of an ulp of the
+# product, p + (e - b) and p + (e + b), b = 2**-80 * p, round to one
+# double, which is then the correct rounding.  Where they differ, or the
+# value leaves the normal range, or q lies beyond the tables, float()
+# reads the cell.
 
 # cells of a chunk, which holds whole lines: every temporary of a chunk
 # of 17-digit cells stays within about 1 MB
@@ -570,6 +572,7 @@ _CHUNK_CELLS = 8192
 
 # a byte less '-' above 12 lies outside '-' to '9'
 _MINUS, _DIGIT_SPAN, _NINE_BYTE = np.uint8(ord("-")), np.uint8(ord("9") - ord("-")), np.uint8(ord("9"))
+# _CASE, the bit that sets an ASCII letter in lower case
 _COMMA, _NEWLINE, _PLUS, _LETTER_E, _CASE = (np.uint8(ord(b)) for b in ",\n+e ")
 _OUTSIDE_PLAIN = np.ones(256, dtype=np.bool_)
 _OUTSIDE_PLAIN[list(_PLAIN)] = False
@@ -790,8 +793,9 @@ def _alternate(kinds: np.ndarray) -> bool:
 
 def _chunk_values(raw: bytes, buf: np.ndarray, aligned: np.ndarray, a: int, b: int):
     """The float64 values of the cells of the whole lines ``raw[a:b]``,
-    in order, or None: a line without two cells, a byte above '9' other
-    than one exponent letter a cell, or a cell that float() refuses."""
+    in order, or None: a byte outside the plain set, a line without two
+    cells, a byte above '9' other than one exponent letter a cell, or a
+    cell that float() refuses."""
     c = buf[a:b]
     ends = np.flatnonzero(np.subtract(c, _MINUS) > _DIGIT_SPAN)
     kinds = c.take(ends)
@@ -805,12 +809,11 @@ def _chunk_values(raw: bytes, buf: np.ndarray, aligned: np.ndarray, a: int, b: i
     if not _alternate(kinds):
         is_sep = (kinds == _COMMA) | (kinds == _NEWLINE)
         at = np.flatnonzero(~is_sep)
+        # each other byte, its kind, and its cell: the separators before it
         other, other_kinds, other_cell = ends[at], kinds[at], at - np.arange(len(at))
         ends, kinds = ends[is_sep], kinds[is_sep]
-        del is_sep, at
         if not _alternate(kinds):
             return None
-    del kinds
     starts = np.empty_like(ends)
     starts[0] = a
     np.add(ends[:-1], 1, out=starts[1:])
@@ -865,7 +868,7 @@ def _parse_plain(raw: bytes):
     buf = np.frombuffer(raw, np.uint8)
     aligned = np.frombuffer(raw if len(raw) >= 8 else bytes(8), "<u8", max(len(raw) // 8, 1))
     coords, values = [], []
-    size = 2 * _CHUNK_CELLS  # bytes; a cell takes two at least
+    size = 2 * _CHUNK_CELLS  # bytes: a cell takes two at least, with its separator
     while start < len(raw):
         stop = raw.find(b"\n", start + size - 1) + 1 or len(raw)
         cells = _chunk_values(raw, buf, aligned, start, stop)
@@ -873,7 +876,7 @@ def _parse_plain(raw: bytes):
             return None
         coords.append(cells[0::2].copy())
         values.append(cells[1::2].copy())
-        size = _CHUNK_CELLS * (stop - start) // len(cells) + 1
+        size = _CHUNK_CELLS * (stop - start) // len(cells) + 1  # at the bytes a cell took
         start = stop
     if sum(map(len, coords)) < 2:
         return None

@@ -603,6 +603,123 @@ class TestCsvAgainstReference:
         assert csit_io._parse_plain(text.encode()) is None
 
 
+def _from_bits(bits: int) -> float:
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0].item()
+
+
+@st.composite
+def decimal_cells(draw):
+    """One cell: a sign, 1-21 digits with the point anywhere or absent and
+    an optional exponent of 1-3 digits; repr, %.17g, %.15g or %.6e of a
+    drawn bit pattern; or a jumble of the bytes that spell numbers."""
+    kind = draw(st.sampled_from(["decimal", "decimal", "bits", "bits", "jumble"]))
+    if kind == "jumble":
+        return draw(st.text("0123456789.-+eE", max_size=12))
+    if kind == "decimal":
+        digits = draw(st.text("0123456789", min_size=1, max_size=21))
+        point = draw(st.integers(-1, len(digits)))
+        mantissa = digits if point < 0 else f"{digits[:point]}.{digits[point:]}"
+        exponent = ""
+        if draw(st.booleans()):
+            exponent = (draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"]))
+                        + draw(st.text("0123456789", min_size=1, max_size=3)))
+        return draw(st.sampled_from(["", "-"])) + mantissa + exponent
+    x = _from_bits(draw(st.integers(0, 2**64 - 1)))
+    return draw(st.sampled_from([repr, "%.17g".__mod__, "%.15g".__mod__, "%.6e".__mod__]))(x)
+
+
+def _repr_series(n: int) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """A file shaped like the benchmark's transform input: ``repr`` of a
+    sum of sines on n points of [0, 2 pi), under a header."""
+    x = np.arange(n) * (2.0 * np.pi / n)
+    f = 0.7 * np.sin(3.0 * x + 0.4) + 0.3 * np.sin(17.0 * x + 2.0) + 0.55 * np.sin(40.0 * x + 5.1)
+    text = "x,value\n" + "".join(f"{u!r},{v!r}\n" for u, v in zip(x.tolist(), f.tolist()))
+    return text.encode(), x, f
+
+
+class TestDecimalReader:
+    """The array-speed reader of plain files gives float() of every cell."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(a=decimal_cells(), b=decimal_cells(), coords=st.booleans(), newline=st.booleans(),
+           chunk=st.sampled_from([1, 2, 3, csit_io._CHUNK_CELLS]))
+    @example(a="9007199254740993", b="1e23", coords=False, newline=True, chunk=csit_io._CHUNK_CELLS)
+    @example(a="2.2250738585072011e-308", b="4.9406564584124654e-324", coords=False, newline=True,
+             chunk=csit_io._CHUNK_CELLS)
+    @example(a="1.7976931348623157e308", b="-0.0", coords=False, newline=False, chunk=1)
+    @example(a=".5", b="5.", coords=True, newline=True, chunk=2)
+    @example(a="4416287756141148.25", b="1079877849283962.3125", coords=False, newline=True, chunk=3)
+    @example(a="12345678901234567890", b="98765432109876543210", coords=True, newline=False,
+             chunk=csit_io._CHUNK_CELLS)
+    @example(a="-9007199254740993.0e-5", b="1.318670227343701e-308", coords=False, newline=True,
+             chunk=csit_io._CHUNK_CELLS)
+    @example(a="1.2.5", b="3", coords=False, newline=True, chunk=csit_io._CHUNK_CELLS)
+    @example(a="4", b="1-5", coords=False, newline=True, chunk=csit_io._CHUNK_CELLS)
+    def test_cells_read_as_float_reads_them(self, a, b, coords, newline, chunk):
+        # the drawn cells in the coordinate column, or in the value column
+        # next to 0 and 1, of a two-row file under a header; chunks of 1-3
+        # cells put cells at chunk edges and, in a short file, within eight
+        # bytes of either end of the file
+        rows = [(a, "0"), (b, "1")] if coords else [("0", a), ("1", b)]
+        text = "t,v\n" + "\n".join(f"{x},{y}" for x, y in rows) + "\n" * newline
+        with mock.patch.object(csit_io, "_CHUNK_CELLS", chunk):
+            parsed = csit_io._parse_plain(text.encode())
+        try:
+            t, v = (np.array([float(c) for c in column]) for column in zip(*rows))
+        except ValueError:
+            assert parsed is None
+            return
+        if not (np.isfinite(t).all() and np.isfinite(v).all() and t[1] > t[0]):
+            assert parsed is None
+            return
+        assert parsed is not None
+        assert same_bits(parsed[0], t) and same_bits(parsed[1], v) and parsed[2]
+
+    @pytest.mark.parametrize("source", ["repr_series", "written_table"])
+    def test_usual_files_send_no_cell_to_float(self, tmp_path, source):
+        # a doubt band too wide would send cells to float() one at a time
+        # and make the reader slow without changing a value; the
+        # benchmark's repr input and the writer's %.17g cells send none
+        if source == "repr_series":
+            raw, t, v = _repr_series(65536)
+        else:
+            rng = np.random.default_rng(34)
+            t = np.linspace(-5.0, 5.0, 65536)
+            v = rng.standard_normal(65536) * 10.0 ** rng.integers(-30, 30, 65536)
+            write_table_csv(tmp_path / "t.csv", ["t", "v"], [t, v])
+            raw = (tmp_path / "t.csv").read_bytes()
+        sent = []
+        original = csit_io._float_cells
+
+        def counting(raw, a, ends, values, cells):
+            sent.extend(cells.tolist())
+            return original(raw, a, ends, values, cells)
+
+        with mock.patch.object(csit_io, "_float_cells", counting):
+            parsed = csit_io._parse_plain(raw)
+        assert parsed is not None
+        assert same_bits(parsed[0], t) and same_bits(parsed[1], v)
+        assert len(sent) <= 4
+
+    def test_reading_holds_no_copy_of_the_file(self, tmp_path):
+        # np.loadtxt behind a bytes.translate check of the whole file
+        # peaked at twice the file's size and 6 KB more, 5016314 bytes of
+        # tracemalloc for these 2507974 bytes; the chunked reader may not
+        # peak higher, and so can hold no second copy of the file
+        raw, t, v = _repr_series(65536)
+        path = tmp_path / "s.csv"
+        path.write_bytes(raw)
+        read_series_csv(path)
+        tracemalloc.start()
+        try:
+            got = read_series_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same_bits(got[0], t) and same_bits(got[1], v)
+        assert peak <= 2 * len(raw) + 8192
+
+
 class TestRunManifest:
     def test_write_read_roundtrip(self, tmp_path):
         m = RunManifest(subcommand="symbol", parameters={"dx": 1.0})

@@ -705,7 +705,8 @@ class TestDecimalReader:
         # np.loadtxt behind a bytes.translate check of the whole file
         # peaked at twice the file's size and 6 KB more, 5016314 bytes of
         # tracemalloc for these 2507974 bytes; the chunked reader may not
-        # peak higher, and so can hold no second copy of the file
+        # peak higher, which a copy of the file next to the 1 MB of
+        # output arrays would
         raw, t, v = _repr_series(65536)
         path = tmp_path / "s.csv"
         path.write_bytes(raw)

@@ -675,6 +675,17 @@ class TestDecimalReader:
         assert parsed is not None
         assert same_bits(parsed[0], t) and same_bits(parsed[1], v) and parsed[2]
 
+    @pytest.mark.parametrize("cell", [
+        # 20 digits at and just above 2^64, where the third word passes 1843
+        "18446744073709551615", "18446744073709551616", "18449999999999999999",
+        # mantissas of more than 24 bytes
+        "1000000000000000000000000", "1234567890123456789012345.5",
+    ])
+    def test_cells_past_the_word_and_length_limits_read_as_float(self, cell):
+        parsed = csit_io._parse_plain(f"t,v\n0,{cell}\n1,-{cell}\n".encode())
+        assert parsed is not None
+        assert same_bits(parsed[1], np.array([float(cell), -float(cell)]))
+
     @pytest.mark.parametrize("source", ["repr_series", "written_table"])
     def test_usual_files_send_no_cell_to_float(self, tmp_path, source):
         # a doubt band too wide would send cells to float() one at a time

@@ -16,7 +16,8 @@ Layout
 ``csit.special``
     The hyperbolic sine integral and friends.
 ``csit.continuation``
-    Analytic continuation of band-limited samples to complex abscissae.
+    The range rule of every spectral kernel, and the continuation
+    multiplier exp(i*k*eta - k*tau) that the frequency estimator applies.
 ``csit.operators``
     The transform (quadrature and spectral routes), classical
     derivative operators, and the closed-form verification table.
@@ -46,7 +47,6 @@ from .advection import (
     reference_config,
     run_advection,
 )
-from .continuation import ComplexShift, continue_direct, continue_spectral
 from .grid import Series, Spectrum, UniformGrid, fft_forward, fft_inverse, wavenumbers
 from .instfreq import (
     AnalyticTrace,
@@ -79,7 +79,6 @@ from .special import shi, si
 __all__ = [
     "AdvectionConfig",
     "AnalyticTrace",
-    "ComplexShift",
     "CsitParams",
     "CsvFormatError",
     "DivergenceError",
@@ -95,8 +94,6 @@ __all__ = [
     "analytic_signal",
     "chirp",
     "complex_step_derivative",
-    "continue_direct",
-    "continue_spectral",
     "csit_quadrature",
     "csit_quadrature_direct",
     "csit_spectral",

@@ -228,11 +228,12 @@ class _Operator:
     The pair is the pocketfft kernels behind ``np.fft.rfft``/``np.fft.irfft``
     (module docstring), or those wrappers where the kernels do not import;
     either way the result on float64 samples equals
-    ``np.fft.irfft(np.fft.rfft(v) * mult, n)`` bit for bit.  Several callers
-    share one operator, so each call writes into arrays of its own and the
-    operator keeps no buffer.  A loop that applies it to many rows takes a
-    :meth:`writer`, which writes the same bits into a row the loop owns,
-    with the kernel picked and a spectrum made once per writer."""
+    ``np.fft.irfft(np.fft.rfft(v) * mult, n)`` bit for bit.  Each is coded
+    once, in :meth:`writer`; a call takes a writer of its own and a new
+    output array, so several callers share one operator and it keeps no
+    buffer.  A loop that applies it to many rows takes one writer, which
+    writes the same bits into a row the loop owns, with the kernel picked
+    and a spectrum made once per writer."""
 
     mult: np.ndarray
     dx: float | None = None
@@ -253,28 +254,16 @@ class _Operator:
         return Series(s.grid, values)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        if self.dx is not None:
-            # (v[j+1] - v[j-1]) / (2 dx) with periodic wrap, in one new array
-            out = np.empty_like(values)
-            np.subtract(values[2:], values[:-2], out=out[1:-1])
-            out[0] = values[1] - values[-1]
-            out[-1] = values[0] - values[-2]
-            out /= 2.0 * self.dx
-            return out
-        if np.iscomplexobj(values):
+        if self.dx is None and np.iscomplexobj(values):
             return self(values.real) + 1j * self(values.imag)
-        n = len(values)
-        if _pocketfft is None:
-            return np.fft.irfft(np.fft.rfft(values) * self.mult, n)
-        rfft = _pocketfft.rfft_n_odd if n % 2 else _pocketfft.rfft_n_even
-        spectrum = rfft(values, 1, out=np.empty(n // 2 + 1, dtype=np.complex128))
-        spectrum *= self.mult
-        return _pocketfft.irfft(spectrum, 1.0 / n, out=np.empty(n))
+        out = np.empty_like(values)
+        self.writer(len(values))(values, out)
+        return out
 
     def writer(self, n: int) -> Callable[[np.ndarray, np.ndarray], None]:
-        """``write(values, out)``: this operator on ``n`` real float64 samples,
-        written into ``out``, a float64 array of ``n`` that does not overlap
-        ``values``; the bits of ``self(values)``.
+        """``write(values, out)``: this operator on ``n`` real float64 samples
+        (or complex ones for the stencil), written into ``out``, an array of
+        ``n`` of their dtype that does not overlap ``values``.
 
         The stencil or kernel is picked, and the spectrum allocated, here
         and once, so a loop that applies the operator to row after row of
@@ -283,17 +272,18 @@ class _Operator:
         if self.dx is not None:
             two_dx = 2.0 * self.dx
 
-            def write(values, out):
+            def write(values, out):  # (v[j+1] - v[j-1]) / (2 dx) with periodic wrap
                 np.subtract(values[2:], values[:-2], out=out[1:-1])
                 out[0] = values[1] - values[-1]
                 out[-1] = values[0] - values[-2]
                 out /= two_dx
             return write
+        mult = self.mult
         if _pocketfft is None:
             def write(values, out):
-                out[...] = self(values)
+                out[...] = np.fft.irfft(np.fft.rfft(values) * mult, n)
             return write
-        mult, spectrum = self.mult, np.empty(n // 2 + 1, dtype=np.complex128)
+        spectrum = np.empty(n // 2 + 1, dtype=np.complex128)
         rfft = _pocketfft.rfft_n_odd if n % 2 else _pocketfft.rfft_n_even
         irfft, scale = _pocketfft.irfft, 1.0 / n
 

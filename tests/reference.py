@@ -2,7 +2,8 @@
 
 Everything here recomputes quantities from definitions, sharing no code
 with the package: power series and hand-written adaptive Simpson for the
-sine integrals, an O(n^2) summation DFT, a nested adaptive quadrature
+sine integrals, an O(n^2) summation DFT, a closed-form function evaluated
+at the shifted argument x + eta + i*tau, a nested adaptive quadrature
 of the defining double integral of the transform, its fixed-node
 quadrature evaluated in one array, the complex-step frequency estimator
 one node at a time, and the CSV format written one cell and read one
@@ -110,6 +111,13 @@ def dft_direct(values: np.ndarray, x0: float, length: float) -> np.ndarray:
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
     kernel = np.exp(-1j * np.outer(k, xj))
     return kernel @ values.astype(np.complex128)
+
+
+def continued_direct(f, x, eta: float, tau: float) -> np.ndarray:
+    """``f`` at ``x + eta + i*tau``, evaluated directly (no sampling, no FFT):
+    the continuation that a band-limited series' spectrum must reproduce."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.asarray(f(x + complex(eta, tau)), dtype=np.complex128)
 
 
 def csit_bruteforce(

@@ -175,13 +175,16 @@ class TestAnalyticTrace:
         with pytest.raises(ValueError, match="negative-frequency"):
             AnalyticTrace(x, Series(grid, np.zeros(64)))
 
-    def test_rejects_a_trace_whose_spectrum_overflows(self):
+    @pytest.mark.parametrize("x_pattern, y_pattern", [([1.0], [0.0]), ([1.0, -1.0], [0.0]), ([0.0], [1.0])],
+                             ids=["constant_x", "alternating_x", "constant_y"])
+    def test_rejects_a_trace_whose_spectrum_overflows(self, x_pattern, y_pattern):
         # the one-sided check would compare nan and pass; one line instead, no warning
         grid = UniformGrid(0.0, 1.0, 64)
+        x, y = (Series(grid, 1.7e308 * np.resize(pattern, 64)) for pattern in (x_pattern, y_pattern))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as refused:
-                AnalyticTrace(Series(grid, np.full(64, 1.7e308)), Series(grid, np.zeros(64)))
+                AnalyticTrace(x, y)
         assert str(refused.value) == "trace too large (peak |value| 1.7e+308): its spectrum overflows float64"
 
     @pytest.mark.parametrize("ratio, accepted", [(5e-10, False), (5e-11, True)])

@@ -97,4 +97,3 @@ def _continue_rows(spectra, mult: np.ndarray, out=None) -> list[np.ndarray]:
             raise ValueError(f"series too large (peak |value| {peak:g}): "
                              "its continuation off the real axis overflows float64")
     return rows
-

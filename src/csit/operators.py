@@ -228,12 +228,12 @@ class _Operator:
     The pair is the pocketfft kernels behind ``np.fft.rfft``/``np.fft.irfft``
     (module docstring), or those wrappers where the kernels do not import;
     either way the result on float64 samples equals
-    ``np.fft.irfft(np.fft.rfft(v) * mult, n)`` bit for bit.  Each is coded
-    once, in :meth:`writer`; a call takes a writer of its own and a new
-    output array, so several callers share one operator and it keeps no
-    buffer.  A loop that applies it to many rows takes one writer, which
-    writes the same bits into a row the loop owns, with the kernel picked
-    and a spectrum made once per writer."""
+    ``np.fft.irfft(np.fft.rfft(v) * mult, n)`` bit for bit.  The stencil,
+    the kernel pick and that fallback are coded once, in :meth:`writer`.
+    A call makes a writer of its own and a new output array, so several
+    callers share one operator and it keeps no buffer.  A loop that applies
+    it to many rows takes one writer, which writes the same bits into a row
+    the loop owns, with the kernel picked and a spectrum made once."""
 
     mult: np.ndarray
     dx: float | None = None

@@ -42,10 +42,10 @@ ASCII and ``\n`` line breaks only, no ``#`` and no ``_``, a one-line
 header at most, every line a data row of two cells.  It goes through the
 file's bytes in chunks of whole lines, without copying them, and turns
 each cell ``[-]digits[.digits][(e|E)[+-]d{1,3}]`` into the double that
-Python's ``float`` gives, exactly: Clinger's fast path where it holds,
-else a Dekker product with the writer's double-double powers of ten.  A
-cell of any other spelling, or one whose rounding lies too near a tie to
-tell, goes to ``float`` itself.  Whatever that reader cannot take, or
+Python's ``float`` gives, exactly, through the writer's Dekker product
+with double-double powers of ten (``_product`` states why it is exact).
+A cell of any other spelling, or one whose rounding lies too near a tie
+to tell, goes to ``float`` itself.  Whatever that reader cannot take, or
 whatever fails a check there (parse, column count, finiteness,
 ordering), goes to the line-by-line loop, which is the definition of the
 format and the source of every error message and line number.  The file
@@ -165,14 +165,12 @@ def _block_rows(block: list[np.ndarray]) -> bytes:
 # D = floor(log10 |v|) has one value, or two where a power of ten lies in
 # the binade, the higher from the integer w at which |v| reaches it; so x
 # and one comparison of w pick a row of tables that hold, per row, D and
-# F = 2**(x - 53) * 10**(16 - D) as hi + lo, with hi + lo within 2**-106
-# of it.  The 17 significant digits of |v| are N = round_half_even(w * F),
-# an integer in [1e16, 1e17].  F lies in [1.1, 22.3), so w * hi is an
-# exact Dekker product p + e with p an even integer above 2**53, and w * lo
-# adds at most 1e-14 of error: N = p + rint(e + w * lo), half-even on e
-# being half-even on N.  Where lo is 0, N is exact; elsewhere a rounding
-# within 2**-24 of a tie goes to Python's %.17g instead, as does N = 1e17,
-# which only a |v| just below a power of ten reaches.
+# F = 2**(x - 53) * 10**(16 - D) as hi + lo.  The 17 significant digits of
+# |v| are N = round_half_even(w * F), an integer in [1e16, 1e17].  F lies
+# in [1.1, 22.3), so _product's p = w * hi is an even integer above 2**53,
+# and N = p + rint(e), half-even on e being half-even on N.  Where lo is
+# not 0, a rounding within 2**-24 of a tie (_TIE) goes to Python's %.17g,
+# as does N = 1e17, which only a |v| just below a power of ten reaches.
 
 # 10**j for j from -323 (the smallest power above the smallest subnormal)
 # to 16 - D of the smallest subnormal
@@ -209,6 +207,57 @@ _POW_E, _POW_HI, _POW_LO, _POW_CEIL = (
 _SPLIT = np.float64(134217729.0)  # 2**27 + 1, Veltkamp's splitting factor
 _TIE = 0.5 - 2.0**-24
 
+
+def _halves(hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of each entry of ``hi`` into a high half of 26
+    significant bits and the exact rest."""
+    high = hi * _SPLIT - (hi * _SPLIT - hi)
+    return high, hi - high
+
+
+def _product(a: np.ndarray, table, row: np.ndarray, p: np.ndarray, e: np.ndarray, work) -> None:
+    """Into ``p`` and ``e``: a * (hi + lo) = p + e at array speed, p = a * hi
+    rounded and e its exact Dekker error plus a * lo, where ``table`` is
+    ``(hi, hi_high, hi_low, lo)`` and ``row`` indexes it; ``a`` is kept,
+    and ``work`` is four float64 arrays shaped like it.
+
+    The tables hold a scaled power of ten T as hi + lo within 2**-106 of
+    hi.  With nothing under- or overflowing, p + e is then within 2**-104
+    of p of a * T, under 2**-51 of an ulp of p: Dekker's four partial
+    products give the error of p exactly (Dekker, "A floating-point
+    technique for extending the available precision", 1971), and a * lo,
+    at most 2**-53 of p, adds two roundings of at most 2**-106 and 2**-105
+    of p.  The writer's p is an integer below 2**58, so e is within 2**-46
+    of w * F - p, and a rounding more than 2**-24 (_TIE) from a tie is
+    that of w * F; where lo is 0, e is exact.  The reader adds wl * hi for
+    a mantissa past 2**53, which keeps the error under 2**-49 of an ulp,
+    and brackets p + e by 2**-80 of p (_SLACK), over 2**-28 of an ulp:
+    where both ends round to one double, so does w * 10**q, rounding being
+    monotonic."""
+    hi, hi_high, hi_low, lo = table
+    t, c, ah, al = work
+    hi.take(row, None, t, "clip")
+    np.multiply(a, t, p)
+    np.multiply(a, _SPLIT, c)
+    np.subtract(c, a, ah)
+    np.subtract(c, ah, ah)
+    np.subtract(a, ah, al)
+    # e = ((ah*hh - p) + ah*hl + al*hh) + al*hl + a*lo
+    hi_high.take(row, None, t, "clip")
+    np.multiply(ah, t, e)
+    np.subtract(e, p, e)
+    hi_low.take(row, None, c, "clip")
+    np.multiply(ah, c, ah)
+    np.add(e, ah, e)
+    np.multiply(al, t, t)
+    np.add(e, t, e)
+    np.multiply(al, c, al)
+    np.add(e, al, e)
+    lo.take(row, None, t, "clip")
+    np.multiply(a, t, t)
+    np.add(e, t, e)
+
+
 # Rows 2i and 2i + 1 belong to the binade x = _X_MIN + i: w below and at
 # or above _THRESHOLD[2i] = _THRESHOLD[2i + 1], the w of the power of ten
 # in the binade.  A binade without one has the threshold 1, so that its
@@ -227,8 +276,7 @@ _j = 16 - _d - _J_MIN
 _e = np.repeat(_binade, 2) - 53 + _POW_E[_j]
 _ROW_HI = np.where(_zero, 0.0, np.ldexp(_POW_HI[_j], _e))
 _ROW_LO = np.where(_zero, 0.0, np.ldexp(_POW_LO[_j], _e))
-_ROW_HI_H = _ROW_HI * _SPLIT - (_ROW_HI * _SPLIT - _ROW_HI)
-_ROW_HI_L = _ROW_HI - _ROW_HI_H
+_ROW = (_ROW_HI, *_halves(_ROW_HI), _ROW_LO)  # the table of _product
 _ROW_INEXACT = (_ROW_LO != 0.0).astype(np.float64)  # 0 where N = p + rint(e) exactly
 
 
@@ -346,26 +394,7 @@ def _float_fields(v: np.ndarray, fields: np.ndarray, work: list[np.ndarray]) -> 
     np.greater_equal(w, t, up)
     np.add(row, up, row)
 
-    _ROW_HI.take(row, None, t, "wrap")
-    np.multiply(w, t, p)
-    np.multiply(w, _SPLIT, c)
-    np.subtract(c, w, wh)
-    np.subtract(c, wh, wh)
-    np.subtract(w, wh, wl)
-    # e = ((wh*hh - p) + wh*hl + wl*hh) + wl*hl + w*lo
-    _ROW_HI_H.take(row, None, t, "wrap")
-    np.multiply(wh, t, e)
-    np.subtract(e, p, e)
-    _ROW_HI_L.take(row, None, c, "wrap")
-    np.multiply(wh, c, wh)
-    np.add(e, wh, e)
-    np.multiply(wl, t, t)
-    np.add(e, t, e)
-    np.multiply(wl, c, wl)
-    np.add(e, wl, e)
-    _ROW_LO.take(row, None, t, "wrap")
-    np.multiply(w, t, t)
-    np.add(e, t, e)
+    _product(w, _ROW, row, p, e, (t, c, wh, wl))
     np.rint(e, r)
     np.subtract(e, r, e)
     np.abs(e, e)
@@ -554,17 +583,13 @@ def _read_json_object(path, what: str) -> dict:
 # 2021).  w = word2 * 1e16 + word1 * 1e8 + word0 fits uint64 while word2 is
 # at most 1843; a longer mantissa goes to float().
 #
-# The value is w * 10**q, q the exponent less the fraction digits.  For
-# w <= 2**53 and |q| <= 22 one product or quotient of exact doubles rounds
-# it correctly (Clinger, "How to Read Floating Point Numbers Accurately",
-# 1990).  Otherwise w = wh + wl, wh the double nearest, and the writer's
-# 10**q = 2**E * (hi + lo) give w * (hi + lo) = p + e, p = wh * hi and e its
-# exact Dekker error plus wh * lo + wl * hi, within about 2**-50 of an ulp
-# of p.  Unless a rounding tie lies within about 2**-28 of an ulp of the
-# product, p + (e - b) and p + (e + b), b = 2**-80 * p, round to one
-# double, which is then the correct rounding.  Where they differ, or the
-# value leaves the normal range, or q lies beyond the tables, float()
-# reads the cell.
+# The value is w * 10**q, q the exponent less the fraction digits.  With
+# w = wh + wl, wh the double nearest, and the writer's 10**q = 2**E *
+# (hi + lo), _product gives wh * (hi + lo) = p + e, and e takes wl * hi
+# too.  p + (e - b) and p + (e + b), b = 2**-80 * p, then round to one
+# double, the correct rounding, unless a tie lies too near (see _product).
+# Where they differ, or a nonzero value leaves the normal range, or q lies
+# beyond the tables, float() reads the cell.
 
 # cells of a chunk, which holds whole lines: every temporary of a chunk
 # of 17-digit cells stays within about 1 MB
@@ -585,7 +610,7 @@ _SHIFT_7, _SHIFT_8, _SHIFT_16, _SHIFT_32, _SHIFT_56, _SHIFT_64 = (np.uint64(s) f
 # parse_eight_digits: digit pairs, then groups of four, then the eight
 _PAIRS, _QUADS = np.uint64(0x00FF00FF00FF00FF), np.uint64(0x0000FFFF0000FFFF)
 _TIMES_PAIR, _TIMES_QUAD, _TIMES_EIGHT = (np.uint64(10**k * 2**(8 * k) + 1) for k in (1, 2, 4))
-_WORD_1, _WORD_2, _LAST_WORD, _EXACT_W = np.uint64(10**8), np.uint64(10**16), np.uint64(1843), np.uint64(2**53)
+_WORD_1, _WORD_2, _LAST_WORD = np.uint64(10**8), np.uint64(10**16), np.uint64(1843)
 # per count v (0-8) of a word's last bytes: their low nibbles, and their
 # high nibbles as a digit has them
 _last = np.array([(1 << 64) - (1 << 64 - 8 * v) for v in range(9)], dtype=object)
@@ -600,13 +625,9 @@ _POINT_PLACE = [np.uint64(sum(24 - i - 8 * k << 8 * i for i in range(8))) for k 
 _FRACTION = np.array([0] + [24 - g for g in range(1, 25)], dtype=np.intp)
 _MOVED = [np.array([(1 << 8 * min(max(g + 8 * k - 16, 0), 8)) - 1 for g in range(25)], dtype=np.uint64)
           for k in range(3)]
-# the fast path's 10**q, q + 22 from 0 to 44, as a factor and a divisor
-_FAST_TIMES = np.array([1.0] * 22 + [float(10**k) for k in range(23)])
-_FAST_OVER = np.array([float(10**(22 - i)) for i in range(22)] + [1.0] * 23)
-_FAST_Q, _POW_ROWS = np.uint64(44), np.uint64(len(_POW_E))
-# the Veltkamp halves of _POW_HI
-_POW_HI_H = _POW_HI * _SPLIT - (_POW_HI * _SPLIT - _POW_HI)
-_POW_HI_L = _POW_HI - _POW_HI_H
+_POW = (_POW_HI, *_halves(_POW_HI), _POW_LO)  # the table of _product
+_POW_SHIFT = _POW_E.astype(np.int32)  # np.ldexp's vector loop takes int32 exponents
+_POW_ROWS = np.uint64(len(_POW_E))
 _SLACK, _SMALLEST_NORMAL = np.float64(2.0**-80), np.float64(2.0**-1022)
 del _last
 
@@ -713,64 +734,28 @@ def _mantissas(raw: bytes, aligned: np.ndarray, end: np.ndarray, length: np.ndar
 
 def _scaled(w: np.ndarray, q: np.ndarray, doubt: np.ndarray) -> np.ndarray:
     """``w * 10**q`` as float64, correctly rounded where ``doubt`` is not
-    set; sets ``doubt`` where it cannot tell the rounding or the value
-    leaves the normal range."""
-    index = q + 22
-    values = w.astype(np.float64)
-    values *= _FAST_TIMES.take(index, mode="clip")
-    values /= _FAST_OVER.take(index, mode="clip")
-    slow = index.view(np.uint64) > _FAST_Q  # |q| > 22, a negative index wrapping round
-    slow |= w > _EXACT_W
-    slow &= ~doubt
-    slow = np.flatnonzero(slow)
-    if not len(slow):
-        return values
-    del index
-    w, row = w[slow], q[slow]
-    row -= _J_MIN
+    set; sets ``doubt`` where it cannot tell the rounding or a nonzero
+    value leaves the normal range.  Overwrites ``w`` and ``q``."""
+    w[doubt] = 0  # a w near 2**64 may round to 2**64, which uint64 does not hold
+    q -= _J_MIN  # the row of 10**q in the tables
     wh = w.astype(np.float64)
-    w -= wh.astype(np.uint64)
-    wl = w.view(np.int64).astype(np.float64)  # w - wh, exact
-    del w
-    hi = _POW_HI.take(row, mode="clip")
-    p = wh * hi
-    wl *= hi
-    del hi
-    # e = Dekker's exact error of p, from the Veltkamp halves of wh and hi
-    wh_h = wh * _SPLIT
-    wh_l = wh_h - wh
-    wh_h -= wh_l
-    np.subtract(wh, wh_h, out=wh_l)
-    half = _POW_HI_H.take(row, mode="clip")
-    e = wh_h * half
-    e -= p
-    half *= wh_l
-    e += half
-    _POW_HI_L.take(row, out=half, mode="clip")
-    wh_h *= half
-    e += wh_h
-    wh_l *= half
-    e += wh_l
-    del wh_h, wh_l, half
-    # ... plus wh * lo + wl * hi
-    wh *= _POW_LO.take(row, mode="clip")
-    e += wh
-    e += wl
-    del wh, wl
-    b = p * _SLACK
+    w -= wh.astype(np.uint64)  # wl = w - wh, exact as int64
+    p, e, b, *work = (np.empty_like(wh) for _ in range(6))
+    _product(wh, _POW, q, p, e, (b, *work))
+    _POW_HI.take(q, None, b, "clip")
+    b *= w.view(np.int64)
+    e += b
+    np.multiply(p, _SLACK, b)
     above = e + b
     above += p
     e -= b
     e += p  # below
     with np.errstate(over="ignore", under="ignore"):
-        exact = np.ldexp(e, _POW_E.take(row, mode="clip"))
-    values[slow] = exact
-    below = e != above
-    below |= row.view(np.uint64) >= _POW_ROWS  # q beyond the tables
-    size = np.abs(exact, out=exact)
-    below |= ~(size >= _SMALLEST_NORMAL)
-    below |= size == _INF
-    doubt[slow[below]] = True
+        values = np.ldexp(e, _POW_SHIFT.take(q, mode="clip"))
+    doubt |= e != above
+    doubt |= q.view(np.uint64) >= _POW_ROWS  # q beyond the tables
+    doubt |= ~(values >= _SMALLEST_NORMAL) & (p != 0.0)  # a zero is exact
+    doubt |= values == _INF
     return values
 
 

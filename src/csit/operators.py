@@ -154,6 +154,9 @@ class CsitParams:
             raise ValueError("tau_min must lie strictly between 0 and tau_max")
         if self.eta_half_width == 0.0 and self.n_eta != 1:
             object.__setattr__(self, "n_eta", 1)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.normalization):
+                raise ValueError("extents too large: 2*H*Z overflows")
         if not self.normalization > 1.0 / np.finfo(np.float64).max:
             raise ValueError("extents too small: 1/(2*H*Z) overflows")
 

@@ -686,17 +686,22 @@ class TestDecimalReader:
         assert parsed is not None
         assert same_bits(parsed[1], np.array([float(cell), -float(cell)]))
 
-    @pytest.mark.parametrize("source", ["repr_series", "written_table"])
+    @pytest.mark.parametrize("source", ["repr_series", "written_table", "zero_snapshot"])
     def test_usual_files_send_no_cell_to_float(self, tmp_path, source):
         # a doubt band too wide would send cells to float() one at a time
         # and make the reader slow without changing a value; the
-        # benchmark's repr input and the writer's %.17g cells send none
+        # benchmark's repr input, the writer's %.17g cells and the 0 and
+        # -0 cells of a snapshot of advect at t = 0 send none
         if source == "repr_series":
             raw, t, v = _repr_series(65536)
         else:
-            rng = np.random.default_rng(34)
-            t = np.linspace(-5.0, 5.0, 65536)
-            v = rng.standard_normal(65536) * 10.0 ** rng.integers(-30, 30, 65536)
+            if source == "written_table":
+                rng = np.random.default_rng(34)
+                t = np.linspace(-5.0, 5.0, 65536)
+                v = rng.standard_normal(65536) * 10.0 ** rng.integers(-30, 30, 65536)
+            else:
+                t = 20.0 * np.arange(500)
+                v = np.where(np.arange(500) % 2 == 0, 0.0, -0.0)
             write_table_csv(tmp_path / "t.csv", ["t", "v"], [t, v])
             raw = (tmp_path / "t.csv").read_bytes()
         sent = []
@@ -1447,6 +1452,16 @@ class TestParameterBoundary:
                                "--out", out], 2, out.parent)
         assert "too small" in err
 
+    @pytest.mark.parametrize("subcommand", ["derive", "ifreq"])
+    def test_default_extents_whose_normalization_overflows_exit_2(self, tmp_path, subcommand):
+        # a spacing of 1e300 makes the default H = Z = 1e300, so 2*H*Z is
+        # inf and every quadrature route would return 0
+        src = tmp_path / "huge.csv"
+        src.write_text("t,v\n" + "".join(f"{i}e300,{i + 1}\n" for i in range(5)))
+        out = tmp_path / "o" / "q.csv"
+        err = assert_rejected([subcommand, src, "--out", out], 2, out.parent)
+        assert err == "csit: error: extents too large: 2*H*Z overflows"
+
     @pytest.mark.parametrize(
         "H, Z, match",
         [("0.01", "1000", "too large"), ("0.01", "0", "tau_max"), ("-1", "0.01", "eta_half_width"),
@@ -1784,17 +1799,21 @@ class TestParameterBoundary:
     def test_advect_snapshot_times_too_large_for_the_speed_fit(self, tmp_path):
         # L 1e307 puts the default snapshot times near 7e302, whose squares
         # overflow the pulse-speed fit: --config exits 2 and a replay 3,
-        # each one line naming n_t and dt, no warning and no directory
+        # each one line naming n_t and dt, no warning and no directory.
+        # The fd scheme reaches the fit; the csit scheme's default extents
+        # at that L overflow 2*H*Z first
         message = ("snapshot times up to 6.94444e+302 s (n_t 8, dt 8.68056e+301 s) are too "
                    "large: the speed fit's sum of their squares overflows float64")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_x": 32, "n_t": 8}))
         run = tmp_path / "run"
-        assert main(["advect", "--config", str(cfg), "--out-dir", str(run)]) == 0
+        assert main(["advect", "--scheme", "fd", "--config", str(cfg), "--out-dir", str(run)]) == 0
         cfg.write_text(json.dumps({"n_x": 32, "n_t": 8, "L": 1e307}))
         out = tmp_path / "o"
-        err = assert_rejected(["advect", "--config", cfg, "--out-dir", out], 2, out)
+        err = assert_rejected(["advect", "--scheme", "fd", "--config", cfg, "--out-dir", out], 2, out)
         assert err == f"csit: error: {message}"
+        err = assert_rejected(["advect", "--config", cfg, "--out-dir", out], 2, out)
+        assert err == "csit: error: extents too large: 2*H*Z overflows"
         manifest = json.loads((run / "manifest.json").read_text())
         manifest["parameters"].update(L=1e307, snapshots=None, t_delay=None)
         path = tmp_path / "edited.json"

@@ -116,6 +116,9 @@ class TestCsitParams:
             CsitParams(eta_half_width=1e-300, tau_max=1e-10)
         with pytest.raises(ValueError, match="too small"):
             CsitParams(eta_half_width=0.0, tau_max=1e-320)
+        for huge in (1e300, np.float64(1e300)):
+            with pytest.raises(ValueError, match=r"too large: 2\*H\*Z overflows"):
+                CsitParams(eta_half_width=huge, tau_max=huge)
         assert CsitParams(eta_half_width=1e-300, tau_max=1e-3).normalization == pytest.approx(2e-303)
 
 

@@ -573,7 +573,7 @@ _REFERENCE_NODES = 24
 
 
 def _bruteforce_reference(
-    f: AnalyticFunction, xs: np.ndarray, H: float, Z: float
+    f: AnalyticFunction, xs: np.ndarray, H: float, Z: float, rule: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
     """Tensor Gauss-Legendre rule for the defining double integral.
 
@@ -582,9 +582,10 @@ def _bruteforce_reference(
     real on the real axis this integrand is entire and even in tau, so
     its tau mean over [0, Z] equals that over [-Z, Z], and the Gauss
     rule on both axes converges geometrically.  It shares no node or
-    weight with the midpoint and trapezoid rules it checks.
+    weight with the midpoint and trapezoid rules it checks.  ``rule`` is the
+    ``_REFERENCE_NODES``-point Gauss-Legendre rule (nodes, weights) on [-1, 1].
     """
-    t, w = np.polynomial.legendre.leggauss(_REFERENCE_NODES)
+    t, w = rule
     taus, w_tau = Z * t, 0.5 * w
     if H == 0.0:
         etas, w_eta = np.zeros(1), np.ones(1)
@@ -618,6 +619,7 @@ def table1_verify(
         tau_min = Z / 512.0
     p = CsitParams(H, Z, tau_min, n_eta, n_tau)
     scale = sinc_kernel(H) * shi(Z) / Z
+    rule = np.polynomial.legendre.leggauss(_REFERENCE_NODES)
 
     xs_circle = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
 
@@ -625,7 +627,7 @@ def table1_verify(
         return Table1Row(name, reference, float(np.max(np.abs(got - want))), tolerance)
 
     def reference_row(name, f, xs):
-        return row(name, csit_quadrature_direct(f, xs, p), _bruteforce_reference(f, xs, H, Z),
+        return row(name, csit_quadrature_direct(f, xs, p), _bruteforce_reference(f, xs, H, Z, rule),
                    "double quadrature")
 
     got_sin = csit_quadrature_direct(np.sin, xs_circle, p)

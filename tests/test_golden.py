@@ -5,10 +5,10 @@ Each case runs in-process through ``csit.cli.main`` into a directory of its
 own.  Every file the run writes is hashed; a manifest is hashed with its
 ``created_utc`` and ``duration_seconds`` removed and the run's directory
 replaced by ``<root>``, so only what the run computed enters its digest.
-The bits depend on numpy's pocketfft, on the C library's ``exp``, ``cexp``,
-``csin``, ``ccos`` and ``sin`` and on scipy's ``shichi``, so the table
-records the numpy and scipy versions and the platform it was made on; on
-any other, each case is skipped with both named.
+The bits depend on numpy's pocketfft and on the C library's ``exp``,
+``cexp``, ``csin``, ``ccos`` and ``sin``, so the table records the numpy
+version and the platform it was made on; on any other, each case is skipped
+with both named.
 
 A change that moves bits on purpose rewrites the table with
 
@@ -29,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from csit.cli import main
 
@@ -86,10 +85,9 @@ CASES = {
 
 
 def environment() -> dict:
-    """What the digests depend on beyond the package: numpy, scipy and the platform."""
+    """What the digests depend on beyond the package: numpy and the platform."""
     libc = " ".join(part for part in platform.libc_ver() if part)
-    return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "platform": f"{platform.system()} {platform.machine()} {libc}".strip()}
+    return {"numpy": np.__version__, "platform": f"{platform.system()} {platform.machine()} {libc}".strip()}
 
 
 def _digest(path: Path, root: Path) -> str:

@@ -1,7 +1,8 @@
 """Every module-level import in the package is used somewhere in its module,
 the applications take no private operator helper but ``_derivative``, the
 test oracles in ``reference.py`` import nothing from the package,
-importing the command line does not import scipy or ``secrets``, the command line
+importing the command line does not import scipy or ``secrets``, no ``table1``,
+``symbol`` or symbol ``transform`` run loads any part of scipy, the command line
 imports no range check and nothing from ``special``, neither the command line
 nor a ``table1`` or ``ifreq`` run loads ``concurrent.futures``, in the command line
 only ``_execute`` creates a directory or writes or removes a file, only
@@ -12,6 +13,7 @@ tallies keep the parameter names it binds."""
 import ast
 import importlib
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -180,8 +182,7 @@ def test_cli_imports_nothing_from_special():
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported on first use, by the sine integrals; the other
-    # subcommands start without it
+    # numpy is the package's only runtime dependency
     code = "import sys, csit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -197,31 +198,34 @@ def test_cli_import_loads_no_secrets():
     assert proc.stdout.strip() == "False"
 
 
-def test_table1_loads_only_scipy_special(tmp_path):
-    # the exp and Gaussian rows take a numpy Gauss-Legendre reference, so
-    # only the sine integrals of the closed forms reach into scipy
+def test_symbol_runs_load_no_scipy(tmp_path):
+    # shi and si are summed with numpy, so the routes that evaluate them
+    # (table1's closed forms, the symbol table, the symbol transform) run
+    # without any part of scipy
+    n = 64
+    rows = "".join(f"{2 * math.pi * j / n!r},{math.sin(2 * math.pi * j / n)!r}\n" for j in range(n))
+    (tmp_path / "x.csv").write_text("x,value\n" + rows)
     code = (
-        "import sys; from csit.cli import main; rc = main(['table1', '--out', sys.argv[1]]); "
-        "print(rc, sorted(m for m in sys.modules if m.count('.') == 1 and m.startswith('scipy.') "
-        "and not m.split('.')[1].startswith('_') and hasattr(sys.modules[m], '__path__')))"
+        "import sys; from csit.cli import main; d = sys.argv[1]; "
+        "rc = [main(['table1', '--out', d + '/t.csv']), main(['symbol', '--out', d + '/s.csv']), "
+        "main(['transform', d + '/x.csv', '--mode', 'symbol', '--H', '0.05', '--Z', '0.05', "
+        "'--out', d + '/o.csv'])]; "
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv")], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "0 ['scipy.special']"
+    assert proc.stdout.strip() == "[0, 0, 0] []"
 
 
 def test_cli_and_table1_load_no_concurrent_futures(tmp_path):
     # the direct quadrature runs its blocks on plain threads and if_csit runs
     # its eta rows inline, so start-up pays no cold import of
-    # concurrent.futures.  scipy.special loads it on its own (through
-    # numpy.testing), so the table1 run starts with scipy.special imported
-    # and the concurrent package dropped; ifreq runs first, before scipy
+    # concurrent.futures
     code = (
         "import sys, csit.cli; cold = 'concurrent.futures' in sys.modules; "
         "rc_ifreq = csit.cli.main(['ifreq', '--demo', 'chirp', '--out', sys.argv[2]]); "
-        "ifreq = 'concurrent.futures' in sys.modules; import scipy.special; "
-        "[sys.modules.pop(m) for m in list(sys.modules) if m.split('.')[0] == 'concurrent']; "
+        "ifreq = 'concurrent.futures' in sys.modules; "
         "rc = csit.cli.main(['table1', '--out', sys.argv[1]]); "
         "print(rc_ifreq, rc, cold, ifreq, 'concurrent.futures' in sys.modules)"
     )

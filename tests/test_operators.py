@@ -29,7 +29,7 @@ from csit.operators import (
     pseudospectral_derivative,
     table1_verify,
 )
-from csit.operators import _bruteforce_reference, _derivative
+from csit.operators import _REFERENCE_NODES, _bruteforce_reference, _derivative
 from csit.special import shi, si, sinc_kernel
 
 from reference import csit_bruteforce, quadrature_direct_one_array
@@ -948,19 +948,28 @@ class TestVerificationTable:
             assert row.tolerance == 1e-3
         assert "normalization" in report.note
 
+    def test_one_reference_rule_per_call(self, monkeypatch):
+        # the exp and Gaussian rows share one Gauss-Legendre eigen-solve
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or leggauss(n))
+        table1_verify(n_eta=32, n_tau=32, n_points=3, tolerance=1e-3)
+        assert calls == [_REFERENCE_NODES]
+
 
 class TestTable1Reference:
     """The Gauss-Legendre reference of table1's exp and Gaussian rows."""
 
     FUNCTIONS = {"exp": np.exp, "gaussian": lambda z: np.exp(-z * z)}
     XS = np.array([-1.3, 0.2, 0.9])
+    RULE = np.polynomial.legendre.leggauss(_REFERENCE_NODES)
 
     @pytest.mark.parametrize("name", sorted(FUNCTIONS))
     @pytest.mark.parametrize("H", [0.0, 0.05, 0.1, 0.5])
     @pytest.mark.parametrize("Z", [0.05, 0.1, 0.5])
     def test_matches_package_free_oracle(self, name, H, Z):
         f = self.FUNCTIONS[name]
-        got = _bruteforce_reference(f, self.XS, H, Z)
+        got = _bruteforce_reference(f, self.XS, H, Z, self.RULE)
         # the oracle's tolerance is absolute on the unnormalized integrals,
         # and its tau_min of 1e-30 leaves out a negligible strip
         tol = 1e-13 * (2.0 * H * Z if H else Z)
@@ -974,5 +983,5 @@ class TestTable1Reference:
         # Im exp(x + eta + i tau)/tau = exp(x + eta) sin(tau)/tau separates
         xs = np.linspace(-1.0, 1.0, 7)
         closed = np.exp(xs) * (np.sinh(H) / H if H else 1.0) * (si(Z) / Z)
-        got = _bruteforce_reference(np.exp, xs, H, Z)
+        got = _bruteforce_reference(np.exp, xs, H, Z, self.RULE)
         np.testing.assert_allclose(got, closed, rtol=1e-14, atol=0.0)

@@ -1,13 +1,16 @@
 """Tests for the hyperbolic and trigonometric sine integrals.
 
 Reference values are frozen from the series/adaptive-Simpson oracle in
-``reference.py``, which shares no code with the package.
+``reference.py``, which shares no code with the package.  scipy's cephes
+``shichi`` and ``sici``, which the package does not load, are the dense-grid
+accuracy references.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.special import shichi, sici
 
 from csit.special import shi, si, sinc_kernel
 
@@ -27,9 +30,39 @@ class TestShi:
     def test_odd(self):
         for z in (0.3, 1.0, 7.5):
             assert shi(-z) == pytest.approx(-shi(z), abs=1e-14)
+        z = np.linspace(0.0, 713.0, 100_001)
+        np.testing.assert_array_equal(shi(-z), -shi(z))
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 10.0), (10.0, 40.0), (40.0, 80.0), (80.0, 709.0)])
+    def test_matches_cephes_on_a_dense_grid(self, lo, hi):
+        # both sides of the switch from the power series to the asymptotic
+        # one at 40; the series' error peaks in the 10-40 band
+        z = np.linspace(lo, hi, 200_001)
+        ref = shichi(z)[0]
+        rel = np.abs(shi(z) - ref) / np.maximum(ref, np.finfo(float).tiny)
+        assert rel.max() <= 4e-15
+
+    def test_keeps_cephes_bits_for_small_arguments(self):
+        # table1's one scalar and a grid below cephes' switch at 8
+        assert shi(0.1) == shichi(0.1)[0]
+        z = np.linspace(0.0, 8.0, 100_001)[:-1]
+        np.testing.assert_array_equal(shi(z), shichi(z)[0])
+
+    def test_finite_up_to_the_guard(self):
+        # cephes' cosh(z)/z overflows past 710.48; e^(z/2)*e^(z/2)/(2z) does not
+        z = np.linspace(710.49, 713.0, 101)
+        out = shi(z)
+        assert np.all(np.isfinite(out)) and np.all(np.diff(out) > 0.0)
+        # log shi(z) = z - log(2z) + log(sum_k k!/z^k), to within an ulp of ~711
+        series = sum(math.factorial(k) / z**k for k in range(1, 6))
+        np.testing.assert_allclose(np.log(out), z - np.log(2.0 * z) + np.log1p(series), rtol=0.0, atol=5e-13)
 
     def test_zero(self):
         assert shi(0.0) == 0.0
+
+    def test_nan(self):
+        # a NaN takes no term of either series, which would never converge
+        assert math.isnan(shi(math.nan))
 
     def test_array_input(self):
         z = np.array([0.1, 0.2, 0.4])
@@ -58,6 +91,18 @@ class TestSi:
     def test_odd(self):
         for z in (0.3, 2.0, 9.1):
             assert si(-z) == pytest.approx(-si(z), abs=1e-14)
+        z = np.linspace(0.0, 1e4, 100_001)
+        np.testing.assert_array_equal(si(-z), -si(z))
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 10.0), (10.0, 1e4)])
+    def test_matches_cephes_on_a_dense_grid(self, lo, hi):
+        # the alternating series up to 4, the continued fraction above
+        z = np.linspace(lo, hi, 200_001)
+        assert np.max(np.abs(si(z) - sici(z)[0])) <= 1e-14
+
+    def test_limits_and_nan(self):
+        out = si(np.array([np.inf, -np.inf, np.nan]))
+        assert out[0] == math.pi / 2.0 and out[1] == -math.pi / 2.0 and np.isnan(out[2])
 
     def test_bounded_and_converging(self):
         # si is bounded by its value at pi and tends to pi/2

@@ -64,9 +64,6 @@ zeroed even-grid Nyquist bin, and so is a public route's overflowing output.
 
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -332,52 +329,6 @@ def _separable_factors(f: AnalyticFunction, reals: np.ndarray, taus: np.ndarray)
             sign * tau_factor(taus.astype(np.complex128)).real)
 
 
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _run_blocks(block: Callable[[int], None], n_blocks: int) -> None:
-    """Call ``block(0)``, ..., ``block(n_blocks - 1)`` on every usable CPU.
-
-    The caller's thread takes blocks too, so a single block (or a single
-    CPU) starts no thread.  Each worker runs in a copy of the caller's
-    context, which carries numpy's error state.  Once a block raises, no
-    new block starts; every thread is joined and the first exception is
-    re-raised.
-    """
-    n_threads = min(n_blocks, _cpu_count())
-    pending = iter(range(n_blocks))
-    lock = threading.Lock()
-    errors: list[BaseException] = []
-
-    def work() -> None:
-        while not errors:
-            with lock:
-                index = next(pending, None)
-            if index is None:
-                return
-            try:
-                block(index)
-            except BaseException as exc:  # re-raised in the caller
-                errors.append(exc)
-
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
-               for _ in range(n_threads - 1)]
-    for thread in threads:
-        thread.start()
-    try:
-        work()
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
 def _quadrature_multiplier(grid: UniformGrid, p: CsitParams) -> np.ndarray:
     """The quadrature's exact multiplier m_q (see the module docstring).
 
@@ -418,12 +369,12 @@ def csit_quadrature_direct(
     results, as the ``cexp`` row of :func:`table1_verify` does.
 
     ``f`` is applied elementwise to blocks of shifted points
-    ``x + eta_p + i*tau_m`` (a few eta rows at a time), possibly on
-    several threads at once, so it must not depend on the shape of its
-    argument or keep state between calls.  Each thread runs in a copy of
-    the caller's context, so an ``np.errstate`` around the call holds
-    inside ``f``, and the first exception raised by ``f`` is re-raised
-    here.  Returns the array of transform values at ``x``.
+    ``x + eta_p + i*tau_m``, a few eta rows at a time, so it must not
+    depend on the shape of its argument or keep state between calls.  It
+    is called once per block, in ascending eta order, on the caller's
+    thread: an ``np.errstate`` around the call holds inside ``f``, and an
+    exception raised by ``f`` propagates unchanged.  Returns the array of
+    transform values at ``x``.
 
     For ``f`` exactly ``np.sin``, ``np.cos`` or ``np.exp``, ``f`` is not
     called while every ``x + eta_p`` is finite, ``tau_m <= 700`` for sin
@@ -440,16 +391,15 @@ def csit_quadrature_direct(
     # x + eta: the real parts of the shifted points x + (eta + i*tau) below
     factors = _separable_factors(f, x + etas[:, None], taus)
 
-    def block(index: int) -> None:
-        sl = slice(index * rows, (index + 1) * rows)
+    for start in range(0, len(etas), rows):
+        sl = slice(start, start + rows)
         if factors is None:
             shifts = etas[sl, None] + 1j * taus[None, :]
             imag = np.asarray(f(x + shifts[:, :, None]), dtype=np.complex128).imag
         else:
             imag = np.multiply(factors[1][:, None], factors[0][sl, None, :], out=quot[sl])
         np.divide(imag, taus[:, None], out=quot[sl])
-
-    _run_blocks(block, -(-len(etas) // rows))
+        del imag  # the block's temporaries go before the next block's
     return np.einsum("p,m,pmn->n", w_eta, w_tau, quot) / p.normalization
 
 

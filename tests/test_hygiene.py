@@ -219,9 +219,8 @@ def test_symbol_runs_load_no_scipy(tmp_path):
 
 
 def test_cli_and_table1_load_no_concurrent_futures(tmp_path):
-    # the direct quadrature runs its blocks on plain threads and if_csit runs
-    # its eta rows inline, so start-up pays no cold import of
-    # concurrent.futures
+    # the direct quadrature runs its blocks and if_csit its eta rows on the
+    # caller's thread, so start-up pays no cold import of concurrent.futures
     code = (
         "import sys, csit.cli; cold = 'concurrent.futures' in sys.modules; "
         "rc_ifreq = csit.cli.main(['ifreq', '--demo', 'chirp', '--out', sys.argv[2]]); "

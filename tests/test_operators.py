@@ -7,8 +7,8 @@ and spectral routes are also cross-checked against each other since they
 approximate the same operator from opposite ends.
 """
 
-import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -329,9 +329,9 @@ def _one_array(f, x, p: CsitParams) -> np.ndarray:
 
 
 class TestDirectQuadratureBlocks:
-    """``csit_quadrature_direct`` calls f on blocks of eta rows, possibly on
-    several threads; the result is the one-array formula bit for bit, and
-    the threads carry the caller's error state and exceptions."""
+    """``csit_quadrature_direct`` calls f on blocks of eta rows, in order, on
+    the caller's thread; the result is the one-array formula bit for bit,
+    and f sees the caller's error state and raises into the caller."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -343,16 +343,14 @@ class TestDirectQuadratureBlocks:
         x=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=40),
         name=st.sampled_from(sorted(_DIRECT_FUNCTIONS)),
         block_points=st.sampled_from([1, 37, 500, 4096, operators._DIRECT_BLOCK_POINTS]),
-        cpus=st.integers(1, 3),
     )
     def test_bit_identical_to_one_array_formula(
-        self, H, Z, rule, n_eta, n_tau, x, name, block_points, cpus
+        self, H, Z, rule, n_eta, n_tau, x, name, block_points
     ):
         p = CsitParams(H, Z, n_eta=n_eta, n_tau=n_tau, rule=rule)
         f = _DIRECT_FUNCTIONS[name]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(operators, "_DIRECT_BLOCK_POINTS", block_points)
-            mp.setattr(operators, "_cpu_count", lambda: cpus)
             got = csit_quadrature_direct(f, x, p)
         assert got.tobytes() == _one_array(f, x, p).tobytes()
 
@@ -364,103 +362,47 @@ class TestDirectQuadratureBlocks:
     def test_blocks_of_eta_rows(self, monkeypatch, block_points, rows):
         # 12 eta rows of 5 tau nodes at 20 points: 100 points per row
         monkeypatch.setattr(operators, "_DIRECT_BLOCK_POINTS", block_points)
-        monkeypatch.setattr(operators, "_cpu_count", lambda: 2)
         p = CsitParams(0.3, 0.2, n_eta=12, n_tau=5)
         x = np.linspace(-1.0, 1.0, 20)
+        etas, _ = p.eta_nodes_weights()
         caller = threading.current_thread()
         calls = []
 
         def f(z):
-            calls.append((z.shape, threading.current_thread() is caller))
+            # x[0] + eta + i*tau[0] names the block's first eta row
+            calls.append((z.shape, z[0, 0, 0].real, threading.current_thread() is caller))
             return np.sin(z)
 
         before = threading.active_count()
         got = csit_quadrature_direct(f, x, p)
         assert threading.active_count() == before
-        assert sorted((shape for shape, _ in calls), reverse=True) == [(r, 5, 20) for r in rows]
-        if len(rows) == 1:  # a single block runs inline
-            assert calls[0][1]
+        assert [shape for shape, _, _ in calls] == [(r, 5, 20) for r in rows]
+        firsts = np.cumsum([0] + rows[:-1])
+        assert [start for _, start, _ in calls] == list(x[0] + etas[firsts])
+        assert all(on_caller for _, _, on_caller in calls)
         assert got.tobytes() == _one_array(np.sin, x, p).tobytes()
 
-    def test_every_block_runs_once_under_contention(self, monkeypatch):
-        # more threads than cores, switching every microsecond: each eta row
-        # is evaluated exactly once, and the sum is still bit-identical
+    def test_exception_on_a_later_block_propagates_with_its_type(self, monkeypatch):
         monkeypatch.setattr(operators, "_DIRECT_BLOCK_POINTS", 1)
-        monkeypatch.setattr(operators, "_cpu_count", lambda: 8)
-        p = CsitParams(0.3, 0.2, n_eta=64, n_tau=3)
-        x = np.linspace(-1.0, 1.0, 4)
-        starts = []
+        calls = []
 
-        def f(z):
-            starts.append(z[0, 0, 0])  # x[0] + eta + i*tau[0] names the row
-            return np.cos(z)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = csit_quadrature_direct(f, x, p)
-        finally:
-            sys.setswitchinterval(interval)
-        etas, _ = p.eta_nodes_weights()
-        assert sorted(z.real for z in starts) == sorted(x[0] + etas)
-        assert got.tobytes() == _one_array(np.cos, x, p).tobytes()
-
-    def test_exception_in_a_worker_propagates_with_its_type(self, monkeypatch):
-        monkeypatch.setattr(operators, "_DIRECT_BLOCK_POINTS", 1)
-        monkeypatch.setattr(operators, "_cpu_count", lambda: 2)
-        caller = threading.current_thread()
-        worker_called = threading.Event()
-
-        class WorkerFault(Exception):
+        class BlockFault(Exception):
             pass
 
         def f(z):
-            if threading.current_thread() is caller:
-                worker_called.wait(10.0)  # let the worker take a block first
-                return np.sin(z)
-            worker_called.set()
-            raise WorkerFault("raised in a worker")
-
-        before = threading.active_count()
-        with pytest.raises(WorkerFault, match="raised in a worker"):
-            csit_quadrature_direct(f, np.linspace(0.0, 1.0, 5), CsitParams(0.1, 0.1, n_eta=8, n_tau=4))
-        assert threading.active_count() == before
-
-    def test_overflow_raises_under_the_callers_error_state(self, monkeypatch):
-        monkeypatch.setattr(operators, "_cpu_count", lambda: 2)
-        p = CsitParams(0.1, 0.1, n_eta=128, n_tau=128)
-        before = threading.active_count()
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            csit_quadrature_direct(np.exp, np.linspace(0.0, 720.0, 20), p)
-        assert threading.active_count() == before
-
-    def test_workers_see_the_callers_error_state(self, monkeypatch):
-        monkeypatch.setattr(operators, "_DIRECT_BLOCK_POINTS", 1)
-        monkeypatch.setattr(operators, "_cpu_count", lambda: 2)
-        caller = threading.current_thread()
-        called = {True: threading.Event(), False: threading.Event()}
-        seen = []
-
-        def f(z):
-            # each thread waits until the other has taken a block too
-            mine = threading.current_thread() is caller
-            seen.append((mine, np.geterr()["over"]))
-            called[mine].set()
-            called[not mine].wait(10.0)
+            calls.append(z.shape)
+            if len(calls) == 3:
+                raise BlockFault("raised on the third block")
             return np.sin(z)
 
-        with np.errstate(over="raise"):
+        with pytest.raises(BlockFault, match="raised on the third block"):
             csit_quadrature_direct(f, np.linspace(0.0, 1.0, 5), CsitParams(0.1, 0.1, n_eta=8, n_tau=4))
-        assert {mine for mine, _ in seen} == {True, False}
-        assert {over for _, over in seen} == {"raise"}
+        assert len(calls) == 3  # no block starts after the one that raised
 
-    @pytest.mark.parametrize("count, cpus", [(None, 1), (3, 3)])
-    def test_cpu_count_without_an_affinity_call(self, monkeypatch, count, cpus):
-        # a platform with no sched_getaffinity falls back to os.cpu_count,
-        # which may not know the count
-        monkeypatch.delattr(operators.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(operators.os, "cpu_count", lambda: count)
-        assert operators._cpu_count() == cpus
+    def test_overflow_raises_under_the_callers_error_state(self):
+        p = CsitParams(0.1, 0.1, n_eta=128, n_tau=128)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            csit_quadrature_direct(np.exp, np.linspace(0.0, 720.0, 20), p)
 
 
 # why csit_quadrature_direct may build its sin, cos and exp rows from real factors
@@ -522,7 +464,6 @@ class TestSeparableRows:
     ])
     def test_both_sides_of_the_guard(self, monkeypatch, name, Z, x, factored):
         monkeypatch.setattr(operators, "_DIRECT_BLOCK_POINTS", 8)
-        monkeypatch.setattr(operators, "_cpu_count", lambda: 2)
         f = _DIRECT_FUNCTIONS[name]
         p = CsitParams(0.1, Z, n_eta=4, n_tau=4)
         x = np.array(x)
@@ -537,7 +478,6 @@ class TestSeparableRows:
     def test_a_wrapped_ufunc_is_called_on_every_block(self, monkeypatch):
         # 12 eta rows of 5 tau nodes at 20 points, in blocks of 3 rows
         monkeypatch.setattr(operators, "_DIRECT_BLOCK_POINTS", 300)
-        monkeypatch.setattr(operators, "_cpu_count", lambda: 2)
         p = CsitParams(0.3, 0.2, n_eta=12, n_tau=5)
         x = np.linspace(-1.0, 1.0, 20)
         shapes = []
@@ -947,6 +887,20 @@ class TestVerificationTable:
             assert row.max_deviation >= 0.0
             assert row.tolerance == 1e-3
         assert "normalization" in report.note
+
+    def test_warm_run_peaks_below_5_mb(self):
+        # the 128 x 128 x 20 quotient array is 2.6 MB and one block's
+        # temporaries about 1.5 MB more (4.13 MB in all); two blocks evaluated
+        # at once make 5.1 to 5.6 MB, and the Gaussian on one array about
+        # 20 MB of complex temporaries
+        table1_verify()
+        tracemalloc.start()
+        try:
+            table1_verify()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_one_reference_rule_per_call(self, monkeypatch):
         # the exp and Gaussian rows share one Gauss-Legendre eigen-solve

@@ -3,7 +3,8 @@ the applications take no private operator helper but ``_derivative``, the
 test oracles in ``reference.py`` import nothing from the package,
 importing the command line does not import scipy or ``secrets``, no ``table1``,
 ``symbol`` or symbol ``transform`` run loads any part of scipy, the command line
-imports no range check and nothing from ``special``, neither the command line
+imports no range check and nothing from ``special``, ``operators.py`` imports
+no thread or process machinery, neither the command line
 nor a ``table1`` or ``ifreq`` run loads ``concurrent.futures``, in the command line
 only ``_execute`` creates a directory or writes or removes a file, only
 ``operators.py`` calls the real FFT pair or names numpy's private
@@ -179,6 +180,16 @@ def test_cli_imports_nothing_from_special():
         alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
     ] + [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert [m for m in modules if m.split(".")[-1] == "special"] == []
+
+
+def test_operators_imports_no_thread_machinery():
+    # the direct quadrature runs every block on the caller's thread
+    tree = ast.parse((PACKAGE / "operators.py").read_text())
+    modules = [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+    ] + [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    banned = {"threading", "contextvars", "os", "concurrent", "multiprocessing"}
+    assert [m for m in modules if m.split(".")[0] in banned] == []
 
 
 def test_cli_import_loads_no_scipy():

@@ -382,7 +382,8 @@ class TestDirectQuadratureBlocks:
         assert all(on_caller for _, _, on_caller in calls)
         assert got.tobytes() == _one_array(np.sin, x, p).tobytes()
 
-    def test_exception_on_a_later_block_propagates_with_its_type(self, monkeypatch):
+    @pytest.mark.parametrize("block", [3, 8])  # a middle block and the last of 8
+    def test_exception_on_a_later_block_propagates_with_its_type(self, monkeypatch, block):
         monkeypatch.setattr(operators, "_DIRECT_BLOCK_POINTS", 1)
         calls = []
 
@@ -391,13 +392,27 @@ class TestDirectQuadratureBlocks:
 
         def f(z):
             calls.append(z.shape)
-            if len(calls) == 3:
-                raise BlockFault("raised on the third block")
+            if len(calls) == block:
+                raise BlockFault(f"raised on block {block}")
             return np.sin(z)
 
-        with pytest.raises(BlockFault, match="raised on the third block"):
+        with pytest.raises(BlockFault, match=f"raised on block {block}"):
             csit_quadrature_direct(f, np.linspace(0.0, 1.0, 5), CsitParams(0.1, 0.1, n_eta=8, n_tau=4))
-        assert len(calls) == 3  # no block starts after the one that raised
+        assert len(calls) == block  # no block starts after the one that raised
+
+    def test_every_block_sees_the_callers_error_state(self, monkeypatch):
+        monkeypatch.setattr(operators, "_DIRECT_BLOCK_POINTS", 1)
+        seen = []
+
+        def f(z):
+            seen.append(np.geterr())
+            return np.sin(z)
+
+        p = CsitParams(0.1, 0.1, n_eta=8, n_tau=4)
+        with np.errstate(over="raise", under="ignore", invalid="print", divide="raise"):
+            want = np.geterr()
+            csit_quadrature_direct(f, np.linspace(0.0, 1.0, 5), p)
+        assert seen == [want] * 8
 
     def test_overflow_raises_under_the_callers_error_state(self):
         p = CsitParams(0.1, 0.1, n_eta=128, n_tau=128)
